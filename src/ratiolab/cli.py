@@ -1,20 +1,21 @@
 """Command-line front end.
 
 Subcommands: compute, verify, sweep, boundary, ellipse, probe. All numeric
-output is JSON with 17-significant-digit floats; identical arguments and
-seed produce byte-identical stdout and files.
+output is JSON with 17-significant-digit floats; identical arguments (and,
+for verify, seed) produce byte-identical stdout and files.
 
 Exit codes: 0 success, 1 usage or parse error, 2 undefined-ratio input,
 3 failed claim, 4 I/O failure.
 
 Complex literals use `i`, no spaces: `-1`, `2i`, `-4-1i`, `3.5e-2+1e3i`.
-The seed comes from --seed, else the RATIOLAB_SEED environment variable,
-else the published default 1729.
+Only verify draws random samples; its seed comes from --seed, else the
+RATIOLAB_SEED environment variable, else the published default 1729.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success, 1 usage/parse error, 2 undefined-ratio input, "
-            "3 failed claim, 4 I/O failure. Seed: --seed, else RATIOLAB_SEED, else 1729."
+            "3 failed claim, 4 I/O failure. verify seed: --seed, else RATIOLAB_SEED, else 1729."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -186,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--out", default="sweep_dataset.csv")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
     _add_tol_args(p)
 
     p = sub.add_parser("boundary", help="trace the ray formulas")
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--out", default="boundary_dataset.csv")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
     _add_tol_args(p)
 
     p = sub.add_parser("ellipse", help="midpoint inellipse vs critical points")
@@ -326,13 +325,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = CliConfig.from_args(args)
         return _COMMANDS[args.command](args, cfg)
     except UndefinedRatioError as exc:
-        print(f'{{"error": "{exc}"}}', file=sys.stderr)
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_UNDEFINED
     except (ValueError, RatioLabError) as exc:
-        print(f'{{"error": "{exc}"}}', file=sys.stderr)
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f'{{"error": "{exc}"}}', file=sys.stderr)
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_IO
 
 

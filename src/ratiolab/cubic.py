@@ -33,8 +33,9 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     MACHINE_EPS,
-    SQRT3,
     ToleranceConfig,
+    _on_rays,
+    in_gamma,
     principal_sqrt,
     require_finite,
 )
@@ -251,14 +252,14 @@ def assess_admissibility(
 
     w = w2n / w3n
     d = 3.0 + w * w
-    on_boundary = abs(w.real) <= tol.boundary_tol and abs(w.imag) >= SQRT3 - tol.boundary_tol
+    on_boundary = _on_rays(w, tol)
 
     if on_boundary:
         if abs(d) > tol.boundary_tol and abs(w3n.imag) <= tol.eq_tol:
             # real w3 on the open rays: critical points get equal real parts
             reasons.append("boundary-real-w3")
     else:
-        if abs(d.imag) <= tol.boundary_tol and d.real <= tol.boundary_tol:
+        if in_gamma(d, tol):
             if abs(d) > tol.boundary_tol:
                 reasons.append("branch-cut")
         else:

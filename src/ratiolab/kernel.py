@@ -79,6 +79,11 @@ def in_gamma(z: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return abs(z.imag) <= tol.boundary_tol and z.real <= tol.boundary_tol
 
 
+def _on_rays(w: complex, tol: ToleranceConfig) -> bool:
+    """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3)."""
+    return abs(w.real) <= tol.boundary_tol and abs(w.imag) >= SQRT3 - tol.boundary_tol
+
+
 def approx_eq(a: complex, b: complex, tol: float = DEFAULT_TOL.eq_tol) -> bool:
     """|a - b| <= tol, with both operands validated finite."""
     if not tol > 0.0:

@@ -23,9 +23,8 @@ import numpy as np
 
 from .cubic import Configuration, OrderedCubic
 from .errors import BadRangeError, DegenerateTriangleError
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig
+from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig, _on_rays
 from .ratios import (
-    REMOVABLE_RADIUS,
     RatioPath,
     RatioVector,
     boundary_sigma1,
@@ -68,10 +67,6 @@ def is_reachable(w: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     if abs(w.imag) > tol.eq_tol:
         return True
     return abs(w.real) < 1.0 - tol.eq_tol
-
-
-def _on_rays(w: complex, tol: ToleranceConfig) -> bool:
-    return abs(w.real) <= tol.boundary_tol and abs(w.imag) >= SQRT3 - tol.boundary_tol
 
 
 def _classify_w(w: complex, tol: ToleranceConfig) -> str:
@@ -120,14 +115,11 @@ def sweep_w_grid(
                     SampleRecord(w, None, None, "skip", _classify_w(w, tol), reachable, None)
                 )
                 continue
-            path = "interior"
-            if abs(w - 1.0) < REMOVABLE_RADIUS or abs(w + 1.0) < REMOVABLE_RADIUS:
-                path = "extension"
             s1 = f_extension(w, tol)
             s2 = g_extension(w, tol)
             records.append(
                 SampleRecord(
-                    w, s1, s2, path, _classify_w(w, tol), reachable, _bounds_ok(s1, s2, tol)
+                    w, s1, s2, "interior", _classify_w(w, tol), reachable, _bounds_ok(s1, s2, tol)
                 )
             )
     return records

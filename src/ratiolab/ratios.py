@@ -7,8 +7,13 @@ For an ordered cubic the ratio vector is
 and always satisfies (1 - sigma1) * sigma2 = 1/3. On admissible interior
 configurations the ratios are functions of w = w2/w3 alone:
 
-    f(w) = (w + 3 - sqrt(3 + w^2)) / (3 (w + 1)),   f(-1) = 1/2
-    g(w) = (-2 w + sqrt(3 + w^2)) / (3 (1 - w)),    g(1)  = 1/2
+    f(w) = (w + 3 - sqrt(3 + w^2)) / (3 (w + 1)) = 2 / (w + 3 + R)
+    g(w) = (-2 w + sqrt(3 + w^2)) / (3 (1 - w))  = (w + 3 + R) / (3 (w + 1 + R))
+
+with R = sqrt(3 + w^2). The rationalized right-hand forms are the ones
+evaluated: their denominators never vanish on the principal branch, so the
+removable points w = -1 (for f) and w = +1 (for g), both of value 1/2, need
+no special case and nearby points lose no digits to cancellation.
 
 f and g extend analytically to the whole plane minus the excluded rays
 E = {Re w = 0, |Im w| >= sqrt(3)}, where sqrt(3 + w^2) crosses the branch
@@ -31,13 +36,12 @@ import numpy as np
 
 from .cubic import AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig, principal_sqrt, require_finite
+from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig, in_gamma, principal_sqrt, require_finite
 
 __all__ = [
     "RatioPath",
     "RatioVector",
     "BoundaryPoint",
-    "REMOVABLE_RADIUS",
     "ratios_direct",
     "f_extension",
     "g_extension",
@@ -49,10 +53,6 @@ __all__ = [
     "identity_residual",
     "ratios_via_w",
 ]
-
-#: Inside this distance of w = -1 (for f) or w = +1 (for g) the closed form
-#: is a 0/0 limit; the extensions return the constant 1/2 there.
-REMOVABLE_RADIUS = 1e-7
 
 
 class RatioPath(enum.Enum):
@@ -89,47 +89,52 @@ def ratios_direct(c: OrderedCubic) -> RatioVector:
     return RatioVector(s1, s2, RatioPath.COINCIDENT if c.coincident else RatioPath.DIRECT)
 
 
-def _check_domain(w: complex, tol: ToleranceConfig) -> complex:
-    """Return 3 + w^2, rejecting w on/near the open part of the excluded rays.
+def _root_term(w: complex, tol: ToleranceConfig) -> tuple[complex, complex]:
+    """(w, R = sqrt(3 + w^2)), rejecting w on/near the open excluded rays.
 
     The ray tips +-i*sqrt(3) map to 3 + w^2 = 0 where the principal root is
     continuous, so they evaluate fine; only the open rays are rejected.
     """
+    w = require_finite(w, "w")
     d = 3.0 + w * w
-    if abs(d.imag) <= tol.boundary_tol and d.real <= tol.boundary_tol and abs(d) > tol.boundary_tol:
+    if in_gamma(d, tol) and abs(d) > tol.boundary_tol:
         raise OutsideDomainError(
             f"w={w!r} lies on the excluded rays; use the boundary formula"
         )
-    return d
+    return w, principal_sqrt(d)
 
 
 def f_extension(w: complex, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Analytic extension of sigma1 as a function of w (value 1/2 at w = -1)."""
-    w = require_finite(w, "w")
-    d = _check_domain(w, tol)
-    if abs(w + 1.0) < REMOVABLE_RADIUS:
-        return complex(0.5, 0.0)
-    return (w + 3.0 - principal_sqrt(d)) / (3.0 * (w + 1.0))
+    w, r = _root_term(w, tol)
+    return 2.0 / (w + 3.0 + r)
 
 
 def g_extension(w: complex, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1)."""
-    w = require_finite(w, "w")
-    d = _check_domain(w, tol)
-    if abs(w - 1.0) < REMOVABLE_RADIUS:
-        return complex(0.5, 0.0)
-    return (-2.0 * w + principal_sqrt(d)) / (3.0 * (1.0 - w))
+    w, r = _root_term(w, tol)
+    return (w + 3.0 + r) / (3.0 * (w + 1.0 + r))
 
 
-def _as_boundary_t(t, tol: ToleranceConfig):
+def _ray_terms(t, tol: ToleranceConfig):
+    """Validated t with |t|, r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r.
+
+    t is a BoundaryPoint (already validated), a scalar or an array; the tip
+    rounding residue of t^2 - 3 is clamped to 0.
+    """
     if isinstance(t, BoundaryPoint):
-        return t.t
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise BadParameterError("boundary parameter must be finite")
-    if np.any(np.abs(t_arr) < SQRT3 - tol.eq_tol):
-        raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
-    return t if np.isscalar(t) else t_arr
+        t = t.t
+    else:
+        t_arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t_arr)):
+            raise BadParameterError("boundary parameter must be finite")
+        if np.any(np.abs(t_arr) < SQRT3 - tol.eq_tol):
+            raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
+        if not np.isscalar(t):
+            t = t_arr
+    at = np.abs(t)
+    r = np.sqrt(np.maximum(at * at - 3.0, 0.0))
+    return t, at, r, at * at + 3.0 + at * r
 
 
 def boundary_uv(t, tol: ToleranceConfig = DEFAULT_TOL):
@@ -145,10 +150,7 @@ def boundary_uv(t, tol: ToleranceConfig = DEFAULT_TOL):
 
     with u1 = u_big, v1 = v_pos for t > 0 and the mirror images for t < 0.
     """
-    t = _as_boundary_t(t, tol)
-    at = np.abs(t)
-    r = np.sqrt(np.maximum(at * at - 3.0, 0.0))
-    heavy = at * at + 3.0 + at * r
+    t, at, r, heavy = _ray_terms(t, tol)
     u_big = heavy / (3.0 * (at * at + 1.0))
     u_small = 3.0 / heavy
     v_neg = (2.0 * at + r) / (3.0 * (at * at + 1.0))
@@ -168,9 +170,8 @@ def boundary_sigma1(t, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
 
     For a configuration with Im w3 < 0 the value is conj(boundary_sigma1(-t)).
     """
-    t = _as_boundary_t(t, tol)
     u1, _, v1, _ = boundary_uv(t, tol)
-    if np.isscalar(t):
+    if isinstance(u1, float):
         return complex(u1, v1)
     return u1 + 1j * v1
 
@@ -183,10 +184,7 @@ def boundary_sigma2(t, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
 
 def boundary_modulus_sq(t, tol: ToleranceConfig = DEFAULT_TOL):
     """(a, b) with a = 9(u1^2 + v1^2), b = 9(u2^2 + v2^2); both stay below 4."""
-    t = _as_boundary_t(t, tol)
-    at = np.abs(t)
-    r = np.sqrt(np.maximum(at * at - 3.0, 0.0))
-    heavy = at * at + 3.0 + at * r
+    t, at, _, heavy = _ray_terms(t, tol)
     big = 2.0 * heavy / (at * at + 1.0)
     small = 18.0 / heavy
     pos = np.asarray(t) >= 0
@@ -200,9 +198,7 @@ def boundary_modulus_sq(t, tol: ToleranceConfig = DEFAULT_TOL):
 def boundary_sigma_diff(t, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """sigma2 - sigma1 on the rays (upper side):
     ((t^2 - 3) - 2 i sqrt(t^2 - 3)) / (3 (t^2 + 1)); real part >= 0."""
-    t = _as_boundary_t(t, tol)
-    at = np.abs(t)
-    r = np.sqrt(np.maximum(at * at - 3.0, 0.0))
+    t, at, r, _ = _ray_terms(t, tol)
     den = 3.0 * (at * at + 1.0)
     re = (at * at - 3.0) / den
     im = -2.0 * r / den

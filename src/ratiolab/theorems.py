@@ -24,12 +24,12 @@ violating configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cubic import (
     Configuration,
@@ -251,6 +251,14 @@ def _scan_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     return np.concatenate([-pos[::-1], pos])
 
 
+@functools.cache
+def _ray_grid() -> np.ndarray:
+    """The read-only grid of the ray envelope scans in T1E, T3 and T5."""
+    grid = _scan_grid(SQRT3, 1e3, 200000)
+    grid.flags.writeable = False
+    return grid
+
+
 def scan_lemma1(
     t_min: float = SQRT3,
     t_max: float = 1e3,
@@ -278,23 +286,28 @@ def scan_lemma1(
     )
 
 
-def _bracket_roots(fn: Callable[[float], float], grid: np.ndarray) -> list[float]:
-    vals = np.array([fn(t) for t in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(fn, grid[i], grid[i + 1], xtol=1e-13, rtol=1e-15)))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    # coalesce duplicates from adjacent brackets
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-6:
-            out.append(r)
-    return out
+def _sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> list[float]:
+    """Zeros of fn on an ascending grid: grid points where it is exactly 0,
+    and every sign change between neighbours, bisected on fn down to
+    adjacent floats. Roots closer than 1e-6 are coalesced."""
+    vals = fn(grid)
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    lo, hi = grid[brackets], grid[brackets + 1]
+    f_lo = vals[brackets]
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        f_mid = fn(mid)
+        exact = live & (f_mid == 0.0)
+        right = live & (np.sign(f_mid) == np.sign(f_lo))
+        lo = np.where(right | exact, mid, lo)
+        f_lo = np.where(right, f_mid, f_lo)
+        hi = np.where(live & ~right, mid, hi)
+    roots = np.sort(np.concatenate([grid[vals == 0.0], lo]))
+    keep = np.diff(roots, prepend=-math.inf) > 1e-6
+    return roots[keep].tolist()
 
 
 def scan_lemma2(
@@ -308,23 +321,14 @@ def scan_lemma2(
     Cross-check: (t^3 - 7t)^2 - 4 (t^2 - 1)^2 (t^2 - 3) factors as
     -3 (t - 2)(t + 2)(t^2 + 1)^2, verified on the grid to 1e-6 relative.
     """
-    pos = _positive_grid(t_min, t_max, steps)
-    grid = np.concatenate([-pos[::-1], pos])
+    grid = _scan_grid(t_min, t_max, steps)
     # bracket on each branch separately (the domain is two disjoint rays);
     # a coarse sub-grid suffices, refinement is exact
-    stride = max(1, len(pos) // 10000)
-    branches = (-pos[::-1][::stride], pos[::stride])
-
-    def expr_a(t: float) -> float:
-        r = math.sqrt(max(t * t - 3.0, 0.0))
-        return t ** 3 - 7.0 * t - 2.0 * (t * t - 1.0) * r
-
-    def expr_b(t: float) -> float:
-        r = math.sqrt(max(t * t - 3.0, 0.0))
-        return t ** 3 - 7.0 * t + 2.0 * (t * t - 1.0) * r
-
-    roots_a = [r for br in branches for r in _bracket_roots(expr_a, br)]
-    roots_b = [r for br in branches for r in _bracket_roots(expr_b, br)]
+    half = len(grid) // 2
+    stride = max(1, half // 10000)
+    branches = (grid[:half][::stride], grid[half:][::stride])
+    roots_a = [r for br in branches for r in _sign_change_roots(lambda t: lemma2_expressions(t)[0], br)]
+    roots_b = [r for br in branches for r in _sign_change_roots(lambda t: lemma2_expressions(t)[1], br)]
 
     t2 = grid * grid
     lhs = (grid ** 3 - 7.0 * grid) ** 2 - 4.0 * (t2 - 1.0) ** 2 * (t2 - 3.0)
@@ -441,6 +445,23 @@ class _Agg:
         if not report.passed:
             self.failed = True
 
+    def check_each(
+        self,
+        cubics: Iterable[OrderedCubic],
+        check: Callable[[OrderedCubic, ToleranceConfig], TheoremReport],
+        tol: ToleranceConfig,
+    ) -> list[float]:
+        """Run check on every cubic; a failure marks the aggregate failed and
+        keeps its witness (the latest one wins). Returns the margins."""
+        margins = []
+        for c in cubics:
+            rep = check(c, tol)
+            margins.append(rep.margin)
+            if not rep.passed:
+                self.failed = True
+                self.witness = rep.witness
+        return margins
+
 
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
@@ -451,8 +472,7 @@ def _bounds_claims(samples: int, seed: int, tol: ToleranceConfig) -> dict[str, T
     im-extremal uniqueness bookkeeping for T1C/T1D and T2C/T2D."""
     rng = _rng_for(seed, 1)
     aggs = {cid: _Agg() for cid in ("T1A", "T1B", "T1E", "T2A", "T2B", "T2E", "T3")}
-    stray_im1: list[SampleRecord] = []
-    stray_im2: list[SampleRecord] = []
+    strays: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
     # |Im sigma| touches 1/3 quadratically along the rays (the v-functions
     # have vanishing first derivative at t = -+2), so an Im-band of eq_tol
     # admits w within ~sqrt(eq_tol / 0.14) of the attainment points
@@ -468,68 +488,78 @@ def _bounds_claims(samples: int, seed: int, tol: ToleranceConfig) -> dict[str, T
                     wit = _witness(c, rv, tol)
                 agg.update(rep, lambda w=wit: w)
         # attainment bookkeeping: |Im sigma| may reach 1/3 only on w = -+2i
-        if 1.0 / 3.0 - abs(rv.sigma1.imag) <= tol.eq_tol:
-            n = normalize(c)
-            target = -2j if rv.sigma1.imag > 0 else 2j
-            if abs(n.w - target) > window:
-                stray_im1.append(_witness(c, rv, tol))
-        if 1.0 / 3.0 - abs(rv.sigma2.imag) <= tol.eq_tol:
-            n = normalize(c)
-            target = -2j if rv.sigma2.imag > 0 else 2j
-            if abs(n.w - target) > window:
-                stray_im2.append(_witness(c, rv, tol))
+        for s, found in zip((rv.sigma1, rv.sigma2), strays):
+            if 1.0 / 3.0 - abs(s.imag) <= tol.eq_tol:
+                target = -2j if s.imag > 0 else 2j
+                if abs(normalize(c).w - target) > window:
+                    found.append(_witness(c, rv, tol))
     out = {}
     for cid, agg in aggs.items():
         open_bound = cid in ("T1A", "T2A")
         ok = not agg.failed and (agg.margin > 0.0 if open_bound else agg.margin >= -CLOSED_BOUND_SLACK)
         out[cid] = TheoremReport(cid, ok, agg.witness, agg.margin, f"{samples} samples")
-    out["_stray_im1"] = stray_im1
-    out["_stray_im2"] = stray_im2
+    out["_stray_im1"], out["_stray_im2"] = strays
     return out
 
 
-def _claims_t1(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
-    reports = []
-
-    # T1A: bounds plus sharpness at the asymptotic probes
-    base = shared["T1A"]
+def _sharpness(base: TheoremReport, k: int, above: float, below: float, tol: ToleranceConfig) -> TheoremReport:
+    """base plus sharpness of the open bound on Re sigma_k at the asymptotic
+    ray probes: Re sigma_k(+1e3) > above and Re sigma_k(-1e3) < below."""
     probes = []
-    for t, check in ((1e3, lambda re: re > 0.666), (-1e3, lambda re: re < 1e-4)):
+    for t in (1e3, -1e3):
         _, rv = sharpness_probe_re(t, tol)
-        probes.append((t, rv.sigma1.real, check(rv.sigma1.real)))
-    sharp_ok = all(p[2] for p in probes)
-    note = base.note + "; " + ", ".join(f"Re sigma1({t:+g}) = {re:.6g}" for t, re, _ in probes)
-    reports.append(TheoremReport("T1A", base.passed and sharp_ok, base.witness, base.margin, note))
+        probes.append((t, (rv.sigma1, rv.sigma2)[k - 1].real))
+    (_, re_pos), (_, re_neg) = probes
+    sharp_ok = re_pos > above and re_neg < below
+    note = base.note + "; " + ", ".join(f"Re sigma{k}({t:+g}) = {re:.6g}" for t, re in probes)
+    return TheoremReport(base.claim_id, base.passed and sharp_ok, base.witness, base.margin, note)
 
-    reports.append(shared["T1B"])
+
+#: Per ratio k: the family attaining Im sigma_k = +-1/3 and the sign of
+#: Re z0 on its strip.
+_IM_FAMILIES = {1: (extremal_family_im, +1), 2: (sigma2_extremal_family, -1)}
+
+
+def _im_attainment(
+    cid: str, k: int, sign: int, rng: np.random.Generator, strays: list, tail: str, tol: ToleranceConfig
+) -> TheoremReport:
+    """Im sigma_k = sign/3 to 1e-12 over 64 draws of its extremal family,
+    and no stray attainment in the Monte Carlo pass."""
+    family, re_sign = _IM_FAMILIES[k]
+    worst = 0.0
+    witness = None
+    for _ in range(64):
+        y = rng.uniform(0.5, 4.0) * (-1 if sign > 0 else 1)
+        x = re_sign * rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
+        z0 = complex(x, y)
+        off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        cub, rv = family(z0, off, sign, tol)
+        dev = abs((rv.sigma1, rv.sigma2)[k - 1].imag - sign / 3.0)
+        if dev > worst:
+            worst = dev
+            witness = _witness(cub, rv, tol)
+    ok = worst <= 1e-12 and not strays
+    note = f"max |Im sigma{k} - ({sign:+d}/3)| = {worst:.3e}{tail}"
+    if strays:
+        note += f"; {len(strays)} stray attainments"
+    return TheoremReport(cid, ok, witness if not ok else None, worst, note)
+
+
+def _claims_t1(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
+    # T1A: bounds plus sharpness at the asymptotic probes
+    reports = [_sharpness(shared["T1A"], 1, 0.666, 1e-4, tol), shared["T1B"]]
 
     # T1C / T1D: attainment on the half-strip family, exactness 1e-12,
     # plus no stray attainments in the Monte Carlo sample
     rng = _rng_for(seed, 2)
     for cid, sign in (("T1C", +1), ("T1D", -1)):
-        worst = 0.0
-        witness = None
-        for _ in range(64):
-            y = rng.uniform(0.5, 4.0) * (-1 if sign > 0 else 1)
-            x = rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
-            z0 = complex(x, y)
-            off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            cub, rv = extremal_family_im(z0, off, sign, tol)
-            dev = abs(rv.sigma1.imag - sign / 3.0)
-            if dev > worst:
-                worst = dev
-                witness = _witness(cub, rv, tol)
-        strays = shared["_stray_im1"]
-        ok = worst <= 1e-12 and not strays
-        note = f"max |Im sigma1 - ({sign:+d}/3)| = {worst:.3e} over 64 family draws"
-        if strays:
-            note += f"; {len(strays)} stray attainments"
-        reports.append(TheoremReport(cid, ok, witness if not ok else None, worst, note))
+        reports.append(
+            _im_attainment(cid, 1, sign, rng, shared["_stray_im1"], " over 64 family draws", tol)
+        )
 
     # T1E: Monte Carlo margin plus the ray modulus envelope a, b < 4
     base = shared["T1E"]
-    grid = _scan_grid(SQRT3, 1e3, 200000)
-    a, b = boundary_modulus_sq(grid, tol)
+    a, b = boundary_modulus_sq(_ray_grid(), tol)
     env = float(min(np.min(4.0 - a), np.min(4.0 - b)))
     # on the asymptotic tail the envelope rounds onto its unattained limit 4
     ok = base.passed and env > -CLOSED_BOUND_SLACK
@@ -540,58 +570,29 @@ def _claims_t1(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> l
 
 
 def _claims_t2(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
-    reports = []
-
-    base = shared["T2A"]
-    probes = []
-    for t, check in ((1e3, lambda re: re > 0.999), (-1e3, lambda re: re < 1.0 / 3.0 + 1e-3)):
-        _, rv = sharpness_probe_re(t, tol)
-        probes.append((t, rv.sigma2.real, check(rv.sigma2.real)))
-    sharp_ok = all(p[2] for p in probes)
-    note = base.note + "; " + ", ".join(f"Re sigma2({t:+g}) = {re:.6g}" for t, re, _ in probes)
-    reports.append(TheoremReport("T2A", base.passed and sharp_ok, base.witness, base.margin, note))
-
-    reports.append(shared["T2B"])
+    reports = [_sharpness(shared["T2A"], 2, 0.999, 1.0 / 3.0 + 1e-3, tol), shared["T2B"]]
 
     rng = _rng_for(seed, 3)
     for cid, sign in (("T2C", +1), ("T2D", -1)):
-        worst = 0.0
-        witness = None
-        for _ in range(64):
-            y = rng.uniform(0.5, 4.0) * (-1 if sign > 0 else 1)
-            x = -rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
-            z0 = complex(x, y)
-            off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            cub, rv = sigma2_extremal_family(z0, off, sign, tol)
-            dev = abs(rv.sigma2.imag - sign / 3.0)
-            if dev > worst:
-                worst = dev
-                witness = _witness(cub, rv, tol)
         # the sigma1 half-strip family (as printed for this claim) does NOT
         # attain the sigma2 extreme; record the discrepancy instead of failing
         z0_printed = complex(0.5, -2.0) if sign > 0 else complex(0.5, 2.0)
         _, rv_printed = extremal_family_im(z0_printed, 0j, sign, tol)
         printed_dev = abs(rv_printed.sigma2.imag - sign / 3.0)
-        strays = shared["_stray_im2"]
-        ok = worst <= 1e-12 and not strays
-        note = (
-            f"max |Im sigma2 - ({sign:+d}/3)| = {worst:.3e} on the mirrored strip; "
+        tail = (
+            " on the mirrored strip; "
             f"on the sigma1 strip Im sigma2 = {rv_printed.sigma2.imag:+.6f} "
             f"(off by {printed_dev:.3f}; claim text mirrored, see docs)"
         )
-        if strays:
-            note += f"; {len(strays)} stray attainments"
-        reports.append(TheoremReport(cid, ok, witness if not ok else None, worst, note))
+        reports.append(_im_attainment(cid, 2, sign, rng, shared["_stray_im2"], tail, tol))
 
-    base = shared["T2E"]
-    reports.append(base)
+    reports.append(shared["T2E"])
     return reports
 
 
 def _claims_t3(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
     base = shared["T3"]
-    grid = _scan_grid(SQRT3, 1e3, 200000)
-    diff = boundary_sigma_diff(grid, tol)
+    diff = boundary_sigma_diff(_ray_grid(), tol)
     ray_min = float(np.min(np.real(diff)))
     ok = base.passed and ray_min >= -CLOSED_BOUND_SLACK
     return [
@@ -606,25 +607,11 @@ def _claims_t4(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremRep
     rng = _rng_for(seed, 4)
     n = max(1000, samples // 10)
     agg = _Agg()
-    for c in sample_ordered_cubics(n, rng, tol):
-        rep = check_equivalence_t4(c, tol)
-        if not rep.passed:
-            agg.failed = True
-            agg.witness = rep.witness
-    # constructed equilateral cases must show exact equality (1e-10)
-    eq_worst = 0.0
-    for c in sample_equilateral(200, rng, tol):
-        rv = ratios_direct(c)
-        eq_worst = max(eq_worst, abs(rv.sigma1 - rv.sigma2))
-        rep = check_equivalence_t4(c, tol)
-        if not rep.passed:
-            agg.failed = True
-            agg.witness = rep.witness
-    for c in sample_near_equilateral(200, rng, tol):
-        rep = check_equivalence_t4(c, tol)
-        if not rep.passed:
-            agg.failed = True
-            agg.witness = rep.witness
+    agg.check_each(sample_ordered_cubics(n, rng, tol), check_equivalence_t4, tol)
+    # constructed equilateral cases must show exact equality (1e-10); the
+    # T4 margin is |sigma1 - sigma2|
+    eq_worst = max(agg.check_each(sample_equilateral(200, rng, tol), check_equivalence_t4, tol))
+    agg.check_each(sample_near_equilateral(200, rng, tol), check_equivalence_t4, tol)
     # the proof witness w = +-i sqrt(3)
     for w2 in (SQRT3 * 1j, -SQRT3 * 1j):
         c = order_roots(-1.0, w2, 1.0, tol)
@@ -641,23 +628,13 @@ def _claims_t5(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremRep
     rng = _rng_for(seed, 5)
     n = max(1000, samples // 10)
     agg = _Agg()
-    for c in sample_ordered_cubics(n, rng, tol):
-        rep = check_equivalence_t5(c, tol)
-        if not rep.passed:
-            agg.failed = True
-            agg.witness = rep.witness
-    col_worst = 0.0
-    for c in sample_collinear(400, rng, tol):
-        rv = ratios_direct(c)
-        col_worst = max(col_worst, abs(rv.sigma1.imag), abs(rv.sigma2.imag))
-        rep = check_equivalence_t5(c, tol)
-        if not rep.passed:
-            agg.failed = True
-            agg.witness = rep.witness
+    agg.check_each(sample_ordered_cubics(n, rng, tol), check_equivalence_t5, tol)
+    collinear = list(sample_collinear(400, rng, tol))
+    agg.check_each(collinear, check_equivalence_t5, tol)
+    col_worst = max(max(abs(rv.sigma1.imag), abs(rv.sigma2.imag)) for rv in map(ratios_direct, collinear))
     # on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never vanish,
     # so ray configurations never have a real ratio
-    grid = _scan_grid(SQRT3, 1e3, 200000)
-    _, _, v1, v2 = boundary_uv(grid, tol)
+    _, _, v1, v2 = boundary_uv(_ray_grid(), tol)
     ray_min = float(min(np.min(np.abs(v1)), np.min(np.abs(v2))))
     ok = not agg.failed and col_worst <= 1e-10 and ray_min > 0.0
     note = (
@@ -671,17 +648,9 @@ def _claims_hyp(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremRe
     rng = _rng_for(seed, 6)
     n = max(1000, samples // 10)
     agg = _Agg()
-    for c in sample_hyperbolic(n, rng, tol):
-        rep = check_hyperbolic(c, tol)
-        if rep.margin < agg.margin:
-            agg.margin = rep.margin
-            agg.witness = rep.witness
-        if not rep.passed:
-            agg.failed = True
-            if rep.witness is not None:
-                agg.witness = rep.witness
-    ok = not agg.failed and agg.margin > 0.0
-    return [TheoremReport("HYP", ok, agg.witness if not ok else None, agg.margin, f"{n} samples")]
+    margin = min(agg.check_each(sample_hyperbolic(n, rng, tol), check_hyperbolic, tol))
+    ok = not agg.failed and margin > 0.0
+    return [TheoremReport("HYP", ok, agg.witness if not ok else None, margin, f"{n} samples")]
 
 
 def run_claims(

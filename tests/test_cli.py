@@ -64,9 +64,10 @@ def test_compute_vertical_middle_exit_2(capsys):
 
 
 def test_compute_bad_literal_exit_1(capsys):
-    code, _, err = run_cli(capsys, "compute", "-1", "zzz", "1")
-    assert code == 1
-    assert "complex literal" in err
+    for literal in ("zzz", 'x"y'):
+        code, _, err = run_cli(capsys, "compute", "-1", literal, "1")
+        assert code == 1
+        assert "complex literal" in json.loads(err)["error"]
 
 
 def test_compute_usage_error_exit_1(capsys):
@@ -227,3 +228,11 @@ def test_console_entry_point():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert abs(obj["sigma1"]["re"] - 0.4226497) < 1e-6
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    code = "import sys, ratiolab; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

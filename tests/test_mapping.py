@@ -39,7 +39,7 @@ def test_sweep_grid_markers_and_values():
     assert ray.path == "skip" and ray.sigma1 is None and ray.bounds_ok is None
     assert ray.reachable  # w = 2i is realized by ray pairs
     ext = table[(-1.0, 0.0)]
-    assert ext.path == "extension"
+    assert ext.path == "interior"
     assert ext.sigma1 == 0.5
     assert not ext.reachable
     real_far = table[(2.0, 0.0)]

@@ -1,5 +1,6 @@
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -77,16 +78,31 @@ def test_extensions_reject_open_rays():
             g_extension(w)
 
 
+def _mp_closed_forms(w: complex) -> tuple[complex, complex]:
+    """f(w), g(w) from the unrationalized quotients at 50 digits (1/2 at
+    their removable points)."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(w.real, w.imag)
+        r = mpmath.sqrt(3 + z * z)
+        f = mpmath.mpf(0.5) if z == -1 else (z + 3 - r) / (3 * (z + 1))
+        g = mpmath.mpf(0.5) if z == 1 else (-2 * z + r) / (3 * (1 - z))
+        return complex(f), complex(g)
+
+
 def test_removable_singularity_plateau():
-    for eps in (0.0, 1e-9, 9e-8):
-        for ang in (0.0, 1.3, 2.9):
+    # on and around w = -1 (f) and w = +1 (g) the values match 50-digit
+    # arithmetic; the removable points need no special case
+    for eps in (0.0, 1e-12, 1e-10, 1e-9, 9e-8, 1e-6, 1e-4):
+        for ang in (0.0, 1.3, 2.9, 4.4):
             dw = eps * cmath.exp(1j * ang)
-            assert abs(f_extension(-1 + dw) - 0.5) <= 1e-6
-            assert abs(g_extension(1 + dw) - 0.5) <= 1e-6
+            for w in (-1 + dw, 1 + dw):
+                mp_f, mp_g = _mp_closed_forms(w)
+                assert abs(f_extension(w) - mp_f) <= 1e-14
+                assert abs(g_extension(w) - mp_g) <= 1e-14
 
 
 def test_extension_values_continuous_past_plateau():
-    # just outside the snap radius the closed form is already within ~1e-7
+    # near the removable points the values approach 1/2 continuously
     assert abs(f_extension(-1 + 2e-7) - 0.5) < 1e-6
     assert abs(g_extension(1 + 2e-7) - 0.5) < 1e-6
 

@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 from ratiolab import (
@@ -58,6 +60,11 @@ def test_scan_lemma2_short_grid():
     ra, rb = scan_lemma2(SQRT3, 50.0, 2000)
     assert ra.passed and rb.passed
     assert ra.margin <= 1e-9 and rb.margin <= 1e-9
+    for rep, where in ((ra, -2.0), (rb, 2.0)):
+        # the note lists plain floats, so it parses as a Python literal
+        roots = ast.literal_eval(rep.note.split("roots ")[1])
+        assert len(roots) == 1 and type(roots[0]) is float
+        assert abs(roots[0] - where) <= 1e-12
 
 
 def test_scan_range_validation():
