@@ -40,7 +40,7 @@ from .errors import (
     ScaleGuardError,
     UndefinedRatioError,
 )
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig, approx_eq, in_gamma, principal_sqrt
+from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, approx_eq, in_gamma, principal_sqrt
 from .mapping import (
     InEllipse,
     SampleRecord,

@@ -9,17 +9,17 @@ Exit codes: 0 success, 1 usage or parse error, 2 undefined-ratio input,
 
 Complex literals use `i`, no spaces: `-1`, `2i`, `-4-1i`, `3.5e-2+1e3i`.
 Only verify draws random samples; its seed comes from --seed, else the
-RATIOLAB_SEED environment variable, else the published default 1729.
+RATIOLAB_SEED environment variable, else the published default 1729, and
+no other command reads RATIOLAB_SEED. Tolerances are fixed constants
+(kernel.EQ_TOL, kernel.IDENTITY_TOL); no option sets them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cubic import (
@@ -29,10 +29,9 @@ from .cubic import (
     order_roots,
 )
 from .errors import RatioLabError, UndefinedRatioError
-from .kernel import ToleranceConfig
 from .mapping import emit_dataset, ratio_angles, steiner_inellipse, sweep_w_grid, trace_boundary
 from .ratios import identity_residual, ratios_direct
-from .records import fmt_float
+from .records import to_json
 from .theorems import (
     CLAIM_GROUPS,
     DEFAULT_SEED,
@@ -42,7 +41,7 @@ from .theorems import (
     sharpness_probe_re,
 )
 
-__all__ = ["main", "parse_complex", "build_parser", "CliConfig"]
+__all__ = ["main", "parse_complex", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,77 +82,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _complex_json(z: complex) -> str:
-    return '{"re": ' + fmt_float(z.real) + ', "im": ' + fmt_float(z.imag) + "}"
-
-
-def _report_json(rep: TheoremReport) -> str:
-    parts = [
-        f'"claim": "{rep.claim_id}"',
-        f'"passed": {"true" if rep.passed else "false"}',
-        f'"margin": {fmt_float(rep.margin)}',
-        f'"note": "{rep.note}"',
-    ]
-    if rep.witness is None:
-        parts.append('"witness": null')
-    else:
-        w = rep.witness
-        wparts = [
-            f'"w": {_complex_json(w.w)}',
-            f'"sigma1": {_complex_json(w.sigma1) if w.sigma1 is not None else "null"}',
-            f'"sigma2": {_complex_json(w.sigma2) if w.sigma2 is not None else "null"}',
-            f'"path": "{w.path}"',
-            f'"classification": "{w.classification}"',
-        ]
-        parts.append('"witness": {' + ", ".join(wparts) + "}")
-    return "{" + ", ".join(parts) + "}"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run configuration: tolerances, seed, output destination.
-
-    The seed falls back to the RATIOLAB_SEED environment variable and then
-    to the published constant DEFAULT_SEED, so argument-free runs are
-    reproducible.
-    """
-
-    tol: ToleranceConfig
-    seed: int
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        tol = ToleranceConfig(
-            eq_tol=args.eq_tol,
-            boundary_tol=args.boundary_tol,
-            identity_tol=args.identity_tol,
-        )
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            env = os.environ.get("RATIOLAB_SEED")
-            if env is not None:
-                try:
-                    seed = int(env)
-                except ValueError as exc:
-                    raise RatioLabError(
-                        f"RATIOLAB_SEED must be an integer, got {env!r}"
-                    ) from exc
-        if seed is None:
-            seed = DEFAULT_SEED
-        return cls(
-            tol=tol,
-            seed=seed,
-            out=getattr(args, "out", None),
-            fmt=getattr(args, "format", "csv"),
-        )
-
-
-def _add_tol_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eq-tol", type=float, default=1e-9, help="equality/ordering band")
-    p.add_argument("--boundary-tol", type=float, default=1e-9, help="cut/ray distance band")
-    p.add_argument("--identity-tol", type=float, default=1e-10, help="identity residual band")
+def _report_fields(rep: TheoremReport) -> dict:
+    w = rep.witness
+    witness = None if w is None else {
+        "w": w.w,
+        "sigma1": w.sigma1,
+        "sigma2": w.sigma2,
+        "path": w.path,
+        "classification": w.classification,
+    }
+    return {
+        "claim": rep.claim_id,
+        "passed": rep.passed,
+        "margin": float(rep.margin),
+        "note": rep.note,
+        "witness": witness,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,20 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success, 1 usage/parse error, 2 undefined-ratio input, "
-            "3 failed claim, 4 I/O failure. verify seed: --seed, else RATIOLAB_SEED, else 1729."
+            "3 failed claim, 4 I/O failure. verify seed: --seed, else RATIOLAB_SEED, else 1729. "
+            "Tolerances are fixed (equality band 1e-9 on the scale-free configuration); "
+            "no option sets them."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="ratio vector of three roots")
     p.add_argument("roots", nargs=3, help="complex literals, e.g. -1 1.7320508i 1")
-    _add_tol_args(p)
 
     p = sub.add_parser("verify", help="run the claim suite")
     p.add_argument("suite", nargs="?", default="all", help=f"one of {', '.join(CLAIM_GROUPS)}")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
-    _add_tol_args(p)
 
     p = sub.add_parser("sweep", help="sample f and g on a w-plane grid")
     p.add_argument("--re-range", type=float, nargs=2, default=(-3.0, 3.0), metavar=("LO", "HI"))
@@ -187,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--out", default="sweep_dataset.csv")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_tol_args(p)
 
     p = sub.add_parser("boundary", help="trace the ray formulas")
     p.add_argument("--tmin", type=float, default=1.7320508075688772)
@@ -195,11 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--out", default="boundary_dataset.csv")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_tol_args(p)
 
     p = sub.add_parser("ellipse", help="midpoint inellipse vs critical points")
     p.add_argument("roots", nargs=3)
-    _add_tol_args(p)
 
     p = sub.add_parser("probe", help="sharpness families")
     p.add_argument("family", choices=("re-sharpness", "im-extremal"))
@@ -207,101 +148,97 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", default="1-4i", help="strip parameter (im-extremal)")
     p.add_argument("--c", default="0", help="translation (im-extremal)")
     p.add_argument("--sign", choices=("+", "-"), default="+")
-    _add_tol_args(p)
 
     return parser
 
 
-def _cmd_compute(args, cfg: CliConfig) -> int:
-    tol = cfg.tol
-    roots = [parse_complex(s) for s in args.roots]
-    c = order_roots(*roots, tol)
+def _cmd_compute(args) -> int:
+    c = order_roots(*(parse_complex(s) for s in args.roots))
     rv = ratios_direct(c)
-    n = normalize(c)
-    cls = classify_configuration(c, tol)
-    fields = [
-        f'"sigma1": {_complex_json(rv.sigma1)}',
-        f'"sigma2": {_complex_json(rv.sigma2)}',
-        f'"w": {_complex_json(n.w)}',
-        f'"classification": "{cls.value}"',
-        f'"path": "{rv.path.value}"',
-        f'"identity_residual": {fmt_float(identity_residual(rv))}',
-    ]
-    print("{" + ", ".join(fields) + "}")
+    print(to_json({
+        "sigma1": rv.sigma1,
+        "sigma2": rv.sigma2,
+        "w": normalize(c).w,
+        "classification": classify_configuration(c).value,
+        "path": rv.path.value,
+        "identity_residual": identity_residual(rv),
+    }))
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
-    reports = run_claims(args.suite, samples=args.samples, seed=cfg.seed, tol=cfg.tol)
+def _verify_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("RATIOLAB_SEED")
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise RatioLabError(f"RATIOLAB_SEED must be an integer, got {env!r}") from exc
+
+
+def _cmd_verify(args) -> int:
+    reports = run_claims(args.suite, samples=args.samples, seed=_verify_seed(args))
     for rep in reports:
-        print(_report_json(rep))
+        print(to_json(_report_fields(rep)))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CLAIM_FAILED
 
 
-def _cmd_sweep(args, cfg: CliConfig) -> int:
-    records = sweep_w_grid(tuple(args.re_range), tuple(args.im_range), args.resolution, cfg.tol)
-    count = emit_dataset(records, cfg.out, cfg.fmt)
-    skipped = sum(1 for r in records if r.path == "skip")
-    violations = sum(1 for r in records if r.bounds_ok is False)
-    print(
-        '{"rows": %d, "skipped": %d, "bounds_violations": %d, "out": "%s"}'
-        % (count, skipped, violations, cfg.out)
-    )
+def _cmd_sweep(args) -> int:
+    records = sweep_w_grid(tuple(args.re_range), tuple(args.im_range), args.resolution)
+    count = emit_dataset(records, args.out, args.format)
+    print(to_json({
+        "rows": count,
+        "skipped": sum(1 for r in records if r.path == "skip"),
+        "bounds_violations": sum(1 for r in records if r.bounds_ok is False),
+        "out": args.out,
+    }))
     return EXIT_OK
 
 
-def _cmd_boundary(args, cfg: CliConfig) -> int:
-    records = trace_boundary(args.tmin, args.tmax, args.steps, cfg.tol)
-    count = emit_dataset(records, cfg.out, cfg.fmt)
-    violations = sum(1 for r in records if r.bounds_ok is False)
-    print(
-        '{"rows": %d, "bounds_violations": %d, "out": "%s"}'
-        % (count, violations, cfg.out)
-    )
+def _cmd_boundary(args) -> int:
+    records = trace_boundary(args.tmin, args.tmax, args.steps)
+    count = emit_dataset(records, args.out, args.format)
+    print(to_json({
+        "rows": count,
+        "bounds_violations": sum(1 for r in records if r.bounds_ok is False),
+        "out": args.out,
+    }))
     return EXIT_OK
 
 
-def _cmd_ellipse(args, cfg: CliConfig) -> int:
-    tol = cfg.tol
-    roots = [parse_complex(s) for s in args.roots]
-    c = order_roots(*roots, tol)
-    ell = steiner_inellipse(c, tol)
+def _cmd_ellipse(args) -> int:
+    c = order_roots(*(parse_complex(s) for s in args.roots))
+    ell = steiner_inellipse(c)
     za, zb = critical_points_direct(c.w1, c.w2, c.w3)
     zs = sorted((za, zb), key=lambda z: (z.real, z.imag))
-    mismatch = max(abs(ell.focus1 - zs[0]), abs(ell.focus2 - zs[1]))
     th1, th2 = ratio_angles(c)
-    fields = [
-        f'"center": {_complex_json(ell.center)}',
-        f'"focus1": {_complex_json(ell.focus1)}',
-        f'"focus2": {_complex_json(ell.focus2)}',
-        f'"semi_major": {fmt_float(ell.semi_major)}',
-        f'"semi_minor": {fmt_float(ell.semi_minor)}',
-        f'"critical_points": [{_complex_json(zs[0])}, {_complex_json(zs[1])}]',
-        f'"focus_mismatch": {fmt_float(mismatch)}',
-        f'"theta1": {fmt_float(th1)}',
-        f'"theta2": {fmt_float(th2)}',
-    ]
-    print("{" + ", ".join(fields) + "}")
+    print(to_json({
+        "center": ell.center,
+        "focus1": ell.focus1,
+        "focus2": ell.focus2,
+        "semi_major": ell.semi_major,
+        "semi_minor": ell.semi_minor,
+        "critical_points": zs,
+        "focus_mismatch": max(abs(ell.focus1 - zs[0]), abs(ell.focus2 - zs[1])),
+        "theta1": th1,
+        "theta2": th2,
+    }))
     return EXIT_OK
 
 
-def _cmd_probe(args, cfg: CliConfig) -> int:
-    tol = cfg.tol
+def _cmd_probe(args) -> int:
+    fields = {"family": args.family}
     if args.family == "re-sharpness":
-        c, rv = sharpness_probe_re(args.t, tol)
-        param = f'"t": {fmt_float(args.t)}'
+        c, rv = sharpness_probe_re(args.t)
+        fields["t"] = args.t
     else:
-        sign = +1 if args.sign == "+" else -1
-        c, rv = extremal_family_im(parse_complex(args.z0), parse_complex(args.c), sign, tol)
-        param = f'"z0": {_complex_json(parse_complex(args.z0))}, "sign": "{args.sign}"'
-    fields = [
-        f'"family": "{args.family}"',
-        param,
-        f'"roots": [{_complex_json(c.w1)}, {_complex_json(c.w2)}, {_complex_json(c.w3)}]',
-        f'"sigma1": {_complex_json(rv.sigma1)}',
-        f'"sigma2": {_complex_json(rv.sigma2)}',
-    ]
-    print("{" + ", ".join(fields) + "}")
+        z0 = parse_complex(args.z0)
+        c, rv = extremal_family_im(z0, parse_complex(args.c), +1 if args.sign == "+" else -1)
+        fields.update(z0=z0, sign=args.sign)
+    fields.update(roots=c.roots, sigma1=rv.sigma1, sigma2=rv.sigma2)
+    print(to_json(fields))
     return EXIT_OK
 
 
@@ -322,17 +259,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = CliConfig.from_args(args)
-        return _COMMANDS[args.command](args, cfg)
-    except UndefinedRatioError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_UNDEFINED
-    except (ValueError, RatioLabError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_IO
+        return _COMMANDS[args.command](args)
+    except (ValueError, RatioLabError, OSError) as exc:
+        print(to_json({"error": str(exc)}), file=sys.stderr)
+        if isinstance(exc, UndefinedRatioError):
+            return EXIT_UNDEFINED
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

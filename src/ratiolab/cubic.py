@@ -17,6 +17,16 @@ principal branch. Pairs exist that satisfy every ordering condition yet
 wrap the branch (arg w3^2 + arg(3 + w^2) leaves (-pi, pi]); their ratios
 are well defined but are NOT values of the w-plane closed forms, and the
 ratio bounds verified by the theorem suite do not cover them.
+
+The input gate is scale-free: order_roots compares every gap against
+EQ_TOL times the diameter of the root triangle (the largest pairwise
+distance) and tests for a double critical point on the roots centred at
+their centroid. Translating the roots or scaling them by a positive factor
+thus changes neither the error raised nor the classification or path, as
+long as two guards for inputs the arithmetic cannot resolve stay quiet:
+root magnitudes above 1e100 or a diameter below 1e-100, and a root
+separation below 1e-12 of the largest magnitude (a small triangle far from
+the origin, whose shape the input's rounding has already blurred).
 """
 
 from __future__ import annotations
@@ -31,9 +41,8 @@ from .errors import (
     ScaleGuardError,
 )
 from .kernel import (
-    DEFAULT_TOL,
+    EQ_TOL,
     MACHINE_EPS,
-    ToleranceConfig,
     _on_rays,
     in_gamma,
     principal_sqrt,
@@ -54,8 +63,10 @@ __all__ = [
     "classify_configuration",
 ]
 
-#: Inputs with larger root magnitude are rejected outright.
+#: Inputs with larger root magnitude, or a smaller root triangle diameter,
+#: are rejected outright.
 MAX_ROOT_MAGNITUDE = 1e100
+MIN_ROOT_DIAMETER = 1e-100
 #: Inputs whose root separation falls below this fraction of the magnitude
 #: are rejected (tolerances would be meaningless).
 MIN_SEPARATION_RATIO = 1e-12
@@ -108,11 +119,10 @@ class AdmissibilityReport:
     reasons: tuple[str, ...]
 
 
-def _coincidence_floor(tol: ToleranceConfig, big: float) -> float:
-    # |q| below this is indistinguishable from a double critical point:
-    # either the eq_tol band on |z2 - z1| = (2/3)sqrt|q|, or accumulated
-    # cancellation noise in q itself, whichever is larger.
-    return max((1.5 * tol.eq_tol) ** 2, 512.0 * MACHINE_EPS * big * big)
+#: |q| below this times the squared length scale is indistinguishable from a
+#: double critical point: either the EQ_TOL band on |z2 - z1| = (2/3)sqrt|q|,
+#: or accumulated cancellation noise in q itself, whichever is larger.
+_COINCIDENCE = max((1.5 * EQ_TOL) ** 2, 512.0 * MACHINE_EPS)
 
 
 def critical_points_direct(
@@ -155,17 +165,13 @@ def critical_points_bruteforce(
     return (zb, za)
 
 
-def order_roots(
-    r1: complex,
-    r2: complex,
-    r3: complex,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> OrderedCubic:
+def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     """Sort roots by real part and attach labeled critical points.
 
     Raises RootsNotDistinctError, RootRealPartsEqualError,
     CriticalRealPartsEqualError, or ScaleGuardError when the ratio vector
-    is undefined for the input.
+    is undefined for the input. Every band is EQ_TOL times the diameter of
+    the root triangle.
     """
     ws = sorted(
         (require_finite(r1, "root"), require_finite(r2, "root"), require_finite(r3, "root")),
@@ -176,27 +182,31 @@ def order_roots(
     mag = max(abs(w1), abs(w2), abs(w3))
     if mag > MAX_ROOT_MAGNITUDE:
         raise ScaleGuardError(f"root magnitude {mag:.3g} exceeds {MAX_ROOT_MAGNITUDE:.0e}")
-    sep = min(abs(w1 - w2), abs(w1 - w3), abs(w2 - w3))
-    if sep <= tol.eq_tol:
-        raise RootsNotDistinctError("two roots coincide within eq_tol")
-    if mag > 0.0 and sep / mag < MIN_SEPARATION_RATIO:
+    dists = (abs(w1 - w2), abs(w1 - w3), abs(w2 - w3))
+    sep, diam = min(dists), max(dists)
+    band = EQ_TOL * diam
+    if sep <= band:
+        raise RootsNotDistinctError("two roots coincide")
+    if diam < MIN_ROOT_DIAMETER:
+        raise ScaleGuardError(f"root diameter {diam:.3g} below {MIN_ROOT_DIAMETER:.0e}")
+    if sep / mag < MIN_SEPARATION_RATIO:
         raise ScaleGuardError(
             f"root separation ratio {sep / mag:.3g} below {MIN_SEPARATION_RATIO:.0e}"
         )
-    if w2.real - w1.real <= tol.eq_tol or w3.real - w2.real <= tol.eq_tol:
+    if w2.real - w1.real <= band or w3.real - w2.real <= band:
         raise RootRealPartsEqualError("two roots have equal real parts")
 
     s = w1 + w2 + w3
-    q = w1 * w1 + w2 * w2 + w3 * w3 - w1 * w2 - w1 * w3 - w2 * w3
-    big = max(1.0, mag)
-    if abs(q) <= _coincidence_floor(tol, big):
-        z = s / 3.0
-        return OrderedCubic(w1, w2, w3, z, z, True)
+    m = s / 3.0
+    u1, u2, u3 = w1 - m, w2 - m, w3 - m
+    q = u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
+    if abs(q) <= _COINCIDENCE * diam * diam:
+        return OrderedCubic(w1, w2, w3, m, m, True)
 
     r = principal_sqrt(q)
     z1 = (s - r) / 3.0
     z2 = (s + r) / 3.0
-    if z2.real - z1.real <= tol.eq_tol:
+    if z2.real - z1.real <= band:
         raise CriticalRealPartsEqualError("critical points have equal real parts")
     return OrderedCubic(w1, w2, w3, z1, z2, False)
 
@@ -214,11 +224,7 @@ def denormalize(n: NormalizedCubic) -> tuple[complex, complex, complex]:
     return (-n.w3n + n.offset, n.w2n + n.offset, n.w3n + n.offset)
 
 
-def assess_admissibility(
-    w2n: complex,
-    w3n: complex,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> AdmissibilityReport:
+def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
     """Check whether the w-plane closed forms apply to the pair (w2n, w3n).
 
     Conditions (reason tags in parentheses):
@@ -232,40 +238,41 @@ def assess_admissibility(
 
     On the rays (on_boundary = True) the last condition is replaced by
     Im w3n != 0, and the ratio comes from the boundary formula with a side
-    chosen by the sign of Im w3n.
+    chosen by the sign of Im w3n. Bands on w2n and w3n are EQ_TOL * |w3n|.
     """
     w2n = require_finite(w2n, "w2n")
     w3n = require_finite(w3n, "w3n")
     reasons: list[str] = []
+    band = EQ_TOL * abs(w3n)
 
-    if w3n.real <= tol.eq_tol:
+    if w3n.real <= band:
         reasons.append("w3-real-part-not-positive")
-    if w3n.real - w2n.real <= tol.eq_tol:
+    if w3n.real - w2n.real <= band:
         reasons.append("ordering-w2-w3")
-    if w2n.real + w3n.real <= tol.eq_tol:
+    if w2n.real + w3n.real <= band:
         reasons.append("ordering-w1-w2")
-    if abs(w2n + w3n) <= tol.eq_tol:
+    if abs(w2n + w3n) <= band:
         reasons.append("w2-plus-w3-zero")
-    if abs(w3n) <= tol.eq_tol:
+    if w3n == 0:
         # w cannot even be formed; the first reason already fired.
         return AdmissibilityReport(False, False, tuple(reasons))
 
     w = w2n / w3n
     d = 3.0 + w * w
-    on_boundary = _on_rays(w, tol)
+    on_boundary = _on_rays(w)
 
     if on_boundary:
-        if abs(d) > tol.boundary_tol and abs(w3n.imag) <= tol.eq_tol:
+        if abs(d) > EQ_TOL and abs(w3n.imag) <= band:
             # real w3 on the open rays: critical points get equal real parts
             reasons.append("boundary-real-w3")
     else:
-        if in_gamma(d, tol):
-            if abs(d) > tol.boundary_tol:
+        if in_gamma(d):
+            if abs(d) > EQ_TOL:
                 reasons.append("branch-cut")
         else:
             q = 3.0 * w3n * w3n + w2n * w2n
-            big = max(1.0, abs(w2n), abs(w3n))
-            if abs(q) > _coincidence_floor(tol, big):
+            big = max(abs(w2n), abs(w3n))
+            if abs(q) > _COINCIDENCE * big * big:
                 rq = principal_sqrt(q)
                 if abs(rq - w3n * principal_sqrt(d)) >= abs(rq):
                     reasons.append("branch-incoherent")
@@ -273,18 +280,15 @@ def assess_admissibility(
     return AdmissibilityReport(not reasons, on_boundary, tuple(reasons))
 
 
-def classify_configuration(
-    c: OrderedCubic, tol: ToleranceConfig = DEFAULT_TOL
-) -> Configuration:
+def classify_configuration(c: OrderedCubic) -> Configuration:
     """Equilateral, collinear, or generic root triangle."""
     d12 = abs(c.w1 - c.w2)
     d13 = abs(c.w1 - c.w3)
     d23 = abs(c.w2 - c.w3)
     scale = max(d12, d13, d23)
-    side_band = tol.eq_tol * max(1.0, scale)
-    if max(d12, d13, d23) - min(d12, d13, d23) <= side_band:
+    if scale - min(d12, d13, d23) <= EQ_TOL * scale:
         return Configuration.EQUILATERAL
     area = abs(((c.w2 - c.w1) * (c.w3 - c.w1).conjugate()).imag) / 2.0
-    if area <= tol.eq_tol * scale * scale:
+    if area <= EQ_TOL * scale * scale:
         return Configuration.COLLINEAR
     return Configuration.GENERIC

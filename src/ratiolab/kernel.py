@@ -3,19 +3,25 @@
 The square root used throughout is the principal branch: analytic off the
 nonpositive real axis (the branch cut, Gamma), Re sqrt(z) >= 0 everywhere.
 On the cut itself we return the limit from the upper half plane, so
-principal_sqrt(-4) == 2j. All fuzzy comparisons go through one explicit
-tolerance policy instead of ad-hoc constants.
+principal_sqrt(-4) == 2j.
+
+Tolerance policy: every fuzzy comparison uses one of two fixed constants.
+EQ_TOL is the band for equality, ordering, cut and ray membership; IDENTITY_TOL
+is the band on |sigma1 - sigma2| in the T4 equivalence check. Neither can be
+set by a caller. The input gate (cubic.order_roots) applies EQ_TOL to the
+scale-free configuration (lengths relative to the root triangle's diameter),
+so its decisions do not change when the roots are translated or scaled by a
+positive factor; w and the ratios are dimensionless already.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
+    "EQ_TOL",
+    "IDENTITY_TOL",
     "SQRT3",
     "principal_sqrt",
     "in_gamma",
@@ -28,29 +34,12 @@ SQRT3 = math.sqrt(3.0)
 #: ulp-scale constant used for cancellation-aware floors.
 MACHINE_EPS = 2.220446049250313e-16
 
+#: Equality band on dimensionless quantities: ties, ordering gaps, the
+#: branch cut and the excluded rays.
+EQ_TOL = 1e-9
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Central tolerance policy.
-
-    eq_tol        absolute band for equality and ordering comparisons
-    boundary_tol  distance band deciding membership of the branch cut and
-                  of the excluded vertical rays
-    identity_tol  allowed residual in the identity (1 - sigma1) * sigma2 = 1/3
-    """
-
-    eq_tol: float = 1e-9
-    boundary_tol: float = 1e-9
-    identity_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.eq_tol > 0.0 and self.boundary_tol > 0.0 and self.identity_tol > 0.0):
-            raise ValueError("all tolerances must be strictly positive")
-        if self.eq_tol > self.boundary_tol:
-            raise ValueError("eq_tol must not exceed boundary_tol")
-
-
-DEFAULT_TOL = ToleranceConfig()
+#: Band on |sigma1 - sigma2| in the T4 equivalence check.
+IDENTITY_TOL = 1e-10
 
 
 def require_finite(z: complex, name: str = "value") -> complex:
@@ -73,18 +62,18 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def in_gamma(z: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def in_gamma(z: complex) -> bool:
     """Whether z lies on the branch cut (nonpositive reals, 0 included)."""
     z = require_finite(z)
-    return abs(z.imag) <= tol.boundary_tol and z.real <= tol.boundary_tol
+    return abs(z.imag) <= EQ_TOL and z.real <= EQ_TOL
 
 
-def _on_rays(w: complex, tol: ToleranceConfig) -> bool:
+def _on_rays(w: complex) -> bool:
     """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3)."""
-    return abs(w.real) <= tol.boundary_tol and abs(w.imag) >= SQRT3 - tol.boundary_tol
+    return abs(w.real) <= EQ_TOL and abs(w.imag) >= SQRT3 - EQ_TOL
 
 
-def approx_eq(a: complex, b: complex, tol: float = DEFAULT_TOL.eq_tol) -> bool:
+def approx_eq(a: complex, b: complex, tol: float = EQ_TOL) -> bool:
     """|a - b| <= tol, with both operands validated finite."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cubic import Configuration, OrderedCubic
 from .errors import BadRangeError, DegenerateTriangleError
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig, _on_rays
+from .kernel import EQ_TOL, SQRT3, _on_rays
 from .ratios import (
     RatioPath,
     RatioVector,
@@ -58,38 +58,35 @@ class InEllipse:
     tangency_points: tuple[complex, complex, complex]
 
 
-def is_reachable(w: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_reachable(w: complex) -> bool:
     """Whether some admissible pair realizes this w.
 
     Solvability of the ordering constraints reduces to: any w off the real
     axis works, and a real w needs |Re w| < 1 (w = w2/w3 with |Re w2| < Re w3).
     """
-    if abs(w.imag) > tol.eq_tol:
+    if abs(w.imag) > EQ_TOL:
         return True
-    return abs(w.real) < 1.0 - tol.eq_tol
+    return abs(w.real) < 1.0 - EQ_TOL
 
 
-def _classify_w(w: complex, tol: ToleranceConfig) -> str:
+def _classify_w(w: complex) -> str:
     if (
-        abs(w - SQRT3 * 1j) <= tol.eq_tol
-        or abs(w + SQRT3 * 1j) <= tol.eq_tol
+        abs(w - SQRT3 * 1j) <= EQ_TOL
+        or abs(w + SQRT3 * 1j) <= EQ_TOL
     ):
         return Configuration.EQUILATERAL.value
-    if abs(w.imag) <= tol.eq_tol:
+    if abs(w.imag) <= EQ_TOL:
         return Configuration.COLLINEAR.value
     return Configuration.GENERIC.value
 
 
-def _bounds_ok(s1: complex, s2: complex, tol: ToleranceConfig) -> bool:
+def _bounds_ok(s1: complex, s2: complex) -> bool:
     rv = RatioVector(s1, s2, RatioPath.INTERIOR)
-    return all(rep.passed for rep in check_bounds(rv, tol))
+    return all(rep.passed for rep in check_bounds(rv))
 
 
 def sweep_w_grid(
-    re_range: tuple[float, float],
-    im_range: tuple[float, float],
-    resolution: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    re_range: tuple[float, float], im_range: tuple[float, float], resolution: int
 ) -> list[SampleRecord]:
     """Evaluate f and g on a rectangular grid; ray points get a skip marker.
 
@@ -109,34 +106,29 @@ def sweep_w_grid(
     for re_w in np.linspace(re_lo, re_hi, resolution):
         for im_w in np.linspace(im_lo, im_hi, resolution):
             w = complex(re_w, im_w)
-            reachable = is_reachable(w, tol)
-            if _on_rays(w, tol):
+            reachable = is_reachable(w)
+            if _on_rays(w):
                 records.append(
-                    SampleRecord(w, None, None, "skip", _classify_w(w, tol), reachable, None)
+                    SampleRecord(w, None, None, "skip", _classify_w(w), reachable, None)
                 )
                 continue
-            s1 = f_extension(w, tol)
-            s2 = g_extension(w, tol)
+            s1 = f_extension(w)
+            s2 = g_extension(w)
             records.append(
                 SampleRecord(
-                    w, s1, s2, "interior", _classify_w(w, tol), reachable, _bounds_ok(s1, s2, tol)
+                    w, s1, s2, "interior", _classify_w(w), reachable, _bounds_ok(s1, s2)
                 )
             )
     return records
 
 
-def trace_boundary(
-    t_min: float,
-    t_max: float,
-    steps: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[SampleRecord]:
+def trace_boundary(t_min: float, t_max: float, steps: int) -> list[SampleRecord]:
     """Sample the rays at w = i t for t in -[t_max, t_min] and [t_min, t_max].
 
     Uses the upper-side ray formula for sigma1 and the identity
     (1 - sigma1) sigma2 = 1/3 for sigma2; t ascends through both blocks.
     """
-    if not (SQRT3 - tol.eq_tol <= t_min < t_max):
+    if not (SQRT3 - EQ_TOL <= t_min < t_max):
         raise BadRangeError(f"need sqrt(3) <= t_min < t_max, got [{t_min}, {t_max}]")
     if steps < 2:
         raise BadRangeError("steps must be at least 2")
@@ -145,33 +137,33 @@ def trace_boundary(
     )
     records = []
     for t in ts:
-        s1 = boundary_sigma1(float(t), tol)
+        s1 = boundary_sigma1(float(t))
         s2 = 1.0 / (3.0 * (1.0 - s1))
         cls = (
             Configuration.EQUILATERAL.value
-            if abs(abs(t) - SQRT3) <= tol.eq_tol
+            if abs(abs(t) - SQRT3) <= EQ_TOL
             else Configuration.GENERIC.value
         )
         records.append(
             SampleRecord(
                 complex(0.0, float(t)), s1, s2, "boundary", cls, True,
-                _bounds_ok(s1, s2, tol),
+                _bounds_ok(s1, s2),
             )
         )
     return records
 
 
-def steiner_inellipse(c: OrderedCubic, tol: ToleranceConfig = DEFAULT_TOL) -> InEllipse:
+def steiner_inellipse(c: OrderedCubic) -> InEllipse:
     """Fit the midpoint inellipse of the root triangle (geometric route).
 
     Raises DegenerateTriangleError when the triangle area is below
-    eq_tol * diameter^2. The returned foci are sorted by real part (then
+    EQ_TOL * diameter^2. The returned foci are sorted by real part (then
     imaginary part) to match the critical point labeling convention.
     """
     verts = [c.w1, c.w2, c.w3]
     diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
     area = abs(((c.w2 - c.w1) * (c.w3 - c.w1).conjugate()).imag) / 2.0
-    if area <= tol.eq_tol * diam * diam:
+    if area <= EQ_TOL * diam * diam:
         raise DegenerateTriangleError("triangle is numerically collinear")
 
     ctr = (c.w1 + c.w2 + c.w3) / 3.0

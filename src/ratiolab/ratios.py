@@ -10,10 +10,13 @@ configurations the ratios are functions of w = w2/w3 alone:
     f(w) = (w + 3 - sqrt(3 + w^2)) / (3 (w + 1)) = 2 / (w + 3 + R)
     g(w) = (-2 w + sqrt(3 + w^2)) / (3 (1 - w))  = (w + 3 + R) / (3 (w + 1 + R))
 
-with R = sqrt(3 + w^2). The rationalized right-hand forms are the ones
-evaluated: their denominators never vanish on the principal branch, so the
-removable points w = -1 (for f) and w = +1 (for g), both of value 1/2, need
-no special case and nearby points lose no digits to cancellation.
+with R = sqrt(3 + w^2). Each point is evaluated with the form whose terms
+add rather than cancel: the rationalized right-hand forms where
+Re((w + 3) conj(R)) >= 0, the textbook quotients elsewhere (large |w| with
+Re w < 0, where w + 3 + R cancels). The removable points w = -1 (for f) and
+w = +1 (for g), both of value 1/2, fall on the rationalized side, whose
+denominators never vanish on the principal branch; so they need no special
+case, and the textbook denominators w + 1 and 1 - w stay away from zero.
 
 f and g extend analytically to the whole plane minus the excluded rays
 E = {Re w = 0, |Im w| >= sqrt(3)}, where sqrt(3 + w^2) crosses the branch
@@ -36,7 +39,7 @@ import numpy as np
 
 from .cubic import AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig, in_gamma, principal_sqrt, require_finite
+from .kernel import EQ_TOL, SQRT3, in_gamma, principal_sqrt, require_finite
 
 __all__ = [
     "RatioPath",
@@ -78,7 +81,7 @@ class BoundaryPoint:
     t: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t) or abs(self.t) < SQRT3 - DEFAULT_TOL.eq_tol:
+        if not math.isfinite(self.t) or abs(self.t) < SQRT3 - EQ_TOL:
             raise BadParameterError(f"boundary parameter needs |t| >= sqrt(3), got {self.t!r}")
 
 
@@ -89,34 +92,41 @@ def ratios_direct(c: OrderedCubic) -> RatioVector:
     return RatioVector(s1, s2, RatioPath.COINCIDENT if c.coincident else RatioPath.DIRECT)
 
 
-def _root_term(w: complex, tol: ToleranceConfig) -> tuple[complex, complex]:
-    """(w, R = sqrt(3 + w^2)), rejecting w on/near the open excluded rays.
+def _root_term(w: complex) -> tuple[complex, complex, bool]:
+    """(w, R = sqrt(3 + w^2), whether w + 3 and R add), rejecting w on/near
+    the open excluded rays.
 
     The ray tips +-i*sqrt(3) map to 3 + w^2 = 0 where the principal root is
     continuous, so they evaluate fine; only the open rays are rejected.
     """
     w = require_finite(w, "w")
     d = 3.0 + w * w
-    if in_gamma(d, tol) and abs(d) > tol.boundary_tol:
+    if in_gamma(d) and abs(d) > EQ_TOL:
         raise OutsideDomainError(
             f"w={w!r} lies on the excluded rays; use the boundary formula"
         )
-    return w, principal_sqrt(d)
+    r = principal_sqrt(d)
+    a = w + 3.0
+    return w, r, a.real * r.real + a.imag * r.imag >= 0.0
 
 
-def f_extension(w: complex, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
+def f_extension(w: complex) -> complex:
     """Analytic extension of sigma1 as a function of w (value 1/2 at w = -1)."""
-    w, r = _root_term(w, tol)
-    return 2.0 / (w + 3.0 + r)
+    w, r, add = _root_term(w)
+    if add:
+        return 2.0 / (w + 3.0 + r)
+    return (w + 3.0 - r) / (3.0 * (w + 1.0))
 
 
-def g_extension(w: complex, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
+def g_extension(w: complex) -> complex:
     """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1)."""
-    w, r = _root_term(w, tol)
-    return (w + 3.0 + r) / (3.0 * (w + 1.0 + r))
+    w, r, add = _root_term(w)
+    if add:
+        return (w + 3.0 + r) / (3.0 * (w + 1.0 + r))
+    return (-2.0 * w + r) / (3.0 * (1.0 - w))
 
 
-def _ray_terms(t, tol: ToleranceConfig):
+def _ray_terms(t):
     """Validated t with |t|, r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r.
 
     t is a BoundaryPoint (already validated), a scalar or an array; the tip
@@ -128,7 +138,7 @@ def _ray_terms(t, tol: ToleranceConfig):
         t_arr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t_arr)):
             raise BadParameterError("boundary parameter must be finite")
-        if np.any(np.abs(t_arr) < SQRT3 - tol.eq_tol):
+        if np.any(np.abs(t_arr) < SQRT3 - EQ_TOL):
             raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
         if not np.isscalar(t):
             t = t_arr
@@ -137,7 +147,7 @@ def _ray_terms(t, tol: ToleranceConfig):
     return t, at, r, at * at + 3.0 + at * r
 
 
-def boundary_uv(t, tol: ToleranceConfig = DEFAULT_TOL):
+def boundary_uv(t):
     """(u1, u2, v1, v2) on the rays; accepts scalars or arrays.
 
     Cancellation-free arrangements are used so the asymptotic tails stay
@@ -150,7 +160,7 @@ def boundary_uv(t, tol: ToleranceConfig = DEFAULT_TOL):
 
     with u1 = u_big, v1 = v_pos for t > 0 and the mirror images for t < 0.
     """
-    t, at, r, heavy = _ray_terms(t, tol)
+    t, at, r, heavy = _ray_terms(t)
     u_big = heavy / (3.0 * (at * at + 1.0))
     u_small = 3.0 / heavy
     v_neg = (2.0 * at + r) / (3.0 * (at * at + 1.0))
@@ -165,26 +175,26 @@ def boundary_uv(t, tol: ToleranceConfig = DEFAULT_TOL):
     return (u1, u2, v1, v2)
 
 
-def boundary_sigma1(t, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
+def boundary_sigma1(t) -> complex:
     """sigma1 on the rays, upper side (Im w3 > 0): u1(t) + i v1(t).
 
     For a configuration with Im w3 < 0 the value is conj(boundary_sigma1(-t)).
     """
-    u1, _, v1, _ = boundary_uv(t, tol)
+    u1, _, v1, _ = boundary_uv(t)
     if isinstance(u1, float):
         return complex(u1, v1)
     return u1 + 1j * v1
 
 
-def boundary_sigma2(t, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
+def boundary_sigma2(t) -> complex:
     """sigma2 on the rays, upper side, via (1 - sigma1) sigma2 = 1/3."""
-    s1 = boundary_sigma1(t, tol)
+    s1 = boundary_sigma1(t)
     return 1.0 / (3.0 * (1.0 - s1))
 
 
-def boundary_modulus_sq(t, tol: ToleranceConfig = DEFAULT_TOL):
+def boundary_modulus_sq(t):
     """(a, b) with a = 9(u1^2 + v1^2), b = 9(u2^2 + v2^2); both stay below 4."""
-    t, at, _, heavy = _ray_terms(t, tol)
+    t, at, _, heavy = _ray_terms(t)
     big = 2.0 * heavy / (at * at + 1.0)
     small = 18.0 / heavy
     pos = np.asarray(t) >= 0
@@ -195,10 +205,10 @@ def boundary_modulus_sq(t, tol: ToleranceConfig = DEFAULT_TOL):
     return (a, b)
 
 
-def boundary_sigma_diff(t, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
+def boundary_sigma_diff(t) -> complex:
     """sigma2 - sigma1 on the rays (upper side):
     ((t^2 - 3) - 2 i sqrt(t^2 - 3)) / (3 (t^2 + 1)); real part >= 0."""
-    t, at, r, _ = _ray_terms(t, tol)
+    t, at, r, _ = _ray_terms(t)
     den = 3.0 * (at * at + 1.0)
     re = (at * at - 3.0) / den
     im = -2.0 * r / den
@@ -212,11 +222,7 @@ def identity_residual(r: RatioVector) -> float:
     return abs((1.0 - r.sigma1) * r.sigma2 - 1.0 / 3.0)
 
 
-def ratios_via_w(
-    n: NormalizedCubic,
-    report: AdmissibilityReport,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> RatioVector:
+def ratios_via_w(n: NormalizedCubic, report: AdmissibilityReport) -> RatioVector:
     """Ratio vector from the closed forms, dispatched by the admissibility report.
 
     Interior points use f/g; ray points use the boundary formula on the side
@@ -231,11 +237,11 @@ def ratios_via_w(
         if abs(t) < SQRT3:
             t = math.copysign(SQRT3, t)  # tip rounding
         if n.w3n.imag >= 0.0:
-            s1 = boundary_sigma1(t, tol)
+            s1 = boundary_sigma1(t)
         else:
-            s1 = boundary_sigma1(-t, tol).conjugate()
+            s1 = boundary_sigma1(-t).conjugate()
         s2 = 1.0 / (3.0 * (1.0 - s1))
         return RatioVector(s1, s2, RatioPath.BOUNDARY)
-    s1 = f_extension(n.w, tol)
-    s2 = g_extension(n.w, tol)
+    s1 = f_extension(n.w)
+    s2 = g_extension(n.w)
     return RatioVector(s1, s2, RatioPath.INTERIOR)

@@ -7,11 +7,14 @@ One SampleRecord is one row. CSV columns appear in exactly this order:
 
 JSONL uses the same field names, one object per line. Floats are rendered
 with 17 significant digits so parsing reproduces them exactly; rows whose
-ratios were skipped leave the sigma cells empty (null in JSONL).
+ratios were skipped leave the sigma cells empty (null in JSONL). to_json is
+the one JSON encoder of the package: dataset rows and every CLI output line
+go through it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,15 +45,12 @@ class SampleRecord:
     bounds_ok: Optional[bool]
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
+    s = format(float(x), ".17g")
+    return _NON_FINITE.get(s, s)
 
 
 def _bool(x: Optional[bool]) -> str:
@@ -76,14 +76,28 @@ def csv_row(rec: SampleRecord) -> list[str]:
     ]
 
 
-def _json_value(x) -> str:
+_quote = json.encoder.encode_basestring_ascii
+
+
+def to_json(x) -> str:
+    """x as JSON: dicts and lists recursively, complex as {"re": .., "im": ..},
+    floats via fmt_float, strings, booleans and None as json.dumps writes
+    them, anything else (ints) via json.dumps."""
+    if isinstance(x, float):
+        return fmt_float(x)
+    if isinstance(x, str):
+        return _quote(x)
     if x is None:
         return "null"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return fmt_float(x)
-    return '"' + str(x) + '"'
+    if isinstance(x, complex):
+        return '{"re": ' + fmt_float(x.real) + ', "im": ' + fmt_float(x.imag) + "}"
+    if isinstance(x, dict):
+        return "{" + ", ".join([_quote(k) + ": " + to_json(v) for k, v in x.items()]) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join([to_json(v) for v in x]) + "]"
+    return json.dumps(x)
 
 
 def jsonl_line(rec: SampleRecord) -> str:
@@ -101,5 +115,4 @@ def jsonl_line(rec: SampleRecord) -> str:
         rec.reachable,
         rec.bounds_ok,
     )
-    parts = [f'"{k}": {_json_value(v)}' for k, v in zip(CSV_COLUMNS, values)]
-    return "{" + ", ".join(parts) + "}"
+    return to_json(dict(zip(CSV_COLUMNS, values)))

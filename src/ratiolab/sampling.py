@@ -23,7 +23,7 @@ import numpy as np
 
 from .cubic import OrderedCubic, assess_admissibility, order_roots
 from .errors import UndefinedRatioError
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig
+from .kernel import SQRT3
 
 __all__ = [
     "sample_ordered_cubics",
@@ -33,18 +33,22 @@ __all__ = [
     "sample_near_equilateral",
 ]
 
-_GAP = 1e-4          # real-part and |w2 + w3| margin at pair scale
-_W_MARGIN = 1e-6     # keep-away band around w = +-1
+_GAP = 1e-4                 # real-part and |w2 + w3| margin at pair scale
+_W_MARGIN = 1e-6            # keep-away band around w = +-1
 _RAY_COMPONENT = 0.05
+_BOUNDARY_FRACTION = 0.2    # share of ray samples in sample_ordered_cubics
+_T_MAX = 1e3                # largest |t| of a ray sample
+_SCALE_SPAN = (1e-3, 1e3)   # range of the log-uniform positive scale factor
+_DELTA_SPAN = (1e-4, 1e-1)  # range of the log-uniform near-equilateral shift
 
 
-def _scale_offset(rng: np.random.Generator, span=(1e-3, 1e3)) -> tuple[float, complex]:
-    s = math.exp(rng.uniform(math.log(span[0]), math.log(span[1])))
+def _scale_offset(rng: np.random.Generator) -> tuple[float, complex]:
+    s = math.exp(rng.uniform(math.log(_SCALE_SPAN[0]), math.log(_SCALE_SPAN[1])))
     off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) * s
     return s, off
 
 
-def _interior_pair(rng: np.random.Generator, tol: ToleranceConfig):
+def _interior_pair(rng: np.random.Generator):
     while True:
         w3 = complex(rng.uniform(0.0, 10.0), rng.uniform(-10.0, 10.0))
         w2 = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
@@ -57,14 +61,14 @@ def _interior_pair(rng: np.random.Generator, tol: ToleranceConfig):
         w = w2 / w3
         if abs(w + 1.0) < _W_MARGIN or abs(w - 1.0) < _W_MARGIN:
             continue
-        report = assess_admissibility(w2, w3, tol)
+        report = assess_admissibility(w2, w3)
         if report.admissible and not report.on_boundary:
             return w2, w3
 
 
-def _ray_pair(rng: np.random.Generator, tol: ToleranceConfig, t_max: float):
+def _ray_pair(rng: np.random.Generator):
     while True:
-        t = math.exp(rng.uniform(math.log(SQRT3 * (1.0 + 1e-6)), math.log(t_max)))
+        t = math.exp(rng.uniform(math.log(SQRT3 * (1.0 + 1e-6)), math.log(_T_MAX)))
         if rng.uniform() < 0.5:
             t = -t
         re3 = rng.uniform(_RAY_COMPONENT, 10.0)
@@ -75,40 +79,30 @@ def _ray_pair(rng: np.random.Generator, tol: ToleranceConfig, t_max: float):
         w2 = 1j * t * w3
         if not (-w3.real + _GAP < w2.real < w3.real - _GAP):
             continue
-        report = assess_admissibility(w2, w3, tol)
+        report = assess_admissibility(w2, w3)
         if report.admissible and report.on_boundary:
             return w2, w3
 
 
-def sample_ordered_cubics(
-    n: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    boundary_fraction: float = 0.2,
-    t_max: float = 1e3,
-) -> Iterator[OrderedCubic]:
+def sample_ordered_cubics(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n admissible configurations, mixing interior and ray samples."""
     produced = 0
     while produced < n:
-        on_ray = rng.uniform() < boundary_fraction
+        on_ray = rng.uniform() < _BOUNDARY_FRACTION
         if on_ray:
-            w2, w3 = _ray_pair(rng, tol, t_max)
+            w2, w3 = _ray_pair(rng)
         else:
-            w2, w3 = _interior_pair(rng, tol)
+            w2, w3 = _interior_pair(rng)
         s, off = _scale_offset(rng)
         try:
-            c = order_roots(-w3 * s + off, w2 * s + off, w3 * s + off, tol)
+            c = order_roots(-w3 * s + off, w2 * s + off, w3 * s + off)
         except UndefinedRatioError:
             continue
         produced += 1
         yield c
 
 
-def sample_hyperbolic(
-    n: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Iterator[OrderedCubic]:
+def sample_hyperbolic(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n all-real-root configurations with comfortably distinct roots."""
     produced = 0
     while produced < n:
@@ -118,18 +112,14 @@ def sample_hyperbolic(
         s = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
         off = rng.uniform(-5.0, 5.0) * s
         try:
-            c = order_roots(xs[0] * s + off, xs[1] * s + off, xs[2] * s + off, tol)
+            c = order_roots(xs[0] * s + off, xs[1] * s + off, xs[2] * s + off)
         except UndefinedRatioError:
             continue
         produced += 1
         yield c
 
 
-def sample_collinear(
-    n: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Iterator[OrderedCubic]:
+def sample_collinear(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n collinear (generally non-real) configurations.
 
     Roots are c + d * x_k for sorted reals x_k and a direction d kept away
@@ -144,7 +134,7 @@ def sample_collinear(
         d = complex(math.cos(ang), math.sin(ang))
         off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         try:
-            c = order_roots(off + d * xs[0], off + d * xs[1], off + d * xs[2], tol)
+            c = order_roots(off + d * xs[0], off + d * xs[1], off + d * xs[2])
         except UndefinedRatioError:
             continue
         produced += 1
@@ -159,40 +149,31 @@ def _equilateral_base(rng: np.random.Generator) -> tuple[complex, complex]:
     return w3, sign * SQRT3 * 1j * w3
 
 
-def sample_equilateral(
-    n: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Iterator[OrderedCubic]:
+def sample_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n equilateral configurations (w = +-i sqrt(3), no vertical side)."""
     produced = 0
     while produced < n:
         w3, w2 = _equilateral_base(rng)
         off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         try:
-            c = order_roots(-w3 + off, w2 + off, w3 + off, tol)
+            c = order_roots(-w3 + off, w2 + off, w3 + off)
         except UndefinedRatioError:
             continue
         produced += 1
         yield c
 
 
-def sample_near_equilateral(
-    n: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    delta_span=(1e-4, 1e-1),
-) -> Iterator[OrderedCubic]:
+def sample_near_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n slightly perturbed equilateral configurations (never exactly
     equilateral: w moves off +-i sqrt(3) parallel to the real axis)."""
     produced = 0
     while produced < n:
         w3, w2 = _equilateral_base(rng)
-        delta = math.exp(rng.uniform(math.log(delta_span[0]), math.log(delta_span[1])))
+        delta = math.exp(rng.uniform(math.log(_DELTA_SPAN[0]), math.log(_DELTA_SPAN[1])))
         w2 = w2 + delta * w3
         off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         try:
-            c = order_roots(-w3 + off, w2 + off, w3 + off, tol)
+            c = order_roots(-w3 + off, w2 + off, w3 + off)
         except UndefinedRatioError:
             continue
         produced += 1

@@ -39,7 +39,7 @@ from .cubic import (
     order_roots,
 )
 from .errors import BadParameterError, BadRangeError, ConstraintViolatedError, NotHyperbolicError
-from .kernel import DEFAULT_TOL, SQRT3, ToleranceConfig
+from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3
 from .ratios import (
     RatioVector,
     boundary_modulus_sq,
@@ -111,27 +111,27 @@ class ExtremalFamilySpec:
     c: complex = 0j
     sign: int = +1
 
-    def realize(self, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderedCubic, RatioVector]:
+    def realize(self) -> tuple[OrderedCubic, RatioVector]:
         if self.kind == "re-sharpness":
             if self.t is None:
                 raise BadParameterError("re-sharpness family needs t")
-            return sharpness_probe_re(self.t, tol)
+            return sharpness_probe_re(self.t)
         if self.kind == "im-extremal":
             if self.z0 is None:
                 raise BadParameterError("im-extremal family needs z0")
-            return extremal_family_im(self.z0, self.c, self.sign, tol)
+            return extremal_family_im(self.z0, self.c, self.sign)
         raise BadParameterError(f"unknown family kind {self.kind!r}")
 
 
-def _witness(c: OrderedCubic, rv: RatioVector, tol: ToleranceConfig) -> SampleRecord:
+def _witness(c: OrderedCubic, rv: RatioVector) -> SampleRecord:
     n = normalize(c)
-    ok = all(r.passed for r in check_bounds(rv, tol))
+    ok = all(r.passed for r in check_bounds(rv))
     return SampleRecord(
         w=n.w,
         sigma1=rv.sigma1,
         sigma2=rv.sigma2,
         path=rv.path.value,
-        classification=classify_configuration(c, tol).value,
+        classification=classify_configuration(c).value,
         reachable=True,
         bounds_ok=ok,
     )
@@ -141,7 +141,7 @@ def _witness(c: OrderedCubic, rv: RatioVector, tol: ToleranceConfig) -> SampleRe
 # per-configuration checks
 
 
-def check_bounds(r: RatioVector, tol: ToleranceConfig = DEFAULT_TOL) -> list[TheoremReport]:
+def check_bounds(r: RatioVector) -> list[TheoremReport]:
     """Signed margins for the seven per-sample bound claims.
 
     Open bounds (T1A, T2A) must have strictly positive margin; the closed
@@ -167,37 +167,37 @@ def check_bounds(r: RatioVector, tol: ToleranceConfig = DEFAULT_TOL) -> list[The
     return out
 
 
-def check_equivalence_t4(c: OrderedCubic, tol: ToleranceConfig = DEFAULT_TOL) -> TheoremReport:
-    """sigma1 == sigma2 (within identity_tol) iff the triangle is equilateral."""
+def check_equivalence_t4(c: OrderedCubic) -> TheoremReport:
+    """sigma1 == sigma2 (within IDENTITY_TOL) iff the triangle is equilateral."""
     rv = ratios_direct(c)
-    equal = abs(rv.sigma1 - rv.sigma2) <= tol.identity_tol
-    equilateral = classify_configuration(c, tol) is Configuration.EQUILATERAL
+    equal = abs(rv.sigma1 - rv.sigma2) <= IDENTITY_TOL
+    equilateral = classify_configuration(c) is Configuration.EQUILATERAL
     passed = equal == equilateral
     return TheoremReport(
         "T4",
         passed,
-        None if passed else _witness(c, rv, tol),
+        None if passed else _witness(c, rv),
         abs(rv.sigma1 - rv.sigma2),
     )
 
 
-def check_equivalence_t5(c: OrderedCubic, tol: ToleranceConfig = DEFAULT_TOL) -> TheoremReport:
-    """a ratio is real (within eq_tol) iff the roots are collinear."""
+def check_equivalence_t5(c: OrderedCubic) -> TheoremReport:
+    """a ratio is real (within EQ_TOL) iff the roots are collinear."""
     rv = ratios_direct(c)
-    some_real = abs(rv.sigma1.imag) <= tol.eq_tol or abs(rv.sigma2.imag) <= tol.eq_tol
-    collinear = classify_configuration(c, tol) is Configuration.COLLINEAR
+    some_real = abs(rv.sigma1.imag) <= EQ_TOL or abs(rv.sigma2.imag) <= EQ_TOL
+    collinear = classify_configuration(c) is Configuration.COLLINEAR
     passed = some_real == collinear
     return TheoremReport(
         "T5",
         passed,
-        None if passed else _witness(c, rv, tol),
+        None if passed else _witness(c, rv),
         min(abs(rv.sigma1.imag), abs(rv.sigma2.imag)),
     )
 
 
-def check_hyperbolic(c: OrderedCubic, tol: ToleranceConfig = DEFAULT_TOL) -> TheoremReport:
+def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
     """All-real roots: 1/3 < sigma1 < 1/2 and 1/2 < sigma2 < 2/3."""
-    if max(abs(c.w1.imag), abs(c.w2.imag), abs(c.w3.imag)) > tol.eq_tol:
+    if max(abs(c.w1.imag), abs(c.w2.imag), abs(c.w3.imag)) > EQ_TOL:
         raise NotHyperbolicError("roots must all be real")
     rv = ratios_direct(c)
     s1, s2 = rv.sigma1, rv.sigma2
@@ -207,9 +207,9 @@ def check_hyperbolic(c: OrderedCubic, tol: ToleranceConfig = DEFAULT_TOL) -> The
         s2.real - 0.5,
         2.0 / 3.0 - s2.real,
     )
-    real_enough = max(abs(s1.imag), abs(s2.imag)) <= tol.eq_tol
+    real_enough = max(abs(s1.imag), abs(s2.imag)) <= EQ_TOL
     passed = margin > 0.0 and real_enough
-    return TheoremReport("HYP", passed, None if passed else _witness(c, rv, tol), margin)
+    return TheoremReport("HYP", passed, None if passed else _witness(c, rv), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def lemma2_expressions(t):
 
 def _positive_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     """[t_min, t_max] densely plus a logarithmic asymptotic tail out to 1e9."""
-    if not (SQRT3 - DEFAULT_TOL.eq_tol <= t_min < t_max):
+    if not (SQRT3 - EQ_TOL <= t_min < t_max):
         raise BadRangeError(f"need sqrt(3) <= t_min < t_max, got [{t_min}, {t_max}]")
     if steps < 1000:
         raise BadRangeError("steps must be at least 1000")
@@ -260,10 +260,7 @@ def _ray_grid() -> np.ndarray:
 
 
 def scan_lemma1(
-    t_min: float = SQRT3,
-    t_max: float = 1e3,
-    steps: int = 10**6,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    t_min: float = SQRT3, t_max: float = 1e3, steps: int = 10**6
 ) -> tuple[TheoremReport, TheoremReport]:
     """Grid minima of |A| and |B|; zero anywhere fails the claim.
 
@@ -311,10 +308,7 @@ def _sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray)
 
 
 def scan_lemma2(
-    t_min: float = SQRT3,
-    t_max: float = 1e3,
-    steps: int = 10**6,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    t_min: float = SQRT3, t_max: float = 1e3, steps: int = 10**6
 ) -> tuple[TheoremReport, TheoremReport]:
     """Locate all sign changes; branch A must root only at -2, branch B at +2.
 
@@ -352,7 +346,7 @@ def scan_lemma2(
 # extremal families
 
 
-def sharpness_probe_re(t: float, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[OrderedCubic, RatioVector]:
+def sharpness_probe_re(t: float) -> tuple[OrderedCubic, RatioVector]:
     """Ray family driving Re sigma1 to its bounds: Re sigma1 = u1(t).
 
     t > sqrt(3):  roots -2t - i, -t + 2 t^2 i, 2t + i
@@ -369,21 +363,18 @@ def sharpness_probe_re(t: float, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Or
         roots = (complex(-2 * t, -1.0), complex(-t, 2 * t * t), complex(2 * t, 1.0))
     else:
         roots = (complex(2 * t, -1.0), complex(-t, -2 * t * t), complex(-2 * t, 1.0))
-    c = order_roots(*roots, tol)
+    c = order_roots(*roots)
     return c, ratios_direct(c)
 
 
-def _in_half_strip(z0: complex, sign: int, tol: ToleranceConfig) -> bool:
+def _in_half_strip(z0: complex, sign: int) -> bool:
     if sign > 0:
-        return z0.imag < -tol.eq_tol and tol.eq_tol < z0.real < -0.5 * z0.imag - tol.eq_tol
-    return z0.imag > tol.eq_tol and tol.eq_tol < z0.real < 0.5 * z0.imag - tol.eq_tol
+        return z0.imag < -EQ_TOL and EQ_TOL < z0.real < -0.5 * z0.imag - EQ_TOL
+    return z0.imag > EQ_TOL and EQ_TOL < z0.real < 0.5 * z0.imag - EQ_TOL
 
 
 def extremal_family_im(
-    z0: complex,
-    c: complex = 0j,
-    sign: int = +1,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    z0: complex, c: complex = 0j, sign: int = +1
 ) -> tuple[OrderedCubic, RatioVector]:
     """Family attaining Im sigma1 = sign/3: roots +-i z0 + c and 2 z0 + c.
 
@@ -394,23 +385,20 @@ def extremal_family_im(
     z0 = complex(z0)
     if sign not in (+1, -1):
         raise BadParameterError("sign must be +1 or -1")
-    if not _in_half_strip(z0, sign, tol):
+    if not _in_half_strip(z0, sign):
         raise ConstraintViolatedError(f"z0={z0!r} outside the sign={sign:+d} half-strip")
-    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c, tol)
+    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c)
     return cub, ratios_direct(cub)
 
 
-def _in_sigma2_strip(z0: complex, sign: int, tol: ToleranceConfig) -> bool:
+def _in_sigma2_strip(z0: complex, sign: int) -> bool:
     if sign > 0:
-        return z0.imag < -tol.eq_tol and 0.5 * z0.imag + tol.eq_tol < z0.real < -tol.eq_tol
-    return z0.imag > tol.eq_tol and -0.5 * z0.imag + tol.eq_tol < z0.real < -tol.eq_tol
+        return z0.imag < -EQ_TOL and 0.5 * z0.imag + EQ_TOL < z0.real < -EQ_TOL
+    return z0.imag > EQ_TOL and -0.5 * z0.imag + EQ_TOL < z0.real < -EQ_TOL
 
 
 def sigma2_extremal_family(
-    z0: complex,
-    c: complex = 0j,
-    sign: int = +1,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    z0: complex, c: complex = 0j, sign: int = +1
 ) -> tuple[OrderedCubic, RatioVector]:
     """Family attaining Im sigma2 = sign/3: same root shape +-i z0 + c,
     2 z0 + c, but with the real-part constraint mirrored to Re z0 < 0
@@ -422,9 +410,9 @@ def sigma2_extremal_family(
     z0 = complex(z0)
     if sign not in (+1, -1):
         raise BadParameterError("sign must be +1 or -1")
-    if not _in_sigma2_strip(z0, sign, tol):
+    if not _in_sigma2_strip(z0, sign):
         raise ConstraintViolatedError(f"z0={z0!r} outside the sigma2 sign={sign:+d} strip")
-    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c, tol)
+    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c)
     return cub, ratios_direct(cub)
 
 
@@ -448,14 +436,13 @@ class _Agg:
     def check_each(
         self,
         cubics: Iterable[OrderedCubic],
-        check: Callable[[OrderedCubic, ToleranceConfig], TheoremReport],
-        tol: ToleranceConfig,
+        check: Callable[[OrderedCubic], TheoremReport],
     ) -> list[float]:
         """Run check on every cubic; a failure marks the aggregate failed and
         keeps its witness (the latest one wins). Returns the margins."""
         margins = []
         for c in cubics:
-            rep = check(c, tol)
+            rep = check(c)
             margins.append(rep.margin)
             if not rep.passed:
                 self.failed = True
@@ -467,32 +454,32 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _bounds_claims(samples: int, seed: int, tol: ToleranceConfig) -> dict[str, TheoremReport]:
+def _bounds_claims(samples: int, seed: int) -> dict[str, TheoremReport]:
     """One Monte Carlo pass feeding T1A/T1B/T1E/T2A/T2B/T2E/T3 and the
     im-extremal uniqueness bookkeeping for T1C/T1D and T2C/T2D."""
     rng = _rng_for(seed, 1)
     aggs = {cid: _Agg() for cid in ("T1A", "T1B", "T1E", "T2A", "T2B", "T2E", "T3")}
     strays: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
     # |Im sigma| touches 1/3 quadratically along the rays (the v-functions
-    # have vanishing first derivative at t = -+2), so an Im-band of eq_tol
-    # admits w within ~sqrt(eq_tol / 0.14) of the attainment points
-    window = max(tol.eq_tol, math.sqrt(40.0 * tol.eq_tol))
-    for c in sample_ordered_cubics(samples, rng, tol):
+    # have vanishing first derivative at t = -+2), so an Im-band of EQ_TOL
+    # admits w within ~sqrt(EQ_TOL / 0.14) of the attainment points
+    window = max(EQ_TOL, math.sqrt(40.0 * EQ_TOL))
+    for c in sample_ordered_cubics(samples, rng):
         rv = ratios_direct(c)
-        reports = check_bounds(rv, tol)
+        reports = check_bounds(rv)
         wit = None
         for rep in reports:
             agg = aggs[rep.claim_id]
             if rep.margin < agg.margin or not rep.passed:
                 if wit is None:
-                    wit = _witness(c, rv, tol)
+                    wit = _witness(c, rv)
                 agg.update(rep, lambda w=wit: w)
         # attainment bookkeeping: |Im sigma| may reach 1/3 only on w = -+2i
         for s, found in zip((rv.sigma1, rv.sigma2), strays):
-            if 1.0 / 3.0 - abs(s.imag) <= tol.eq_tol:
+            if 1.0 / 3.0 - abs(s.imag) <= EQ_TOL:
                 target = -2j if s.imag > 0 else 2j
                 if abs(normalize(c).w - target) > window:
-                    found.append(_witness(c, rv, tol))
+                    found.append(_witness(c, rv))
     out = {}
     for cid, agg in aggs.items():
         open_bound = cid in ("T1A", "T2A")
@@ -502,12 +489,12 @@ def _bounds_claims(samples: int, seed: int, tol: ToleranceConfig) -> dict[str, T
     return out
 
 
-def _sharpness(base: TheoremReport, k: int, above: float, below: float, tol: ToleranceConfig) -> TheoremReport:
+def _sharpness(base: TheoremReport, k: int, above: float, below: float) -> TheoremReport:
     """base plus sharpness of the open bound on Re sigma_k at the asymptotic
     ray probes: Re sigma_k(+1e3) > above and Re sigma_k(-1e3) < below."""
     probes = []
     for t in (1e3, -1e3):
-        _, rv = sharpness_probe_re(t, tol)
+        _, rv = sharpness_probe_re(t)
         probes.append((t, (rv.sigma1, rv.sigma2)[k - 1].real))
     (_, re_pos), (_, re_neg) = probes
     sharp_ok = re_pos > above and re_neg < below
@@ -521,7 +508,7 @@ _IM_FAMILIES = {1: (extremal_family_im, +1), 2: (sigma2_extremal_family, -1)}
 
 
 def _im_attainment(
-    cid: str, k: int, sign: int, rng: np.random.Generator, strays: list, tail: str, tol: ToleranceConfig
+    cid: str, k: int, sign: int, rng: np.random.Generator, strays: list, tail: str
 ) -> TheoremReport:
     """Im sigma_k = sign/3 to 1e-12 over 64 draws of its extremal family,
     and no stray attainment in the Monte Carlo pass."""
@@ -533,11 +520,11 @@ def _im_attainment(
         x = re_sign * rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
         z0 = complex(x, y)
         off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        cub, rv = family(z0, off, sign, tol)
+        cub, rv = family(z0, off, sign)
         dev = abs((rv.sigma1, rv.sigma2)[k - 1].imag - sign / 3.0)
         if dev > worst:
             worst = dev
-            witness = _witness(cub, rv, tol)
+            witness = _witness(cub, rv)
     ok = worst <= 1e-12 and not strays
     note = f"max |Im sigma{k} - ({sign:+d}/3)| = {worst:.3e}{tail}"
     if strays:
@@ -545,21 +532,21 @@ def _im_attainment(
     return TheoremReport(cid, ok, witness if not ok else None, worst, note)
 
 
-def _claims_t1(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
+def _claims_t1(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
     # T1A: bounds plus sharpness at the asymptotic probes
-    reports = [_sharpness(shared["T1A"], 1, 0.666, 1e-4, tol), shared["T1B"]]
+    reports = [_sharpness(shared["T1A"], 1, 0.666, 1e-4), shared["T1B"]]
 
     # T1C / T1D: attainment on the half-strip family, exactness 1e-12,
     # plus no stray attainments in the Monte Carlo sample
     rng = _rng_for(seed, 2)
     for cid, sign in (("T1C", +1), ("T1D", -1)):
         reports.append(
-            _im_attainment(cid, 1, sign, rng, shared["_stray_im1"], " over 64 family draws", tol)
+            _im_attainment(cid, 1, sign, rng, shared["_stray_im1"], " over 64 family draws")
         )
 
     # T1E: Monte Carlo margin plus the ray modulus envelope a, b < 4
     base = shared["T1E"]
-    a, b = boundary_modulus_sq(_ray_grid(), tol)
+    a, b = boundary_modulus_sq(_ray_grid())
     env = float(min(np.min(4.0 - a), np.min(4.0 - b)))
     # on the asymptotic tail the envelope rounds onto its unattained limit 4
     ok = base.passed and env > -CLOSED_BOUND_SLACK
@@ -569,30 +556,30 @@ def _claims_t1(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> l
     return reports
 
 
-def _claims_t2(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
-    reports = [_sharpness(shared["T2A"], 2, 0.999, 1.0 / 3.0 + 1e-3, tol), shared["T2B"]]
+def _claims_t2(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
+    reports = [_sharpness(shared["T2A"], 2, 0.999, 1.0 / 3.0 + 1e-3), shared["T2B"]]
 
     rng = _rng_for(seed, 3)
     for cid, sign in (("T2C", +1), ("T2D", -1)):
         # the sigma1 half-strip family (as printed for this claim) does NOT
         # attain the sigma2 extreme; record the discrepancy instead of failing
         z0_printed = complex(0.5, -2.0) if sign > 0 else complex(0.5, 2.0)
-        _, rv_printed = extremal_family_im(z0_printed, 0j, sign, tol)
+        _, rv_printed = extremal_family_im(z0_printed, 0j, sign)
         printed_dev = abs(rv_printed.sigma2.imag - sign / 3.0)
         tail = (
             " on the mirrored strip; "
             f"on the sigma1 strip Im sigma2 = {rv_printed.sigma2.imag:+.6f} "
             f"(off by {printed_dev:.3f}; claim text mirrored, see docs)"
         )
-        reports.append(_im_attainment(cid, 2, sign, rng, shared["_stray_im2"], tail, tol))
+        reports.append(_im_attainment(cid, 2, sign, rng, shared["_stray_im2"], tail))
 
     reports.append(shared["T2E"])
     return reports
 
 
-def _claims_t3(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> list[TheoremReport]:
+def _claims_t3(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
     base = shared["T3"]
-    diff = boundary_sigma_diff(_ray_grid(), tol)
+    diff = boundary_sigma_diff(_ray_grid())
     ray_min = float(np.min(np.real(diff)))
     ok = base.passed and ray_min >= -CLOSED_BOUND_SLACK
     return [
@@ -603,38 +590,38 @@ def _claims_t3(samples: int, seed: int, tol: ToleranceConfig, shared: dict) -> l
     ]
 
 
-def _claims_t4(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremReport]:
+def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 4)
     n = max(1000, samples // 10)
     agg = _Agg()
-    agg.check_each(sample_ordered_cubics(n, rng, tol), check_equivalence_t4, tol)
+    agg.check_each(sample_ordered_cubics(n, rng), check_equivalence_t4)
     # constructed equilateral cases must show exact equality (1e-10); the
     # T4 margin is |sigma1 - sigma2|
-    eq_worst = max(agg.check_each(sample_equilateral(200, rng, tol), check_equivalence_t4, tol))
-    agg.check_each(sample_near_equilateral(200, rng, tol), check_equivalence_t4, tol)
+    eq_worst = max(agg.check_each(sample_equilateral(200, rng), check_equivalence_t4))
+    agg.check_each(sample_near_equilateral(200, rng), check_equivalence_t4)
     # the proof witness w = +-i sqrt(3)
     for w2 in (SQRT3 * 1j, -SQRT3 * 1j):
-        c = order_roots(-1.0, w2, 1.0, tol)
+        c = order_roots(-1.0, w2, 1.0)
         rv = ratios_direct(c)
         eq_worst = max(eq_worst, abs(rv.sigma1 - rv.sigma2))
-        if classify_configuration(c, tol) is not Configuration.EQUILATERAL:
+        if classify_configuration(c) is not Configuration.EQUILATERAL:
             agg.failed = True
     ok = not agg.failed and eq_worst <= 1e-10
     note = f"{n} random + 400 constructed; max |sigma1 - sigma2| on equilateral = {eq_worst:.3e}"
     return [TheoremReport("T4", ok, agg.witness, eq_worst, note)]
 
 
-def _claims_t5(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremReport]:
+def _claims_t5(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 5)
     n = max(1000, samples // 10)
     agg = _Agg()
-    agg.check_each(sample_ordered_cubics(n, rng, tol), check_equivalence_t5, tol)
-    collinear = list(sample_collinear(400, rng, tol))
-    agg.check_each(collinear, check_equivalence_t5, tol)
+    agg.check_each(sample_ordered_cubics(n, rng), check_equivalence_t5)
+    collinear = list(sample_collinear(400, rng))
+    agg.check_each(collinear, check_equivalence_t5)
     col_worst = max(max(abs(rv.sigma1.imag), abs(rv.sigma2.imag)) for rv in map(ratios_direct, collinear))
     # on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never vanish,
     # so ray configurations never have a real ratio
-    _, _, v1, v2 = boundary_uv(_ray_grid(), tol)
+    _, _, v1, v2 = boundary_uv(_ray_grid())
     ray_min = float(min(np.min(np.abs(v1)), np.min(np.abs(v2))))
     ok = not agg.failed and col_worst <= 1e-10 and ray_min > 0.0
     note = (
@@ -644,20 +631,17 @@ def _claims_t5(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremRep
     return [TheoremReport("T5", ok, agg.witness, col_worst, note)]
 
 
-def _claims_hyp(samples: int, seed: int, tol: ToleranceConfig) -> list[TheoremReport]:
+def _claims_hyp(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 6)
     n = max(1000, samples // 10)
     agg = _Agg()
-    margin = min(agg.check_each(sample_hyperbolic(n, rng, tol), check_hyperbolic, tol))
+    margin = min(agg.check_each(sample_hyperbolic(n, rng), check_hyperbolic))
     ok = not agg.failed and margin > 0.0
     return [TheoremReport("HYP", ok, agg.witness if not ok else None, margin, f"{n} samples")]
 
 
 def run_claims(
-    selector: str = "all",
-    samples: int = 100000,
-    seed: int = DEFAULT_SEED,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    selector: str = "all", samples: int = 100000, seed: int = DEFAULT_SEED
 ) -> list[TheoremReport]:
     """Run the selected claim group(s); deterministic for a given seed."""
     sel = selector.upper() if selector.lower() != "all" else "all"
@@ -665,21 +649,21 @@ def run_claims(
         raise BadParameterError(f"unknown selector {selector!r}; choose from {CLAIM_GROUPS}")
     reports: list[TheoremReport] = []
     if sel in ("all", "L1"):
-        reports.extend(scan_lemma1(tol=tol))
+        reports.extend(scan_lemma1())
     if sel in ("all", "L2"):
-        reports.extend(scan_lemma2(tol=tol))
+        reports.extend(scan_lemma2())
     if sel in ("all", "T1", "T2", "T3"):
-        shared = _bounds_claims(samples, seed, tol)
+        shared = _bounds_claims(samples, seed)
         if sel in ("all", "T1"):
-            reports.extend(_claims_t1(samples, seed, tol, shared))
+            reports.extend(_claims_t1(samples, seed, shared))
         if sel in ("all", "T2"):
-            reports.extend(_claims_t2(samples, seed, tol, shared))
+            reports.extend(_claims_t2(samples, seed, shared))
         if sel in ("all", "T3"):
-            reports.extend(_claims_t3(samples, seed, tol, shared))
+            reports.extend(_claims_t3(samples, seed, shared))
     if sel in ("all", "T4"):
-        reports.extend(_claims_t4(samples, seed, tol))
+        reports.extend(_claims_t4(samples, seed))
     if sel in ("all", "T5"):
-        reports.extend(_claims_t5(samples, seed, tol))
+        reports.extend(_claims_t5(samples, seed))
     if sel in ("all", "HYP"):
-        reports.extend(_claims_hyp(samples, seed, tol))
+        reports.extend(_claims_hyp(samples, seed))
     return reports

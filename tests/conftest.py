@@ -2,19 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ratiolab import DEFAULT_TOL
-
 settings.register_profile(
     "default",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-
-@pytest.fixture
-def tol():
-    return DEFAULT_TOL
 
 
 @pytest.fixture

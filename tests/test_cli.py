@@ -10,6 +10,8 @@ from ratiolab.cli import main, parse_complex
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    for line in captured.out.splitlines():
+        json.loads(line)  # every stdout line is one JSON value
     return code, captured.out, captured.err
 
 
@@ -55,6 +57,20 @@ def test_compute_truncated_equilateral_literal(capsys):
     obj = json.loads(out)
     assert abs(obj["sigma1"]["re"] - 0.5) < 1e-3
     assert abs(obj["sigma1"]["im"] + 0.2886751) < 1e-3
+
+
+def test_compute_scale_invariant_gate(capsys):
+    # ratios do not change under positive scaling, and neither does the gate
+    code, out_tiny, _ = run_cli(capsys, "compute", "-1e-10", "0", "1e-10")
+    assert code == 0
+    code, out_unit, _ = run_cli(capsys, "compute", "-1", "0", "1")
+    assert code == 0
+    tiny, unit = json.loads(out_tiny), json.loads(out_unit)
+    for key in ("sigma1", "sigma2"):
+        assert abs(tiny[key]["re"] - unit[key]["re"]) <= 1e-12
+        assert abs(tiny[key]["im"] - unit[key]["im"]) <= 1e-12
+    assert tiny["classification"] == unit["classification"] == "collinear"
+    assert tiny["path"] == unit["path"]
 
 
 def test_compute_vertical_middle_exit_2(capsys):
@@ -106,6 +122,16 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_seed_env_read_by_verify_only(capsys, monkeypatch):
+    monkeypatch.setenv("RATIOLAB_SEED", "abc")
+    code, out, _ = run_cli(capsys, "compute", "-1", "0", "1")
+    assert code == 0
+    assert abs(json.loads(out)["sigma1"]["re"] - 0.4226497) < 1e-6
+    code, _, err = run_cli(capsys, "verify", "T3", "--samples", "100")
+    assert code == 1
+    assert "RATIOLAB_SEED" in json.loads(err)["error"]
+
+
 def test_sweep_writes_dataset(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, out, _ = run_cli(
@@ -134,6 +160,16 @@ def test_sweep_byte_identical_runs(capsys, tmp_path):
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert out_a.replace(str(a), "X") == out_b.replace(str(b), "X")
+
+
+def test_sweep_summary_quotes_out_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "sweep", "--resolution", "3", "--out", 'a"b.csv')
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["out"] == 'a"b.csv'
+    assert summary["rows"] == 9
+    assert (tmp_path / 'a"b.csv').exists()
 
 
 def test_sweep_unwritable_exit_4(capsys, tmp_path):
@@ -204,19 +240,21 @@ def test_probe_constraint_violation_exit_1(capsys):
 
 
 def test_report_json_with_witness_parses():
-    from ratiolab.cli import _report_json
-    from ratiolab.records import SampleRecord
+    from ratiolab.cli import _report_fields
+    from ratiolab.records import SampleRecord, to_json
     from ratiolab.theorems import TheoremReport
 
     wit = SampleRecord(0.5 + 2j, 0.1 + 0.2j, 0.4 - 0.1j, "interior", "generic", True, False)
-    rep = TheoremReport("T1A", False, wit, -0.0125, "synthetic")
-    obj = json.loads(_report_json(rep))
+    rep = TheoremReport("T1A", False, wit, -0.0125, 'synthetic "quoted" note')
+    obj = json.loads(to_json(_report_fields(rep)))
     assert obj["claim"] == "T1A" and obj["passed"] is False
+    assert obj["note"] == 'synthetic "quoted" note'
     assert obj["witness"]["w"]["im"] == 2.0
     assert obj["witness"]["sigma2"]["re"] == 0.4
     rep = TheoremReport("L1A", True, None, float("inf"), "")
-    obj = json.loads(_report_json(rep))
+    obj = json.loads(to_json(_report_fields(rep)))
     assert obj["margin"] == float("inf")
+    assert obj["witness"] is None
 
 
 def test_console_entry_point():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ratiolab import (
@@ -10,6 +10,7 @@ from ratiolab import (
     RootsNotDistinctError,
     ScaleGuardError,
     SQRT3,
+    UndefinedRatioError,
     assess_admissibility,
     classify_configuration,
     critical_points_bruteforce,
@@ -55,13 +56,22 @@ def test_order_roots_coincident_roots_rejected():
         order_roots(1, 1, 0)
     with pytest.raises(RootsNotDistinctError):
         order_roots(0, 1e-12, 1)
+    # a separation of 1e-15 diameters is a coincidence at any scale
+    with pytest.raises(RootsNotDistinctError):
+        order_roots(0.0, 1e20, 1e20 + 1e5)
 
 
 def test_order_roots_scale_guard():
     with pytest.raises(ScaleGuardError):
         order_roots(-1e101, 0, 1e101)
+    # below a diameter of 1e-100 the squared lengths in q lose precision
+    # (at 1e-160 they turn subnormal, at 1e-200 they vanish)
     with pytest.raises(ScaleGuardError):
-        order_roots(0.0, 1e20, 1e20 + 1e5)
+        order_roots(-1e-200, complex(0.3e-200, 0.5e-200), 1e-200)
+    # a well-shaped triangle of size 1e-7 at distance 1e6 from the origin:
+    # its shape is below the resolution of the input
+    with pytest.raises(ScaleGuardError):
+        order_roots(1e6 - 1e-7, 1e6, 1e6 + 1e-7)
 
 
 def test_critical_points_direct_examples():
@@ -150,6 +160,42 @@ def test_positive_scaling_invariance(a, b, c_, d, e, f, log_s):
     rv1 = ratios_direct(scaled)
     assert abs(rv0.sigma1 - rv1.sigma1) < 1e-10
     assert abs(rv0.sigma2 - rv1.sigma2) < 1e-10
+
+
+def _gate_outcome(roots):
+    try:
+        c = order_roots(*roots)
+    except UndefinedRatioError as exc:
+        return type(exc), None
+    rv = ratios_direct(c)
+    return (classify_configuration(c), rv.path), rv
+
+
+unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
+
+
+@given(unit, unit, unit, unit, unit, unit,
+       st.floats(min_value=-90, max_value=90), unit, unit)
+def test_gate_scale_and_translation_invariant(a, b, c_, d, e, f, log_lam, cr, ci):
+    roots = sorted((complex(a, b), complex(c_, d), complex(e, f)), key=lambda z: z.real)
+    dists = (abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2]))
+    diam = max(dists)
+    assume(diam > 0.0 and min(dists) >= 0.05 * diam)
+    assume(min(roots[1].real - roots[0].real, roots[2].real - roots[1].real) >= 0.01 * diam)
+    roots = [r / diam for r in roots]
+    lam = 10.0 ** log_lam
+    off = complex(cr, ci) * 7.0 * lam  # |off| <= 10 lam
+    base, rv0 = _gate_outcome(roots)
+    moved, rv1 = _gate_outcome([r * lam + off for r in roots])
+    assert base == moved
+    m = sum(roots) / 3.0
+    u1, u2, u3 = (r - m for r in roots)
+    q = u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
+    # the ratios' sensitivity to input rounding grows like 1/sqrt|q| near a
+    # double critical point, so only well-conditioned triangles compare values
+    if rv0 is not None and abs(q) >= 1e-4:
+        assert abs(rv0.sigma1 - rv1.sigma1) <= 1e-12
+        assert abs(rv0.sigma2 - rv1.sigma2) <= 1e-12
 
 
 def test_vieta_sum_of_critical_points(rng):

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from ratiolab import (
     SQRT3,
-    ToleranceConfig,
     approx_eq,
     in_gamma,
     principal_sqrt,
 )
-from ratiolab.kernel import DEFAULT_TOL
+from ratiolab.kernel import EQ_TOL, IDENTITY_TOL
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -113,13 +112,8 @@ def test_approx_eq_against_family_ratio():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(eq_tol=1e-6, boundary_tol=1e-9)
-    t = ToleranceConfig()
-    assert t.eq_tol <= t.boundary_tol
-    assert DEFAULT_TOL.identity_tol == 1e-10
+    assert EQ_TOL == 1e-9
+    assert IDENTITY_TOL == 1e-10
 
 
 def test_sqrt3_constant():

@@ -99,6 +99,14 @@ def test_removable_singularity_plateau():
                 mp_f, mp_g = _mp_closed_forms(w)
                 assert abs(f_extension(w) - mp_f) <= 1e-14
                 assert abs(g_extension(w) - mp_g) <= 1e-14
+    # far from the origin, in every quadrant, the per-point choice of form
+    # keeps full relative accuracy (w + 3 + R cancels for Re w < 0)
+    for mod in (1e3, 1e6, 1e9, 1e12):
+        for ang in (0.0, 0.4, 1.2, 1.9, 2.7, 3.1416, 3.6, 4.4, 5.1, 5.9):
+            w = mod * cmath.exp(1j * ang)
+            mp_f, mp_g = _mp_closed_forms(w)
+            assert abs(f_extension(w) - mp_f) <= 1e-14 * abs(mp_f)
+            assert abs(g_extension(w) - mp_g) <= 1e-14 * abs(mp_g)
 
 
 def test_extension_values_continuous_past_plateau():
