@@ -21,7 +21,6 @@ from .cubic import (
     classify_configuration,
     critical_points_bruteforce,
     critical_points_direct,
-    denormalize,
     normalize,
     order_roots,
 )
@@ -40,7 +39,7 @@ from .errors import (
     ScaleGuardError,
     UndefinedRatioError,
 )
-from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, approx_eq, in_gamma, principal_sqrt
+from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, in_gamma, principal_sqrt
 from .mapping import (
     InEllipse,
     SampleRecord,
@@ -52,12 +51,10 @@ from .mapping import (
     trace_boundary,
 )
 from .ratios import (
-    BoundaryPoint,
     RatioPath,
     RatioVector,
     boundary_modulus_sq,
     boundary_sigma1,
-    boundary_sigma2,
     boundary_sigma_diff,
     boundary_uv,
     f_extension,
@@ -76,7 +73,6 @@ from .sampling import (
 from .theorems import (
     CLAIM_GROUPS,
     DEFAULT_SEED,
-    ExtremalFamilySpec,
     TheoremReport,
     check_bounds,
     check_equivalence_t4,

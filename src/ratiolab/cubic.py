@@ -58,7 +58,6 @@ __all__ = [
     "critical_points_direct",
     "critical_points_bruteforce",
     "normalize",
-    "denormalize",
     "assess_admissibility",
     "classify_configuration",
 ]
@@ -219,11 +218,6 @@ def normalize(c: OrderedCubic) -> NormalizedCubic:
     return NormalizedCubic(w2n=w2n, w3n=w3n, offset=offset, w=w2n / w3n)
 
 
-def denormalize(n: NormalizedCubic) -> tuple[complex, complex, complex]:
-    """Roots of the original configuration recovered from a normalized one."""
-    return (-n.w3n + n.offset, n.w2n + n.offset, n.w3n + n.offset)
-
-
 def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
     """Check whether the w-plane closed forms apply to the pair (w2n, w3n).
 
@@ -281,14 +275,16 @@ def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
 
 
 def classify_configuration(c: OrderedCubic) -> Configuration:
-    """Equilateral, collinear, or generic root triangle."""
-    d12 = abs(c.w1 - c.w2)
-    d13 = abs(c.w1 - c.w3)
-    d23 = abs(c.w2 - c.w3)
-    scale = max(d12, d13, d23)
-    if scale - min(d12, d13, d23) <= EQ_TOL * scale:
+    """Equilateral, collinear, or generic root triangle.
+
+    Equilateral means the gate's double critical point (c.coincident), the
+    shape on which T4 puts sigma1 = sigma2; collinear means a triangle area
+    of at most EQ_TOL * diameter^2. Both decisions are scale-free.
+    """
+    if c.coincident:
         return Configuration.EQUILATERAL
+    diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
     area = abs(((c.w2 - c.w1) * (c.w3 - c.w1).conjugate()).imag) / 2.0
-    if area <= EQ_TOL * scale * scale:
+    if area <= EQ_TOL * diam * diam:
         return Configuration.COLLINEAR
     return Configuration.GENERIC

@@ -25,7 +25,6 @@ __all__ = [
     "SQRT3",
     "principal_sqrt",
     "in_gamma",
-    "approx_eq",
     "require_finite",
 ]
 
@@ -71,10 +70,3 @@ def in_gamma(z: complex) -> bool:
 def _on_rays(w: complex) -> bool:
     """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3)."""
     return abs(w.real) <= EQ_TOL and abs(w.imag) >= SQRT3 - EQ_TOL
-
-
-def approx_eq(a: complex, b: complex, tol: float = EQ_TOL) -> bool:
-    """|a - b| <= tol, with both operands validated finite."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    return abs(require_finite(a) - require_finite(b)) <= tol

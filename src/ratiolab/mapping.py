@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cubic import Configuration, OrderedCubic
+from .cubic import Configuration, OrderedCubic, classify_configuration
 from .errors import BadRangeError, DegenerateTriangleError
 from .kernel import EQ_TOL, SQRT3, _on_rays
 from .ratios import (
@@ -156,15 +156,13 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> list[SampleRecord]
 def steiner_inellipse(c: OrderedCubic) -> InEllipse:
     """Fit the midpoint inellipse of the root triangle (geometric route).
 
-    Raises DegenerateTriangleError when the triangle area is below
-    EQ_TOL * diameter^2. The returned foci are sorted by real part (then
+    Raises DegenerateTriangleError when classify_configuration calls the
+    triangle collinear. The returned foci are sorted by real part (then
     imaginary part) to match the critical point labeling convention.
     """
-    verts = [c.w1, c.w2, c.w3]
-    diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
-    area = abs(((c.w2 - c.w1) * (c.w3 - c.w1).conjugate()).imag) / 2.0
-    if area <= EQ_TOL * diam * diam:
+    if classify_configuration(c) is Configuration.COLLINEAR:
         raise DegenerateTriangleError("triangle is numerically collinear")
+    verts = [c.w1, c.w2, c.w3]
 
     ctr = (c.w1 + c.w2 + c.w3) / 3.0
     scale = max(abs(v - ctr) for v in verts)

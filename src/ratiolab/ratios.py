@@ -44,12 +44,10 @@ from .kernel import EQ_TOL, SQRT3, in_gamma, principal_sqrt, require_finite
 __all__ = [
     "RatioPath",
     "RatioVector",
-    "BoundaryPoint",
     "ratios_direct",
     "f_extension",
     "g_extension",
     "boundary_sigma1",
-    "boundary_sigma2",
     "boundary_uv",
     "boundary_modulus_sq",
     "boundary_sigma_diff",
@@ -72,17 +70,6 @@ class RatioVector:
     sigma1: complex
     sigma2: complex
     path: RatioPath
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Parameter of a point w = i t on the excluded rays, |t| >= sqrt(3)."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t) or abs(self.t) < SQRT3 - EQ_TOL:
-            raise BadParameterError(f"boundary parameter needs |t| >= sqrt(3), got {self.t!r}")
 
 
 def ratios_direct(c: OrderedCubic) -> RatioVector:
@@ -129,19 +116,16 @@ def g_extension(w: complex) -> complex:
 def _ray_terms(t):
     """Validated t with |t|, r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r.
 
-    t is a BoundaryPoint (already validated), a scalar or an array; the tip
-    rounding residue of t^2 - 3 is clamped to 0.
+    t is a scalar or an array; the tip rounding residue of t^2 - 3 is
+    clamped to 0.
     """
-    if isinstance(t, BoundaryPoint):
-        t = t.t
-    else:
-        t_arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t_arr)):
-            raise BadParameterError("boundary parameter must be finite")
-        if np.any(np.abs(t_arr) < SQRT3 - EQ_TOL):
-            raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
-        if not np.isscalar(t):
-            t = t_arr
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise BadParameterError("boundary parameter must be finite")
+    if np.any(np.abs(t_arr) < SQRT3 - EQ_TOL):
+        raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
+    if not np.isscalar(t):
+        t = t_arr
     at = np.abs(t)
     r = np.sqrt(np.maximum(at * at - 3.0, 0.0))
     return t, at, r, at * at + 3.0 + at * r
@@ -184,12 +168,6 @@ def boundary_sigma1(t) -> complex:
     if isinstance(u1, float):
         return complex(u1, v1)
     return u1 + 1j * v1
-
-
-def boundary_sigma2(t) -> complex:
-    """sigma2 on the rays, upper side, via (1 - sigma1) sigma2 = 1/3."""
-    s1 = boundary_sigma1(t)
-    return 1.0 / (3.0 * (1.0 - s1))
 
 
 def boundary_modulus_sq(t):

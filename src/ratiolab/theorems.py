@@ -58,7 +58,6 @@ from .sampling import (
 
 __all__ = [
     "TheoremReport",
-    "ExtremalFamilySpec",
     "DEFAULT_SEED",
     "CLAIM_GROUPS",
     "CLOSED_BOUND_SLACK",
@@ -93,34 +92,6 @@ class TheoremReport:
     witness: Optional[SampleRecord]
     margin: float
     note: str = ""
-
-
-@dataclass(frozen=True)
-class ExtremalFamilySpec:
-    """Parameter record for the two sharpness families.
-
-    kind "re-sharpness": ray family w1 = -2t - i, w2 = -t + 2 t^2 i,
-    w3 = 2t + i (mirrored for t < -sqrt(3)); requires |t| > sqrt(3).
-    kind "im-extremal": roots +-i z0 + c and 2 z0 + c; z0 constrained to the
-    half-strip of the chosen sign.
-    """
-
-    kind: str
-    t: Optional[float] = None
-    z0: Optional[complex] = None
-    c: complex = 0j
-    sign: int = +1
-
-    def realize(self) -> tuple[OrderedCubic, RatioVector]:
-        if self.kind == "re-sharpness":
-            if self.t is None:
-                raise BadParameterError("re-sharpness family needs t")
-            return sharpness_probe_re(self.t)
-        if self.kind == "im-extremal":
-            if self.z0 is None:
-                raise BadParameterError("im-extremal family needs z0")
-            return extremal_family_im(self.z0, self.c, self.sign)
-        raise BadParameterError(f"unknown family kind {self.kind!r}")
 
 
 def _witness(c: OrderedCubic, rv: RatioVector) -> SampleRecord:
@@ -196,8 +167,13 @@ def check_equivalence_t5(c: OrderedCubic) -> TheoremReport:
 
 
 def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
-    """All-real roots: 1/3 < sigma1 < 1/2 and 1/2 < sigma2 < 2/3."""
-    if max(abs(c.w1.imag), abs(c.w2.imag), abs(c.w3.imag)) > EQ_TOL:
+    """All-real roots: 1/3 < sigma1 < 1/2 and 1/2 < sigma2 < 2/3.
+
+    A root counts as real when its imaginary part is at most EQ_TOL times
+    the diameter of the root triangle.
+    """
+    diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
+    if max(abs(c.w1.imag), abs(c.w2.imag), abs(c.w3.imag)) > EQ_TOL * diam:
         raise NotHyperbolicError("roots must all be real")
     rv = ratios_direct(c)
     s1, s2 = rv.sigma1, rv.sigma2
@@ -367,10 +343,25 @@ def sharpness_probe_re(t: float) -> tuple[OrderedCubic, RatioVector]:
     return c, ratios_direct(c)
 
 
-def _in_half_strip(z0: complex, sign: int) -> bool:
-    if sign > 0:
-        return z0.imag < -EQ_TOL and EQ_TOL < z0.real < -0.5 * z0.imag - EQ_TOL
-    return z0.imag > EQ_TOL and EQ_TOL < z0.real < 0.5 * z0.imag - EQ_TOL
+def _im_family(
+    z0: complex, c: complex, sign: int, re_sign: int
+) -> tuple[OrderedCubic, RatioVector]:
+    """Roots +-i z0 + c and 2 z0 + c, with z0 on the strip where the family
+    attains Im sigma_k = sign/3: -sign Im z0 > 0 and
+    0 < re_sign Re z0 < |Im z0| / 2 (re_sign +1 for sigma1, -1 for the
+    mirrored sigma2 strip). Every band is EQ_TOL * |z0|, so scaling z0 by a
+    positive factor does not move the strip's edges."""
+    z0 = complex(z0)
+    if sign not in (+1, -1):
+        raise BadParameterError("sign must be +1 or -1")
+    band = EQ_TOL * abs(z0)
+    y = -sign * z0.imag
+    x = re_sign * z0.real
+    if not (y > band and band < x < 0.5 * y - band):
+        strip = f"sign={sign:+d} half-strip" if re_sign > 0 else f"sigma2 sign={sign:+d} strip"
+        raise ConstraintViolatedError(f"z0={z0!r} outside the {strip}")
+    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c)
+    return cub, ratios_direct(cub)
 
 
 def extremal_family_im(
@@ -379,22 +370,11 @@ def extremal_family_im(
     """Family attaining Im sigma1 = sign/3: roots +-i z0 + c and 2 z0 + c.
 
     sign +1 needs Im z0 < 0 and 0 < Re z0 < -Im z0 / 2; sign -1 the mirror
-    (Im z0 > 0, 0 < Re z0 < Im z0 / 2). Outside the strip the family does
-    not attain the extreme and ConstraintViolatedError is raised.
+    (Im z0 > 0, 0 < Re z0 < Im z0 / 2), both up to bands of EQ_TOL * |z0|.
+    Outside the strip the family does not attain the extreme and
+    ConstraintViolatedError is raised.
     """
-    z0 = complex(z0)
-    if sign not in (+1, -1):
-        raise BadParameterError("sign must be +1 or -1")
-    if not _in_half_strip(z0, sign):
-        raise ConstraintViolatedError(f"z0={z0!r} outside the sign={sign:+d} half-strip")
-    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c)
-    return cub, ratios_direct(cub)
-
-
-def _in_sigma2_strip(z0: complex, sign: int) -> bool:
-    if sign > 0:
-        return z0.imag < -EQ_TOL and 0.5 * z0.imag + EQ_TOL < z0.real < -EQ_TOL
-    return z0.imag > EQ_TOL and -0.5 * z0.imag + EQ_TOL < z0.real < -EQ_TOL
+    return _im_family(z0, c, sign, +1)
 
 
 def sigma2_extremal_family(
@@ -402,18 +382,13 @@ def sigma2_extremal_family(
 ) -> tuple[OrderedCubic, RatioVector]:
     """Family attaining Im sigma2 = sign/3: same root shape +-i z0 + c,
     2 z0 + c, but with the real-part constraint mirrored to Re z0 < 0
-    (sign +1: Im z0 < 0 and Im z0 / 2 < Re z0 < 0; sign -1 the conjugate).
+    (sign +1: Im z0 < 0 and Im z0 / 2 < Re z0 < 0; sign -1 the conjugate),
+    with the same bands of EQ_TOL * |z0|.
 
     This differs from the sigma1 family: on the sigma1 strip the second
     ratio is (2 + sign i) / 5, not extremal.
     """
-    z0 = complex(z0)
-    if sign not in (+1, -1):
-        raise BadParameterError("sign must be +1 or -1")
-    if not _in_sigma2_strip(z0, sign):
-        raise ConstraintViolatedError(f"z0={z0!r} outside the sigma2 sign={sign:+d} strip")
-    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c)
-    return cub, ratios_direct(cub)
+    return _im_family(z0, c, sign, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +477,9 @@ def _sharpness(base: TheoremReport, k: int, above: float, below: float) -> Theor
     return TheoremReport(base.claim_id, base.passed and sharp_ok, base.witness, base.margin, note)
 
 
-#: Per ratio k: the family attaining Im sigma_k = +-1/3 and the sign of
-#: Re z0 on its strip.
-_IM_FAMILIES = {1: (extremal_family_im, +1), 2: (sigma2_extremal_family, -1)}
+#: Per ratio k: the sign of Re z0 on the strip of the family attaining
+#: Im sigma_k = +-1/3.
+_IM_RE_SIGN = {1: +1, 2: -1}
 
 
 def _im_attainment(
@@ -512,7 +487,7 @@ def _im_attainment(
 ) -> TheoremReport:
     """Im sigma_k = sign/3 to 1e-12 over 64 draws of its extremal family,
     and no stray attainment in the Monte Carlo pass."""
-    family, re_sign = _IM_FAMILIES[k]
+    re_sign = _IM_RE_SIGN[k]
     worst = 0.0
     witness = None
     for _ in range(64):
@@ -520,7 +495,7 @@ def _im_attainment(
         x = re_sign * rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
         z0 = complex(x, y)
         off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        cub, rv = family(z0, off, sign)
+        cub, rv = _im_family(z0, off, sign, re_sign)
         dev = abs((rv.sigma1, rv.sigma2)[k - 1].imag - sign / 3.0)
         if dev > worst:
             worst = dev

@@ -233,6 +233,17 @@ def test_probe_im_extremal(capsys):
     assert abs(obj["sigma1"]["re"] - 1.0 / 3.0) < 1e-12
 
 
+def test_probe_im_extremal_scale_free(capsys):
+    code, out, _ = run_cli(capsys, "probe", "im-extremal", "--z0", "1e-10-4e-10i")
+    assert code == 0
+    small = json.loads(out)
+    _, out, _ = run_cli(capsys, "probe", "im-extremal", "--z0", "1-4i")
+    unit = json.loads(out)
+    for key in ("sigma1", "sigma2"):
+        for part in ("re", "im"):
+            assert abs(small[key][part] - unit[key][part]) <= 1e-12
+
+
 def test_probe_constraint_violation_exit_1(capsys):
     code, _, err = run_cli(capsys, "probe", "im-extremal", "--z0", "1+4i", "--sign", "+")
     assert code == 1

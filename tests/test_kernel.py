@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ratiolab import (
     SQRT3,
-    approx_eq,
     in_gamma,
     principal_sqrt,
 )
@@ -93,22 +92,6 @@ def test_in_gamma_examples():
     assert not in_gamma(1 + 1j)
     assert not in_gamma(1e-6)
     assert in_gamma(complex(-1, 5e-10))
-
-
-def test_approx_eq_examples():
-    assert approx_eq(1, 1, 1e-9)
-    assert not approx_eq(1, 1 + 2e-9j, 1e-9)
-    with pytest.raises(ValueError):
-        approx_eq(1, 1, 0.0)
-
-
-def test_approx_eq_against_family_ratio():
-    # direct ratio of the roots +-i(1-4i), 2(1-4i): sigma1 = 1/3 + i/3
-    from ratiolab import order_roots, ratios_direct
-
-    c = order_roots(-4 - 1j, 2 - 8j, 4 + 1j)
-    rv = ratios_direct(c)
-    assert approx_eq(complex(1 / 3, 1 / 3), rv.sigma1, 1e-10)
 
 
 def test_tolerance_validation():

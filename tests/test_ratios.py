@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ratiolab import (
     BadParameterError,
-    BoundaryPoint,
     NotAdmissibleError,
     OutsideDomainError,
     RatioPath,
@@ -17,7 +16,6 @@ from ratiolab import (
     assess_admissibility,
     boundary_modulus_sq,
     boundary_sigma1,
-    boundary_sigma2,
     boundary_sigma_diff,
     boundary_uv,
     f_extension,
@@ -124,9 +122,7 @@ def test_boundary_sigma1_values():
 
 
 def test_boundary_sigma1_accepts_boundary_point():
-    assert boundary_sigma1(BoundaryPoint(2.0)) == boundary_sigma1(2.0)
-    with pytest.raises(BadParameterError):
-        BoundaryPoint(1.0)
+    # only ray parameters |t| >= sqrt(3) are boundary points
     with pytest.raises(BadParameterError):
         boundary_sigma1(0.5)
 
@@ -194,7 +190,7 @@ def test_boundary_sigma_diff_values():
 def test_boundary_sigma_diff_matches_ray_pipeline():
     for t in np.concatenate([np.linspace(SQRT3, 50, 500), -np.linspace(SQRT3, 50, 500)]):
         s1 = boundary_sigma1(float(t))
-        s2 = boundary_sigma2(float(t))
+        s2 = 1.0 / (3.0 * (1.0 - s1))
         assert abs((s2 - s1) - boundary_sigma_diff(float(t))) < 1e-12
         assert boundary_sigma_diff(float(t)).real >= -1e-15
 

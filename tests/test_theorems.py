@@ -1,5 +1,7 @@
 import ast
+import cmath
 
+import numpy as np
 import pytest
 
 from ratiolab import (
@@ -8,6 +10,7 @@ from ratiolab import (
     ConstraintViolatedError,
     NotHyperbolicError,
     SQRT3,
+    UndefinedRatioError,
     check_bounds,
     check_equivalence_t4,
     check_equivalence_t5,
@@ -24,7 +27,7 @@ from ratiolab import (
 )
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import boundary_uv
-from ratiolab.theorems import ExtremalFamilySpec, lemma1_expressions, lemma2_expressions
+from ratiolab.theorems import lemma1_expressions, lemma2_expressions
 
 
 def test_lemma1_spot_values():
@@ -176,15 +179,26 @@ def test_sigma1_family_misses_sigma2_extreme():
     assert abs(rv.sigma2.imag - 1 / 3) > 0.13
 
 
-def test_family_spec_realizes():
-    spec = ExtremalFamilySpec(kind="re-sharpness", t=2.0)
-    _, rv = spec.realize()
-    assert abs(rv.sigma1 - (0.6 - 0.2j)) < 1e-12
-    spec = ExtremalFamilySpec(kind="im-extremal", z0=1 - 4j, sign=+1)
-    _, rv = spec.realize()
-    assert abs(rv.sigma1.imag - 1 / 3) < 1e-12
-    with pytest.raises(BadParameterError):
-        ExtremalFamilySpec(kind="nope").realize()
+@pytest.mark.parametrize(
+    "family, cases",
+    [
+        (extremal_family_im, [(1 - 4j, +1, True), (1 + 4j, -1, True), (3 - 4j, +1, False)]),
+        (sigma2_extremal_family, [(-1 - 4j, +1, True), (-1 + 4j, -1, True), (-3 - 4j, +1, False)]),
+    ],
+)
+def test_families_scale_free(family, cases):
+    # the strips are cones: scaling z0 by lambda > 0 neither moves a point
+    # across an edge nor changes the ratios
+    for z0, sign, inside in cases:
+        ref = family(z0, 0j, sign)[1] if inside else None
+        for lam in 10.0 ** np.linspace(-90, 90, 37):
+            if not inside:
+                with pytest.raises(ConstraintViolatedError):
+                    family(lam * z0, 0j, sign)
+                continue
+            _, rv = family(lam * z0, 0j, sign)
+            assert abs(rv.sigma1 - ref.sigma1) <= 1e-12
+            assert abs(rv.sigma2 - ref.sigma2) <= 1e-12
 
 
 def test_t4_equivalence_cases():
@@ -196,6 +210,24 @@ def test_t4_equivalence_cases():
     assert classify_configuration(c) is Configuration.EQUILATERAL
     rv = ratios_direct(c)
     assert abs(rv.sigma1 - rv.sigma2) < 1e-12
+
+
+def test_t4_near_equilateral_set():
+    # the apex moved by |d| log-uniform in [1e-12, 1e-3], random direction:
+    # equilateral (double critical point) exactly where sigma1 = sigma2
+    rng = np.random.default_rng(20260)
+    mags = 10.0 ** rng.uniform(-12.0, -3.0, 2000)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 2000)
+    built = 0
+    for mag, ang in zip(mags, angles):
+        try:
+            c = order_roots(-1, SQRT3 * 1j + cmath.rect(mag, ang), 1)
+        except UndefinedRatioError:
+            continue  # critical points on a common vertical line
+        built += 1
+        rep = check_equivalence_t4(c)
+        assert rep.passed, (mag, ang, rep.margin)
+    assert built >= 1990
 
 
 def test_t5_equivalence_cases():
@@ -216,6 +248,11 @@ def test_hyperbolic_cases():
     assert check_hyperbolic(order_roots(0, 1, 1 + 1e-6)).passed
     with pytest.raises(NotHyperbolicError):
         check_hyperbolic(order_roots(-1, 1j, 1))
+    # realness is relative to the diameter: (-1, 1j, 1) scaled down is not
+    # real, and a 1j offset on a 3e10-wide triangle is
+    with pytest.raises(NotHyperbolicError):
+        check_hyperbolic(order_roots(0, 1e-10, 2e-10 + 5e-10j))
+    assert check_hyperbolic(order_roots(0, 1e10, 3e10 + 1j)).passed
 
 
 def test_run_claims_selector_validation():
