@@ -1,17 +1,34 @@
 """Deterministic random configuration generators.
 
 All generators draw from a caller-supplied numpy Generator, so identical
-seeds give identical samples. Admissible interior pairs are produced by
-rejection: w3 from Re in (0, 10], Im in [-10, 10], w2 from the square
-[-10, 10]^2, gatekept by assess_admissibility. Ray configurations are built
-separately from (t, w3) with w2 = i t w3. Each accepted pair is then scaled
-by a log-uniform positive factor in [1e-3, 1e3] (ratios are invariant under
-positive scaling) and translated by an offset proportional to that scale.
+seeds give identical samples.
 
-Margins enforced during rejection (|w -+ 1| >= 1e-6, real-part gaps and
-|w2 + w3| >= 1e-4 at pair scale, w3 components >= 0.05 for ray samples)
-keep every accepted configuration far enough from the degenerate sets that
-the documented comparison tolerances hold with headroom.
+sample_ordered_cubics draws its candidates as numpy arrays, one block of
+1024 at a time. Per candidate it draws a mix flag (a ray sample with
+probability 0.2), a log-uniform positive scale factor in [1e-3, 1e3]
+(ratios are invariant under positive scaling), an offset proportional to
+that scale, and Re w3 in [0, 10) with density proportional to Re w3.
+Interior candidates add Im w3 in [-10, 10], Re w2 uniform on
+(-Re w3, Re w3) and Im w2 in [-10, 10]: uniform on the box
+[0, 10) x [-10, 10] x [-10, 10]^2, restricted to the slice |Re w2| < Re w3
+that holds every admissible pair. Ray candidates are built directly as
+w2 = i t w3: |t| is log-uniform in [sqrt(3)(1 + 1e-6), 1e3] with a random
+sign, and |Im w3| is uniform on [1e-3 b, b) with b = (Re w3 - 1e-4) / |t|.
+Below b the roots stay ordered (|Re w2| = |t Im w3| < Re w3 - 1e-4); the
+floor keeps apart the critical points' real parts, which meet at
+Im w3 = 0. There is no rejection loop and no fixed floor on the components
+of w3, so ray samples reach |t| = 1e3.
+
+The cheap filters (real-part ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4
+at pair scale, |w -+ 1| >= 1e-6) run as array masks. Each surviving
+candidate is scaled, translated and passed to the scalar order_roots; it is
+yielded when assess_admissibility accepts its normalized pair, on the rays
+exactly when it was drawn as a ray sample. Blocks do not depend on n, so a
+shorter run is a prefix of a longer one with the same seed.
+
+The margins keep every accepted configuration far enough from the
+degenerate sets that the documented comparison tolerances hold with
+headroom.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cubic import OrderedCubic, assess_admissibility, order_roots
+from .cubic import OrderedCubic, assess_admissibility, normalize, order_roots
 from .errors import UndefinedRatioError
 from .kernel import SQRT3
 
@@ -33,73 +50,79 @@ __all__ = [
     "sample_near_equilateral",
 ]
 
-_GAP = 1e-4                 # real-part and |w2 + w3| margin at pair scale
+_BLOCK = 1024               # candidates per block; a block stays live while it is consumed
+_GAP = 1e-4                 # real-part and |w2 +- w3| margin at pair scale
 _W_MARGIN = 1e-6            # keep-away band around w = +-1
-_RAY_COMPONENT = 0.05
+_RAY_FLOOR = 1e-3           # least |Im w3| of a ray sample, as a share of its band
 _BOUNDARY_FRACTION = 0.2    # share of ray samples in sample_ordered_cubics
 _T_MAX = 1e3                # largest |t| of a ray sample
 _SCALE_SPAN = (1e-3, 1e3)   # range of the log-uniform positive scale factor
 _DELTA_SPAN = (1e-4, 1e-1)  # range of the log-uniform near-equilateral shift
 
 
-def _scale_offset(rng: np.random.Generator) -> tuple[float, complex]:
-    s = math.exp(rng.uniform(math.log(_SCALE_SPAN[0]), math.log(_SCALE_SPAN[1])))
-    off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) * s
-    return s, off
+def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
+    return np.where(rng.uniform(size=size) < 0.5, 1.0, -1.0)
 
 
-def _interior_pair(rng: np.random.Generator):
-    while True:
-        w3 = complex(rng.uniform(0.0, 10.0), rng.uniform(-10.0, 10.0))
-        w2 = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
-        if w3.real < _GAP:
-            continue
-        if not (-w3.real + _GAP < w2.real < w3.real - _GAP):
-            continue
-        if abs(w2 + w3) < _GAP or abs(w3 - w2) < _GAP:
-            continue
-        w = w2 / w3
-        if abs(w + 1.0) < _W_MARGIN or abs(w - 1.0) < _W_MARGIN:
-            continue
-        report = assess_admissibility(w2, w3)
-        if report.admissible and not report.on_boundary:
-            return w2, w3
+def _candidate_block(rng: np.random.Generator):
+    """One block of candidates: the root triples that pass the array masks,
+    each with whether it was drawn as a ray sample."""
+    on_ray = rng.uniform(size=_BLOCK) < _BOUNDARY_FRACTION
+    s = np.exp(rng.uniform(math.log(_SCALE_SPAN[0]), math.log(_SCALE_SPAN[1]), _BLOCK))
+    off = (rng.uniform(-5.0, 5.0, _BLOCK) + 1j * rng.uniform(-5.0, 5.0, _BLOCK)) * s
 
+    # Re w3 has density proportional to Re w3 on [0, 10): the marginal of the
+    # box slice |Re w2| < Re w3, which holds every admissible interior pair.
+    re3 = 10.0 * np.sqrt(rng.uniform(0.0, 1.0, _BLOCK))
+    im3 = np.empty(_BLOCK)
+    w2 = np.empty(_BLOCK, dtype=complex)
 
-def _ray_pair(rng: np.random.Generator):
-    while True:
-        t = math.exp(rng.uniform(math.log(SQRT3 * (1.0 + 1e-6)), math.log(_T_MAX)))
-        if rng.uniform() < 0.5:
-            t = -t
-        re3 = rng.uniform(_RAY_COMPONENT, 10.0)
-        im3 = rng.uniform(_RAY_COMPONENT, 10.0)
-        if rng.uniform() < 0.5:
-            im3 = -im3
-        w3 = complex(re3, im3)
-        w2 = 1j * t * w3
-        if not (-w3.real + _GAP < w2.real < w3.real - _GAP):
-            continue
-        report = assess_admissibility(w2, w3)
-        if report.admissible and report.on_boundary:
-            return w2, w3
+    inner = ~on_ray
+    k = int(inner.sum())
+    im3[inner] = rng.uniform(-10.0, 10.0, k)
+    w2[inner] = re3[inner] * rng.uniform(-1.0, 1.0, k) + 1j * rng.uniform(-10.0, 10.0, k)
+
+    r = _BLOCK - k
+    t = _signs(rng, r) * np.exp(
+        rng.uniform(math.log(SQRT3 * (1.0 + 1e-6)), math.log(_T_MAX), r))
+    band = (re3[on_ray] - _GAP) / np.abs(t)
+    im3[on_ray] = _signs(rng, r) * band * rng.uniform(_RAY_FLOOR, 1.0, r)
+    w3 = re3 + 1j * im3
+    w2[on_ray] = 1j * t * w3[on_ray]
+
+    re2 = w2.real
+    w = w2 / w3
+    keep = (
+        (-re3 + _GAP < re2) & (re2 < re3 - _GAP)
+        & (np.abs(w2 + w3) >= _GAP) & (np.abs(w3 - w2) >= _GAP)
+        & (np.abs(w + 1.0) >= _W_MARGIN) & (np.abs(w - 1.0) >= _W_MARGIN)
+    )
+    s, off, w2, w3 = s[keep], off[keep], w2[keep], w3[keep]
+    return zip(
+        (-w3 * s + off).tolist(),
+        (w2 * s + off).tolist(),
+        (w3 * s + off).tolist(),
+        on_ray[keep].tolist(),
+    )
 
 
 def sample_ordered_cubics(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n admissible configurations, mixing interior and ray samples."""
     produced = 0
     while produced < n:
-        on_ray = rng.uniform() < _BOUNDARY_FRACTION
-        if on_ray:
-            w2, w3 = _ray_pair(rng)
-        else:
-            w2, w3 = _interior_pair(rng)
-        s, off = _scale_offset(rng)
-        try:
-            c = order_roots(-w3 * s + off, w2 * s + off, w3 * s + off)
-        except UndefinedRatioError:
-            continue
-        produced += 1
-        yield c
+        for r1, r2, r3, ray in _candidate_block(rng):
+            try:
+                c = order_roots(r1, r2, r3)
+            except UndefinedRatioError:
+                continue
+            nc = normalize(c)
+            report = assess_admissibility(nc.w2n, nc.w3n)
+            if not report.admissible or report.on_boundary != ray:
+                continue
+            yield c
+            produced += 1
+            if produced == n:
+                return
 
 
 def sample_hyperbolic(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:

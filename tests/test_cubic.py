@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -100,15 +101,31 @@ def test_critical_points_match_companion_matrix(rng):
             assert abs(a - b) < 1e-9 * scale
 
 
+def _mp_critical_points(c):
+    with mpmath.workdps(50):
+        w1, w2, w3 = (mpmath.mpc(z.real, z.imag) for z in c.roots)
+        e1 = w1 + w2 + w3
+        e2 = w1 * w2 + w1 * w3 + w2 * w3
+        r = mpmath.sqrt(e1 * e1 - 3 * e2)
+        return complex((e1 - r) / 3), complex((e1 + r) / 3)
+
+
 def test_derivative_residual_on_random_configurations(rng):
-    # |p'(z)| <= 1e-9 * max(1, |z|^2) across a large random batch
+    # |p'(z)| within 1e-9 of the size of its terms across a large random
+    # batch, and on every 50th sample both critical points within 1e-13 of
+    # the diameter of a 50-digit mpmath evaluation
     n = 0
     for c in sample_ordered_cubics(100000, rng):
         e1 = c.w1 + c.w2 + c.w3
         e2 = c.w1 * c.w2 + c.w1 * c.w3 + c.w2 * c.w3
         for z in (c.z1, c.z2):
             resid = abs(3 * z * z - 2 * e1 * z + e2)
-            assert resid <= 1e-9 * max(1.0, abs(z) ** 2)
+            assert resid <= 1e-9 * (3 * abs(z) ** 2 + 2 * abs(e1) * abs(z) + abs(e2))
+        if n % 50 == 0:
+            diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
+            exact = _mp_critical_points(c)
+            for z in (c.z1, c.z2):
+                assert min(abs(z - e) for e in exact) <= 1e-13 * diam
         n += 1
     assert n == 100000
 
