@@ -57,6 +57,7 @@ from .ratios import (
     boundary_sigma1,
     boundary_sigma_diff,
     boundary_uv,
+    closed_forms_array,
     f_extension,
     g_extension,
     identity_residual,
@@ -74,6 +75,7 @@ from .theorems import (
     CLAIM_GROUPS,
     DEFAULT_SEED,
     TheoremReport,
+    bounds_mask,
     check_bounds,
     check_equivalence_t4,
     check_equivalence_t5,

@@ -67,6 +67,7 @@ def in_gamma(z: complex) -> bool:
     return abs(z.imag) <= EQ_TOL and z.real <= EQ_TOL
 
 
-def _on_rays(w: complex) -> bool:
-    """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3)."""
-    return abs(w.real) <= EQ_TOL and abs(w.imag) >= SQRT3 - EQ_TOL
+def _on_rays(w):
+    """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3);
+    elementwise for a complex array."""
+    return (abs(w.real) <= EQ_TOL) & (abs(w.imag) >= SQRT3 - EQ_TOL)

@@ -1,5 +1,14 @@
 """Datasets over the w-plane and the rays, plus the inellipse oracle.
 
+sweep_w_grid and trace_boundary evaluate their points as numpy arrays, in
+blocks of at most 4096: closed_forms_array or the ray formula for the
+ratios, bounds_mask for the bound catalog, and the &/| predicates
+(_on_rays, is_reachable, _classify_w) that also serve single points. They
+still return lists of SampleRecord, whose label strings are shared objects.
+The sigma values match the scalar f_extension/g_extension (and the scalar
+identity for sigma2 on the rays) to a few ulps, not bit for bit; every
+other cell is what the scalar functions give.
+
 The midpoint inellipse of a noncollinear root triangle is fitted purely
 geometrically: six homogeneous linear constraints (the conic passes through
 each side midpoint and its gradient there is parallel to the side normal)
@@ -15,6 +24,7 @@ docs say "excluded rays" and "inellipse" to keep them apart.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -24,15 +34,9 @@ import numpy as np
 from .cubic import Configuration, OrderedCubic, classify_configuration
 from .errors import BadRangeError, DegenerateTriangleError
 from .kernel import EQ_TOL, SQRT3, _on_rays
-from .ratios import (
-    RatioPath,
-    RatioVector,
-    boundary_sigma1,
-    f_extension,
-    g_extension,
-)
+from .ratios import boundary_sigma1, closed_forms_array
 from .records import CSV_COLUMNS, SampleRecord, csv_row, jsonl_line
-from .theorems import check_bounds
+from .theorems import bounds_mask
 
 __all__ = [
     "InEllipse",
@@ -58,31 +62,36 @@ class InEllipse:
     tangency_points: tuple[complex, complex, complex]
 
 
-def is_reachable(w: complex) -> bool:
-    """Whether some admissible pair realizes this w.
+def is_reachable(w):
+    """Whether some admissible pair realizes this w; elementwise for a
+    complex array.
 
     Solvability of the ordering constraints reduces to: any w off the real
     axis works, and a real w needs |Re w| < 1 (w = w2/w3 with |Re w2| < Re w3).
     """
-    if abs(w.imag) > EQ_TOL:
-        return True
-    return abs(w.real) < 1.0 - EQ_TOL
+    return (abs(w.imag) > EQ_TOL) | (abs(w.real) < 1.0 - EQ_TOL)
 
 
-def _classify_w(w: complex) -> str:
-    if (
-        abs(w - SQRT3 * 1j) <= EQ_TOL
-        or abs(w + SQRT3 * 1j) <= EQ_TOL
-    ):
-        return Configuration.EQUILATERAL.value
-    if abs(w.imag) <= EQ_TOL:
-        return Configuration.COLLINEAR.value
-    return Configuration.GENERIC.value
+#: Labels by the code _classify_w returns; one shared object per label.
+_W_CLASSES = np.array(
+    [
+        Configuration.GENERIC.value,
+        Configuration.COLLINEAR.value,
+        Configuration.EQUILATERAL.value,
+    ],
+    dtype=object,
+)
+
+#: Points per block of the array evaluation in sweep_w_grid/trace_boundary.
+_BLOCK = 4096
 
 
-def _bounds_ok(s1: complex, s2: complex) -> bool:
-    rv = RatioVector(s1, s2, RatioPath.INTERIOR)
-    return all(rep.passed for rep in check_bounds(rv))
+def _classify_w(w):
+    """Index into _W_CLASSES: 2 at the equilateral points +-i sqrt(3), 1 on
+    the real axis, 0 elsewhere (the two bands are disjoint); elementwise for
+    a complex array."""
+    equilateral = (abs(w - SQRT3 * 1j) <= EQ_TOL) | (abs(w + SQRT3 * 1j) <= EQ_TOL)
+    return 2 * equilateral + (abs(w.imag) <= EQ_TOL)
 
 
 def sweep_w_grid(
@@ -91,7 +100,8 @@ def sweep_w_grid(
     """Evaluate f and g on a rectangular grid; ray points get a skip marker.
 
     Grid order is row-major: Re w varies in the outer loop, Im w in the
-    inner one, both ascending.
+    inner one, both ascending. Points are evaluated in numpy blocks with
+    closed_forms_array and bounds_mask.
     """
     re_lo, re_hi = float(re_range[0]), float(re_range[1])
     im_lo, im_hi = float(im_range[0]), float(im_range[1])
@@ -102,23 +112,37 @@ def sweep_w_grid(
     if resolution < 2:
         raise BadRangeError("resolution must be at least 2")
 
+    re_axis = np.linspace(re_lo, re_hi, resolution)
+    im_axis = np.linspace(im_lo, im_hi, resolution)
     records: list[SampleRecord] = []
-    for re_w in np.linspace(re_lo, re_hi, resolution):
-        for im_w in np.linspace(im_lo, im_hi, resolution):
-            w = complex(re_w, im_w)
-            reachable = is_reachable(w)
-            if _on_rays(w):
-                records.append(
-                    SampleRecord(w, None, None, "skip", _classify_w(w), reachable, None)
-                )
-                continue
-            s1 = f_extension(w)
-            s2 = g_extension(w)
-            records.append(
-                SampleRecord(
-                    w, s1, s2, "interior", _classify_w(w), reachable, _bounds_ok(s1, s2)
-                )
+    for start in range(0, resolution * resolution, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, resolution * resolution))
+        w = np.empty(k.size, dtype=complex)
+        w.real = re_axis[k // resolution]
+        w.imag = im_axis[k % resolution]
+        skip = _on_rays(w)
+        live = ~skip
+        s1 = np.full(k.size, np.nan, dtype=complex)
+        s2 = s1.copy()
+        s1[live], s2[live] = closed_forms_array(w[live])
+        ok = bounds_mask(s1, s2)
+        s1_cells = s1.tolist()
+        s2_cells = s2.tolist()
+        ok_cells = ok.tolist()
+        for i in np.flatnonzero(skip).tolist():
+            s1_cells[i] = s2_cells[i] = ok_cells[i] = None
+        records.extend(
+            map(
+                SampleRecord,
+                w.tolist(),
+                s1_cells,
+                s2_cells,
+                ["skip" if x else "interior" for x in skip.tolist()],
+                _W_CLASSES[_classify_w(w)].tolist(),
+                is_reachable(w).tolist(),
+                ok_cells,
             )
+        )
     return records
 
 
@@ -135,19 +159,25 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> list[SampleRecord]
     ts = np.concatenate(
         [-np.linspace(t_max, t_min, steps), np.linspace(t_min, t_max, steps)]
     )
-    records = []
-    for t in ts:
-        s1 = boundary_sigma1(float(t))
+    sigma1 = boundary_sigma1(ts)
+    records: list[SampleRecord] = []
+    for start in range(0, ts.size, _BLOCK):
+        t = ts[start : start + _BLOCK]
+        s1 = sigma1[start : start + _BLOCK]
         s2 = 1.0 / (3.0 * (1.0 - s1))
-        cls = (
-            Configuration.EQUILATERAL.value
-            if abs(abs(t) - SQRT3) <= EQ_TOL
-            else Configuration.GENERIC.value
-        )
-        records.append(
-            SampleRecord(
-                complex(0.0, float(t)), s1, s2, "boundary", cls, True,
-                _bounds_ok(s1, s2),
+        w = np.zeros(t.size, dtype=complex)
+        w.imag = t
+        equilateral = (abs(abs(t) - SQRT3) <= EQ_TOL).astype(np.intp)
+        records.extend(
+            map(
+                SampleRecord,
+                w.tolist(),
+                s1.tolist(),
+                s2.tolist(),
+                itertools.repeat("boundary"),
+                _W_CLASSES[2 * equilateral].tolist(),
+                itertools.repeat(True),
+                bounds_mask(s1, s2).tolist(),
             )
         )
     return records
@@ -249,7 +279,7 @@ def emit_dataset(
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
-                fh.write(",".join(csv_row(rec)) + "\n")
+                fh.write(csv_row(rec) + "\n")
                 count += 1
         else:
             for rec in records:

@@ -17,6 +17,10 @@ Re w < 0, where w + 3 + R cancels). The removable points w = -1 (for f) and
 w = +1 (for g), both of value 1/2, fall on the rationalized side, whose
 denominators never vanish on the principal branch; so they need no special
 case, and the textbook denominators w + 1 and 1 - w stay away from zero.
+The four quotients are written once, with operators only: f_extension and
+g_extension apply them to one point (cmath, bit-for-bit stable), and
+closed_forms_array to a numpy array, picking the same form per point with
+a mask (np.sqrt rounds differently, so the two agree to a few ulps).
 
 f and g extend analytically to the whole plane minus the excluded rays
 E = {Re w = 0, |Im w| >= sqrt(3)}, where sqrt(3 + w^2) crosses the branch
@@ -47,6 +51,7 @@ __all__ = [
     "ratios_direct",
     "f_extension",
     "g_extension",
+    "closed_forms_array",
     "boundary_sigma1",
     "boundary_uv",
     "boundary_modulus_sq",
@@ -97,20 +102,74 @@ def _root_term(w: complex) -> tuple[complex, complex, bool]:
     return w, r, a.real * r.real + a.imag * r.imag >= 0.0
 
 
+# The four closed-form bodies, operators only, so that the scalar and the
+# array forms share them: the rationalized ("add") and textbook ("sub")
+# quotients of f and g in w and R = sqrt(3 + w^2).
+
+
+def _f_add(w, r):
+    return 2.0 / (w + 3.0 + r)
+
+
+def _f_sub(w, r):
+    return (w + 3.0 - r) / (3.0 * (w + 1.0))
+
+
+def _g_add(w, r):
+    return (w + 3.0 + r) / (3.0 * (w + 1.0 + r))
+
+
+def _g_sub(w, r):
+    return (-2.0 * w + r) / (3.0 * (1.0 - w))
+
+
 def f_extension(w: complex) -> complex:
     """Analytic extension of sigma1 as a function of w (value 1/2 at w = -1)."""
     w, r, add = _root_term(w)
     if add:
-        return 2.0 / (w + 3.0 + r)
-    return (w + 3.0 - r) / (3.0 * (w + 1.0))
+        return _f_add(w, r)
+    return _f_sub(w, r)
 
 
 def g_extension(w: complex) -> complex:
     """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1)."""
     w, r, add = _root_term(w)
     if add:
-        return (w + 3.0 + r) / (3.0 * (w + 1.0 + r))
-    return (-2.0 * w + r) / (3.0 * (1.0 - w))
+        return _g_add(w, r)
+    return _g_sub(w, r)
+
+
+def _root_terms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array counterpart of _root_term without the validation: (R, add)."""
+    d = 3.0 + w * w
+    # principal_sqrt's rule: -0.0 would select the lower limit on the cut.
+    # Adding 3.0 already turns -0.0 into +0.0; this keeps the rule explicit.
+    d.imag[d.imag == 0.0] = 0.0
+    r = np.sqrt(d)
+    a = w + 3.0
+    return r, a.real * r.real + a.imag * r.imag >= 0.0
+
+
+def closed_forms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f(w), g(w)) elementwise on a complex array of finite points off the
+    excluded rays (the caller masks the rays out; nothing is validated).
+
+    Each point takes the same form as f_extension/g_extension, with
+    principal_sqrt's sign-of-zero rule; np.sqrt and numpy's complex
+    arithmetic round differently from cmath, so values agree to a few ulps
+    rather than bit for bit.
+    """
+    w = np.asarray(w, dtype=complex)
+    r, add = _root_terms_array(w)
+    sub = ~add
+    wa, ra, ws, rs = w[add], r[add], w[sub], r[sub]
+    f = np.empty_like(w)
+    g = np.empty_like(w)
+    f[add] = _f_add(wa, ra)
+    f[sub] = _f_sub(ws, rs)
+    g[add] = _g_add(wa, ra)
+    g[sub] = _g_sub(ws, rs)
+    return f, g
 
 
 def _ray_terms(t):

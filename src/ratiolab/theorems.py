@@ -62,6 +62,7 @@ __all__ = [
     "CLAIM_GROUPS",
     "CLOSED_BOUND_SLACK",
     "check_bounds",
+    "bounds_mask",
     "check_equivalence_t4",
     "check_equivalence_t5",
     "check_hyperbolic",
@@ -112,30 +113,55 @@ def _witness(c: OrderedCubic, rv: RatioVector) -> SampleRecord:
 # per-configuration checks
 
 
+#: The seven per-sample bound claims, in the order of their margins.
+_BOUND_IDS = ("T1A", "T1B", "T1E", "T2A", "T2B", "T2E", "T3")
+_NO_WITNESS = (None,) * len(_BOUND_IDS)
+
+
+def _bound_margins(s1, s2, minimum, modulus):
+    """The signed margins of _BOUND_IDS. s1 and s2 are complex scalars
+    (minimum = min, modulus = abs) or complex arrays (np.minimum,
+    _modulus_array)."""
+    two_thirds = 2.0 / 3.0
+    return (
+        minimum(s1.real, two_thirds - s1.real),
+        1.0 / 3.0 - abs(s1.imag),
+        two_thirds - modulus(s1),
+        minimum(s2.real - 1.0 / 3.0, 1.0 - s2.real),
+        1.0 / 3.0 - abs(s2.imag),
+        1.0 - modulus(s2),
+        s2.real - s1.real,
+    )
+
+
+def _bound_verdicts(margins):
+    """Whether each margin passes, for scalars or arrays."""
+    t1a, t1b, t1e, t2a, t2b, t2e, t3 = margins
+    lo = -CLOSED_BOUND_SLACK
+    return (t1a > 0.0, t1b >= lo, t1e >= lo, t2a > 0.0, t2b >= lo, t2e >= lo, t3 >= lo)
+
+
+def _modulus_array(z: np.ndarray) -> np.ndarray:
+    # np.hypot is the libm hypot behind abs(complex); np.abs rounds
+    # differently in about a third of cases
+    return np.hypot(z.real, z.imag)
+
+
 def check_bounds(r: RatioVector) -> list[TheoremReport]:
     """Signed margins for the seven per-sample bound claims.
 
     Open bounds (T1A, T2A) must have strictly positive margin; the closed
     ones tolerate CLOSED_BOUND_SLACK since their extremes are attained.
     """
-    s1, s2 = r.sigma1, r.sigma2
-    two_thirds = 2.0 / 3.0
-    out = []
-    m = min(s1.real, two_thirds - s1.real)
-    out.append(TheoremReport("T1A", m > 0.0, None, m))
-    m = 1.0 / 3.0 - abs(s1.imag)
-    out.append(TheoremReport("T1B", m >= -CLOSED_BOUND_SLACK, None, m))
-    m = two_thirds - abs(s1)
-    out.append(TheoremReport("T1E", m >= -CLOSED_BOUND_SLACK, None, m))
-    m = min(s2.real - 1.0 / 3.0, 1.0 - s2.real)
-    out.append(TheoremReport("T2A", m > 0.0, None, m))
-    m = 1.0 / 3.0 - abs(s2.imag)
-    out.append(TheoremReport("T2B", m >= -CLOSED_BOUND_SLACK, None, m))
-    m = 1.0 - abs(s2)
-    out.append(TheoremReport("T2E", m >= -CLOSED_BOUND_SLACK, None, m))
-    m = s2.real - s1.real
-    out.append(TheoremReport("T3", m >= -CLOSED_BOUND_SLACK, None, m))
-    return out
+    margins = _bound_margins(r.sigma1, r.sigma2, min, abs)
+    return list(map(TheoremReport, _BOUND_IDS, _bound_verdicts(margins), _NO_WITNESS, margins))
+
+
+def bounds_mask(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Elementwise all(rep.passed for rep in check_bounds(...)) on complex
+    arrays of sigma1 and sigma2."""
+    margins = _bound_margins(s1, s2, np.minimum, _modulus_array)
+    return np.logical_and.reduce(_bound_verdicts(margins))
 
 
 def check_equivalence_t4(c: OrderedCubic) -> TheoremReport:

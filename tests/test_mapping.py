@@ -1,13 +1,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ratiolab import (
+    EQ_TOL,
     DegenerateTriangleError,
+    RatioPath,
+    RatioVector,
     SQRT3,
+    boundary_sigma1,
+    check_bounds,
     critical_points_direct,
     emit_dataset,
+    f_extension,
+    g_extension,
     is_reachable,
     order_roots,
     ratio_angles,
@@ -17,7 +25,8 @@ from ratiolab import (
     trace_boundary,
 )
 from ratiolab.errors import BadRangeError
-from ratiolab.records import SampleRecord
+from ratiolab.kernel import _on_rays
+from ratiolab.records import CSV_COLUMNS, SampleRecord, csv_row, fmt_float, jsonl_line, to_json
 
 INV_SQRT3 = 1.0 / SQRT3
 
@@ -247,3 +256,151 @@ def test_marden_agreement_sample(rng):
         assert abs(ell.center - centroid) < 1e-10 * max(1.0, diam)
         assert ell.semi_major >= ell.semi_minor > 0.0
         checked += 1
+
+
+# -- the per-point loops the array evaluation replaced, kept as references
+
+
+def _reference_classify_w(w: complex) -> str:
+    if abs(w - SQRT3 * 1j) <= EQ_TOL or abs(w + SQRT3 * 1j) <= EQ_TOL:
+        return "equilateral"
+    if abs(w.imag) <= EQ_TOL:
+        return "collinear"
+    return "generic"
+
+
+def _reference_bounds_ok(s1: complex, s2: complex) -> bool:
+    return all(rep.passed for rep in check_bounds(RatioVector(s1, s2, RatioPath.INTERIOR)))
+
+
+def _reference_sweep(re_range, im_range, resolution):
+    records = []
+    for re_w in np.linspace(*re_range, resolution):
+        for im_w in np.linspace(*im_range, resolution):
+            w = complex(re_w, im_w)
+            reachable = is_reachable(w)
+            if _on_rays(w):
+                records.append(
+                    SampleRecord(w, None, None, "skip", _reference_classify_w(w), reachable, None)
+                )
+                continue
+            s1 = f_extension(w)
+            s2 = g_extension(w)
+            records.append(
+                SampleRecord(w, s1, s2, "interior", _reference_classify_w(w), reachable,
+                             _reference_bounds_ok(s1, s2))
+            )
+    return records
+
+
+def _reference_trace(t_min, t_max, steps):
+    ts = np.concatenate([-np.linspace(t_max, t_min, steps), np.linspace(t_min, t_max, steps)])
+    records = []
+    for t in ts:
+        s1 = boundary_sigma1(float(t))
+        s2 = 1.0 / (3.0 * (1.0 - s1))
+        cls = "equilateral" if abs(abs(t) - SQRT3) <= EQ_TOL else "generic"
+        records.append(SampleRecord(complex(0.0, float(t)), s1, s2, "boundary", cls, True,
+                                    _reference_bounds_ok(s1, s2)))
+    return records
+
+
+def _assert_same_rows(got, want):
+    # labels and flags exactly; sigma to a relative 4 eps, because numpy's
+    # complex sqrt and division round differently from cmath's
+    rel = 4.0 * np.finfo(float).eps
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.w, a.path, a.classification, a.reachable, a.bounds_ok) == (
+            b.w, b.path, b.classification, b.reachable, b.bounds_ok
+        )
+        for x, y in ((a.sigma1, b.sigma1), (a.sigma2, b.sigma2)):
+            if y is None:
+                assert x is None
+            else:
+                assert type(x) is complex and abs(x - y) <= rel * abs(y), (a, b)
+
+
+@pytest.mark.parametrize(
+    "im_range, classes",
+    [
+        ((-3.0, 3.0), {"generic", "collinear"}),
+        # +-i sqrt(3) are the ends of this grid's middle column
+        ((-SQRT3, SQRT3), {"generic", "collinear", "equilateral"}),
+    ],
+)
+def test_sweep_matches_reference_loop(im_range, classes):
+    args = ((-3.0, 3.0), im_range, 41)
+    records = sweep_w_grid(*args)
+    _assert_same_rows(records, _reference_sweep(*args))
+    assert {r.path for r in records} == {"interior", "skip"}
+    assert {r.classification for r in records} == classes
+    assert {r.bounds_ok for r in records} == {True, None}
+
+
+def test_trace_matches_reference_loop():
+    records = trace_boundary(SQRT3, 100.0, 500)
+    _assert_same_rows(records, _reference_trace(SQRT3, 100.0, 500))
+    assert {r.classification for r in records} == {"generic", "equilateral"}
+    assert all(r.bounds_ok for r in records)
+
+
+
+# -- the row formatters
+
+
+def _reference_csv_row(rec):
+    cells = [rec.w.real, rec.w.imag]
+    for s in (rec.sigma1, rec.sigma2):
+        cells += [None, None] if s is None else [s.real, s.imag]
+    flags = ["" if x is None else ("true" if x else "false") for x in (rec.reachable, rec.bounds_ok)]
+    return ",".join(["" if x is None else fmt_float(x) for x in cells]
+                    + [rec.path, rec.classification] + flags)
+
+
+def _reference_jsonl_line(rec):
+    s1, s2 = rec.sigma1, rec.sigma2
+    values = (
+        rec.w.real, rec.w.imag,
+        s1.real if s1 is not None else None, s1.imag if s1 is not None else None,
+        s2.real if s2 is not None else None, s2.imag if s2 is not None else None,
+        rec.path, rec.classification, rec.reachable, rec.bounds_ok,
+    )
+    return to_json(dict(zip(CSV_COLUMNS, values)))
+
+
+def test_row_formatters_match_per_cell_encoding():
+    for rec in _sample_records():
+        assert csv_row(rec) == _reference_csv_row(rec)
+        assert jsonl_line(rec) == _reference_jsonl_line(rec)
+
+
+def test_row_formatters_spell_non_finite_floats():
+    nan, inf = math.nan, math.inf
+    records = [
+        SampleRecord(complex(nan, 1.0), 0.1 + 0.2j, 0.4 - 0.1j, "interior", "generic", True, True),
+        SampleRecord(complex(0.5, inf), None, None, "skip", "generic", True, None),
+        SampleRecord(0.5 + 0.25j, complex(-inf, 0.2), complex(0.4, nan), "interior", "generic",
+                     False, False),
+        SampleRecord(0.5 + 0.25j, 0.1 + 0.2j, None, "interior", "generic", True, None),
+    ]
+    for rec in records:
+        line = csv_row(rec)
+        assert line == _reference_csv_row(rec)
+        assert "nan" not in line and "inf" not in line
+        line = jsonl_line(rec)
+        assert line == _reference_jsonl_line(rec)
+        json.loads(line)
+    assert csv_row(records[0]).startswith("NaN,1,")
+    assert csv_row(records[1]).startswith("0.5,Infinity,,,,,")
+    assert ",-Infinity,0.20000000000000001,0.40000000000000002,NaN," in csv_row(records[2])
+    assert '"sigma1_re": -Infinity' in jsonl_line(records[2])
+
+
+def test_row_formatters_escape_labels():
+    for path in ('say "hi"', "caf\u00e9", "back\\slash"):
+        rec = SampleRecord(0.5 + 0.25j, 0.1 + 0.2j, 0.4 - 0.1j, path, "generic", True, True)
+        line = jsonl_line(rec)
+        assert '"path": ' + json.dumps(path) + "," in line
+        assert json.loads(line)["path"] == path
+        assert line == _reference_jsonl_line(rec)

@@ -18,6 +18,7 @@ from ratiolab import (
     boundary_sigma1,
     boundary_sigma_diff,
     boundary_uv,
+    closed_forms_array,
     f_extension,
     g_extension,
     identity_residual,
@@ -26,6 +27,8 @@ from ratiolab import (
     ratios_direct,
     ratios_via_w,
 )
+from ratiolab.kernel import _on_rays
+from ratiolab.ratios import _root_term, _root_terms_array
 
 INV_SQRT3 = 1.0 / SQRT3
 EQUILATERAL_SIGMA = complex(0.5, -SQRT3 / 6.0)
@@ -325,3 +328,34 @@ def test_u1_limits_checked_directly():
     u1_neg, _, _, _ = boundary_uv(-1e6)
     assert abs(u1_pos - 2.0 / 3.0) < 1e-11
     assert u1_neg < 1e-11
+
+
+def _agreement_points() -> np.ndarray:
+    """The sweep grid, rings of radius 0 to 1e-4 around +-1, and |w| from
+    1e-3 to 1e12 in all four quadrants; the excluded rays left out."""
+    axis = np.linspace(-3.0, 3.0, 201)
+    grid = (axis[:, None] + 1j * axis[None, :]).ravel()
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    radii = np.concatenate([[0.0], np.logspace(-16, -4, 25)])
+    rings = [c + (radii[:, None] * angles[None, :]).ravel() for c in (-1.0, 1.0)]
+    quadrants = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False))
+    far = (np.logspace(-3, 12, 61)[:, None] * quadrants[None, :]).ravel()
+    w = np.concatenate([grid, *rings, far])
+    return w[~_on_rays(w)]
+
+
+def test_closed_forms_array_match_scalar_forms():
+    # the array forms choose the same quotient as f_extension/g_extension at
+    # every point and agree to a relative 4 eps (np.sqrt and numpy's complex
+    # arithmetic round differently from cmath)
+    w = _agreement_points()
+    _, add = _root_terms_array(w)
+    f, g = closed_forms_array(w)
+    rel = 4.0 * np.finfo(float).eps
+    for i, x in enumerate(w.tolist()):
+        assert add[i] == _root_term(x)[2], x
+        fs, gs = f_extension(x), g_extension(x)
+        assert abs(f[i] - fs) <= rel * abs(fs), x
+        assert abs(g[i] - gs) <= rel * abs(gs), x
+    f, g = closed_forms_array(np.array([-1.0 + 0j, 1.0 + 0j]))
+    assert f[0] == 0.5 and g[1] == 0.5

@@ -10,7 +10,10 @@ from ratiolab import (
     ConstraintViolatedError,
     NotHyperbolicError,
     SQRT3,
+    RatioPath,
+    RatioVector,
     UndefinedRatioError,
+    bounds_mask,
     check_bounds,
     check_equivalence_t4,
     check_equivalence_t5,
@@ -27,7 +30,7 @@ from ratiolab import (
 )
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import boundary_uv
-from ratiolab.theorems import lemma1_expressions, lemma2_expressions
+from ratiolab.theorems import CLOSED_BOUND_SLACK, lemma1_expressions, lemma2_expressions
 
 
 def test_lemma1_spot_values():
@@ -277,3 +280,54 @@ def test_run_claims_deterministic():
     a = run_claims("HYP", samples=500, seed=42)
     b = run_claims("HYP", samples=500, seed=42)
     assert a == b
+
+
+def _bound_edge_pairs():
+    """(sigma1, sigma2) pairs that put one bound margin at 0, at
+    +-CLOSED_BOUND_SLACK or at the floats next to them (and a few ulps
+    around), with the other six margins comfortable."""
+    slack = CLOSED_BOUND_SLACK
+    targets = [0.0, 5e-324, -5e-324, slack, -slack]
+    targets += [np.nextafter(x, d) for x in (slack, -slack) for d in (0.0, 2.0 * x)]
+    families = {
+        "T1A low": lambda x: (complex(x, 0.1), 0.6 - 0.1j),
+        "T1A high": lambda x: (complex(2.0 / 3.0 - x, 0.0), 0.9 + 0j),
+        "T1B": lambda x: (complex(0.4, 1.0 / 3.0 - x), 0.6 - 0.1j),
+        "T1E": lambda x: ((2.0 / 3.0 - x) * (0.96 + 0.28j), 0.8 + 0j),
+        "T2A low": lambda x: (0.2 + 0.1j, complex(1.0 / 3.0 + x, -0.1)),
+        "T2A high": lambda x: (0.4 + 0.1j, complex(1.0 - x, 0.0)),
+        "T2B": lambda x: (0.4 + 0.1j, complex(0.6, x - 1.0 / 3.0)),
+        "T2E": lambda x: (0.4 + 0.1j, (1.0 - x) * (0.96 + 0.28j)),
+        "T3": lambda x: (0.5 + 0.1j, complex(0.5 + x, -0.1)),
+    }
+    pairs = {}
+    for name, family in families.items():
+        out = []
+        for x in targets:
+            s1, s2 = family(x)
+            for k in range(-3, 4):
+                # nudge both parts of the ratio that carries the margin
+                nudge = lambda v: complex(  # noqa: E731
+                    v.real + k * np.spacing(v.real), v.imag + k * np.spacing(v.imag)
+                )
+                out.append((nudge(s1), s2) if name.startswith("T1") else (s1, nudge(s2)))
+        pairs[name] = out
+    return pairs
+
+
+def test_bounds_mask_matches_check_bounds(rng):
+    edges = _bound_edge_pairs()
+    for name, pairs in edges.items():
+        s1 = np.array([p[0] for p in pairs])
+        s2 = np.array([p[1] for p in pairs])
+        expected = [all(r.passed for r in check_bounds(RatioVector(a, b, RatioPath.INTERIOR)))
+                    for a, b in pairs]
+        assert bounds_mask(s1, s2).tolist() == expected, name
+        assert any(expected) and not all(expected), name  # the edge is crossed
+    s1 = rng.uniform(-0.1, 0.8, 20000) + 1j * rng.uniform(-0.4, 0.4, 20000)
+    s2 = rng.uniform(0.2, 1.1, 20000) + 1j * rng.uniform(-0.4, 0.4, 20000)
+    expected = [all(r.passed for r in check_bounds(RatioVector(a, b, RatioPath.INTERIOR)))
+                for a, b in zip(s1.tolist(), s2.tolist())]
+    mask = bounds_mask(s1, s2)
+    assert mask.tolist() == expected
+    assert 0 < mask.sum() < mask.size
