@@ -124,6 +124,16 @@ class AdmissibilityReport:
 _COINCIDENCE = max((1.5 * EQ_TOL) ** 2, 512.0 * MACHINE_EPS)
 
 
+def _radicand(w1: complex, w2: complex, w3: complex) -> tuple[complex, complex, complex]:
+    """Root sum s, centroid m and the radicand q of the critical points
+    (s -+ sqrt(q)) / 3; q is formed on the centred roots u = w - m, where a
+    far-off centroid cannot cancel the triangle's shape away."""
+    s = w1 + w2 + w3
+    m = s / 3.0
+    u1, u2, u3 = w1 - m, w2 - m, w3 - m
+    return s, m, u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
+
+
 def critical_points_direct(
     w1: complex, w2: complex, w3: complex
 ) -> tuple[complex, complex]:
@@ -135,8 +145,7 @@ def critical_points_direct(
     w1 = require_finite(w1, "w1")
     w2 = require_finite(w2, "w2")
     w3 = require_finite(w3, "w3")
-    s = w1 + w2 + w3
-    q = w1 * w1 + w2 * w2 + w3 * w3 - w1 * w2 - w1 * w3 - w2 * w3
+    s, _, q = _radicand(w1, w2, w3)
     r = principal_sqrt(q)
     return ((s - r) / 3.0, (s + r) / 3.0)
 
@@ -195,10 +204,7 @@ def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     if w2.real - w1.real <= band or w3.real - w2.real <= band:
         raise RootRealPartsEqualError("two roots have equal real parts")
 
-    s = w1 + w2 + w3
-    m = s / 3.0
-    u1, u2, u3 = w1 - m, w2 - m, w3 - m
-    q = u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
+    s, m, q = _radicand(w1, w2, w3)
     if abs(q) <= _COINCIDENCE * diam * diam:
         return OrderedCubic(w1, w2, w3, m, m, True)
 

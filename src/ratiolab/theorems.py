@@ -19,7 +19,10 @@ Every claim is checked numerically: Monte Carlo over admissible
 configurations, dense grid scans with sign-change detection and root
 refinement, and the explicit extremal families. Reports carry a margin
 (signed distance to the bound) and a witness record for the extremal or
-violating configuration.
+violating configuration. The Monte Carlo pass of T1-T3 keeps its samples
+in one complex table (80 B per sample); each bound's margin is the minimum
+over the table, its witness the first sample at that minimum, and its
+verdict the bound's open or closed threshold applied to that minimum.
 """
 
 from __future__ import annotations
@@ -423,16 +426,8 @@ def sigma2_extremal_family(
 
 @dataclass
 class _Agg:
-    margin: float = math.inf
     witness: Optional[SampleRecord] = None
     failed: bool = False
-
-    def update(self, report: TheoremReport, wit: Callable[[], SampleRecord]) -> None:
-        if report.margin < self.margin:
-            self.margin = report.margin
-            self.witness = wit()
-        if not report.passed:
-            self.failed = True
 
     def check_each(
         self,
@@ -455,39 +450,43 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _bounds_claims(samples: int, seed: int) -> dict[str, TheoremReport]:
-    """One Monte Carlo pass feeding T1A/T1B/T1E/T2A/T2B/T2E/T3 and the
-    im-extremal uniqueness bookkeeping for T1C/T1D and T2C/T2D."""
-    rng = _rng_for(seed, 1)
-    aggs = {cid: _Agg() for cid in ("T1A", "T1B", "T1E", "T2A", "T2B", "T2E", "T3")}
-    strays: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
-    # |Im sigma| touches 1/3 quadratically along the rays (the v-functions
-    # have vanishing first derivative at t = -+2), so an Im-band of EQ_TOL
-    # admits w within ~sqrt(EQ_TOL / 0.14) of the attainment points
-    window = max(EQ_TOL, math.sqrt(40.0 * EQ_TOL))
-    for c in sample_ordered_cubics(samples, rng):
+def _row_witness(row: np.ndarray) -> SampleRecord:
+    """The witness record of a bounds-table row (w1, w2, w3, ...)."""
+    c = order_roots(*row[:3].tolist())
+    return _witness(c, ratios_direct(c))
+
+
+def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], tuple[list, list]]:
+    """One Monte Carlo pass: the reports of _BOUND_IDS and the witnesses of
+    stray attainments of |Im sigma1| and |Im sigma2| = 1/3 (T1C/T1D, T2C/T2D).
+
+    A table row (w1, w2, w3, sigma1, sigma2) per sample, 80 B. A claim's
+    margin is its column minimum, its witness the first sample there, and
+    _bound_verdicts on the minima says whether every sample passes, since
+    each verdict is a threshold on one margin (a NaN margin is the minimum).
+    """
+    table = np.empty((samples, 5), dtype=complex)
+    for row, c in zip(table, sample_ordered_cubics(samples, _rng_for(seed, 1))):
         rv = ratios_direct(c)
-        reports = check_bounds(rv)
-        wit = None
-        for rep in reports:
-            agg = aggs[rep.claim_id]
-            if rep.margin < agg.margin or not rep.passed:
-                if wit is None:
-                    wit = _witness(c, rv)
-                agg.update(rep, lambda w=wit: w)
-        # attainment bookkeeping: |Im sigma| may reach 1/3 only on w = -+2i
-        for s, found in zip((rv.sigma1, rv.sigma2), strays):
-            if 1.0 / 3.0 - abs(s.imag) <= EQ_TOL:
-                target = -2j if s.imag > 0 else 2j
-                if abs(normalize(c).w - target) > window:
-                    found.append(_witness(c, rv))
-    out = {}
-    for cid, agg in aggs.items():
-        open_bound = cid in ("T1A", "T2A")
-        ok = not agg.failed and (agg.margin > 0.0 if open_bound else agg.margin >= -CLOSED_BOUND_SLACK)
-        out[cid] = TheoremReport(cid, ok, agg.witness, agg.margin, f"{samples} samples")
-    out["_stray_im1"], out["_stray_im2"] = strays
-    return out
+        row[:] = (c.w1, c.w2, c.w3, rv.sigma1, rv.sigma2)
+    margins = _bound_margins(table[:, 3], table[:, 4], np.minimum, _modulus_array)
+    minima = [float(m.min()) for m in margins]
+    note = f"{samples} samples"
+    reports = {
+        cid: TheoremReport(cid, ok, _row_witness(table[np.argmin(m)]), low, note)
+        for cid, m, low, ok in zip(_BOUND_IDS, margins, minima, _bound_verdicts(minima))
+    }
+    # |Im sigma| may reach 1/3 only at w = -+2i, and touches it quadratically
+    # along the rays (the v-functions have zero slope at t = -+2), so an
+    # Im-band of EQ_TOL admits w within ~sqrt(EQ_TOL / 0.14) of those points
+    window = max(EQ_TOL, math.sqrt(40.0 * EQ_TOL))
+    strays = ([], [])
+    for sigma, found in zip((table[:, 3], table[:, 4]), strays):
+        for i in np.flatnonzero(1.0 / 3.0 - np.abs(sigma.imag) <= EQ_TOL):
+            wit = _row_witness(table[i])
+            if abs(wit.w - (-2j if sigma[i].imag > 0 else 2j)) > window:
+                found.append(wit)
+    return reports, strays
 
 
 def _sharpness(base: TheoremReport, k: int, above: float, below: float) -> TheoremReport:
@@ -533,7 +532,7 @@ def _im_attainment(
     return TheoremReport(cid, ok, witness if not ok else None, worst, note)
 
 
-def _claims_t1(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
+def _claims_t1(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
     # T1A: bounds plus sharpness at the asymptotic probes
     reports = [_sharpness(shared["T1A"], 1, 0.666, 1e-4), shared["T1B"]]
 
@@ -541,9 +540,7 @@ def _claims_t1(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
     # plus no stray attainments in the Monte Carlo sample
     rng = _rng_for(seed, 2)
     for cid, sign in (("T1C", +1), ("T1D", -1)):
-        reports.append(
-            _im_attainment(cid, 1, sign, rng, shared["_stray_im1"], " over 64 family draws")
-        )
+        reports.append(_im_attainment(cid, 1, sign, rng, strays, " over 64 family draws"))
 
     # T1E: Monte Carlo margin plus the ray modulus envelope a, b < 4
     base = shared["T1E"]
@@ -557,7 +554,7 @@ def _claims_t1(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
     return reports
 
 
-def _claims_t2(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
+def _claims_t2(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
     reports = [_sharpness(shared["T2A"], 2, 0.999, 1.0 / 3.0 + 1e-3), shared["T2B"]]
 
     rng = _rng_for(seed, 3)
@@ -572,13 +569,13 @@ def _claims_t2(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
             f"on the sigma1 strip Im sigma2 = {rv_printed.sigma2.imag:+.6f} "
             f"(off by {printed_dev:.3f}; claim text mirrored, see docs)"
         )
-        reports.append(_im_attainment(cid, 2, sign, rng, shared["_stray_im2"], tail))
+        reports.append(_im_attainment(cid, 2, sign, rng, strays, tail))
 
     reports.append(shared["T2E"])
     return reports
 
 
-def _claims_t3(samples: int, seed: int, shared: dict) -> list[TheoremReport]:
+def _claims_t3(shared: dict) -> list[TheoremReport]:
     base = shared["T3"]
     diff = boundary_sigma_diff(_ray_grid())
     ray_min = float(np.min(np.real(diff)))
@@ -648,19 +645,21 @@ def run_claims(
     sel = selector.upper() if selector.lower() != "all" else "all"
     if sel not in CLAIM_GROUPS:
         raise BadParameterError(f"unknown selector {selector!r}; choose from {CLAIM_GROUPS}")
+    if samples < 1:
+        raise BadParameterError(f"samples must be at least 1, got {samples}")
     reports: list[TheoremReport] = []
     if sel in ("all", "L1"):
         reports.extend(scan_lemma1())
     if sel in ("all", "L2"):
         reports.extend(scan_lemma2())
     if sel in ("all", "T1", "T2", "T3"):
-        shared = _bounds_claims(samples, seed)
+        shared, (strays1, strays2) = _bounds_claims(samples, seed)
         if sel in ("all", "T1"):
-            reports.extend(_claims_t1(samples, seed, shared))
+            reports.extend(_claims_t1(seed, shared, strays1))
         if sel in ("all", "T2"):
-            reports.extend(_claims_t2(samples, seed, shared))
+            reports.extend(_claims_t2(seed, shared, strays2))
         if sel in ("all", "T3"):
-            reports.extend(_claims_t3(samples, seed, shared))
+            reports.extend(_claims_t3(shared))
     if sel in ("all", "T4"):
         reports.extend(_claims_t4(samples, seed))
     if sel in ("all", "T5"):

@@ -114,6 +114,14 @@ def test_verify_unknown_suite_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("suite, samples", [("T1", "0"), ("T3", "-5"), ("L2", "0")])
+def test_verify_rejects_sample_counts_below_one(capsys, suite, samples):
+    code, out, err = run_cli(capsys, "verify", suite, "--samples", samples)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "samples" in json.loads(err)["error"]
+
+
 def test_verify_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("RATIOLAB_SEED", "7")
     _, out_env, _ = run_cli(capsys, "verify", "T3", "--samples", "500")

@@ -110,6 +110,25 @@ def _mp_critical_points(c):
         return complex((e1 - r) / 3), complex((e1 + r) / 3)
 
 
+def test_critical_points_direct_far_from_origin(rng):
+    # the radicand is formed on the centred roots, so a centroid near 1e6
+    # costs a few ulps of the roots' magnitude, not ulps of its square
+    checked = 0
+    for _ in range(300):
+        ws = rng.uniform(-10, 10, size=6)
+        roots = [complex(*ws[k:k + 2]) + 1e6 * (1 + 0.5j) for k in (0, 2, 4)]
+        try:
+            c = order_roots(*roots)
+        except UndefinedRatioError:
+            continue
+        exact = _mp_critical_points(c)
+        bound = 16 * np.finfo(float).eps * max(map(abs, c.roots))
+        for z in critical_points_direct(*c.roots):
+            assert min(abs(z - e) for e in exact) <= bound
+        checked += 1
+    assert checked >= 290
+
+
 def test_derivative_residual_on_random_configurations(rng):
     # |p'(z)| within 1e-9 of the size of its terms across a large random
     # batch, and on every 50th sample both critical points within 1e-13 of

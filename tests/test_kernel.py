@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ratiolab import (
@@ -56,11 +56,17 @@ def test_sqrt_squares_back(re, im):
 
 
 @given(finite_reals, finite_reals)
+@example(-1.0, -5e-324)
+@example(-1.0, -0.0)
+@example(-1.0, 5e-324)
 def test_sqrt_nonnegative_real_part(re, im):
+    # Re r == 0 puts r on the imaginary axis: the upper side for im >= 0
+    # (-0.0 included, the upper limit on the cut), the lower side for
+    # im < 0, where a real part below the subnormal range rounds to 0
     r = principal_sqrt(complex(re, im))
     assert r.real >= 0.0
     if r.real == 0.0:
-        assert r.imag >= 0.0
+        assert r.imag >= 0.0 if im >= 0.0 else r.imag <= 0.0
 
 
 @given(finite_reals, finite_reals)

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -20,16 +21,20 @@ from ratiolab import (
     check_hyperbolic,
     classify_configuration,
     extremal_family_im,
+    normalize,
     order_roots,
     ratios_direct,
     run_claims,
+    sample_ordered_cubics,
     scan_lemma1,
     scan_lemma2,
     sharpness_probe_re,
     sigma2_extremal_family,
 )
+from ratiolab import theorems
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import boundary_uv
+from ratiolab.kernel import EQ_TOL
 from ratiolab.theorems import CLOSED_BOUND_SLACK, lemma1_expressions, lemma2_expressions
 
 
@@ -263,6 +268,13 @@ def test_run_claims_selector_validation():
         run_claims("T9", samples=100)
 
 
+@pytest.mark.parametrize("selector", ["all", "L1", "T1", "T3", "HYP"])
+@pytest.mark.parametrize("samples", [0, -5])
+def test_run_claims_rejects_sample_counts_below_one(selector, samples):
+    with pytest.raises(BadParameterError, match="samples"):
+        run_claims(selector, samples=samples)
+
+
 def test_run_claims_lemma_groups():
     reports = run_claims("L2", samples=100)
     assert [r.claim_id for r in reports] == ["L2A", "L2B"]
@@ -331,3 +343,89 @@ def test_bounds_mask_matches_check_bounds(rng):
     mask = bounds_mask(s1, s2)
     assert mask.tolist() == expected
     assert 0 < mask.sum() < mask.size
+
+
+_BOUND_IDS = ("T1A", "T1B", "T1E", "T2A", "T2B", "T2E", "T3")
+
+
+def _reference_bounds_pass(cubics):
+    """The bounds pass one sample at a time: check_bounds on every sample,
+    a strictly smaller margin takes the witness, any failing sample marks
+    the claim failed, and the verdict also needs the open or closed
+    threshold on the smallest margin."""
+    best = {cid: (math.inf, None) for cid in _BOUND_IDS}
+    failed = set()
+    strays = ([], [])
+    window = max(EQ_TOL, math.sqrt(40.0 * EQ_TOL))
+    for c in cubics:
+        rv = ratios_direct(c)
+        for rep in check_bounds(rv):
+            if rep.margin < best[rep.claim_id][0]:
+                best[rep.claim_id] = (rep.margin, theorems._witness(c, rv))
+            if not rep.passed:
+                failed.add(rep.claim_id)
+        for s, found in zip((rv.sigma1, rv.sigma2), strays):
+            if 1.0 / 3.0 - abs(s.imag) <= EQ_TOL:
+                target = -2j if s.imag > 0 else 2j
+                if abs(normalize(c).w - target) > window:
+                    found.append(theorems._witness(c, rv))
+    verdicts = {}
+    for cid, (margin, witness) in best.items():
+        threshold = margin > 0.0 if cid in ("T1A", "T2A") else margin >= -CLOSED_BOUND_SLACK
+        verdicts[cid] = (cid not in failed and threshold, margin, witness)
+    return verdicts, strays
+
+
+def _assert_matches_reference(reports, strays, cubics):
+    expected, expected_strays = _reference_bounds_pass(cubics)
+    assert list(reports) == list(_BOUND_IDS)
+    for cid, rep in reports.items():
+        assert (rep.passed, rep.margin, rep.witness) == expected[cid], cid
+    assert strays == expected_strays
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+def test_bounds_pass_matches_per_sample_loop(seed):
+    reports, strays = theorems._bounds_claims(3000, seed)
+    cubics = sample_ordered_cubics(3000, np.random.default_rng([seed, 1]))
+    _assert_matches_reference(reports, strays, cubics)
+    assert all(rep.passed for rep in reports.values())
+
+
+def _planted_pass(monkeypatch, planted, samples=2000, at=1000):
+    """_bounds_claims on the sampler's own draws with one cubic put in at
+    position at; returns its reports, its strays and the cubics it saw."""
+    good = list(sample_ordered_cubics(samples - 1, np.random.default_rng([5, 1])))
+    cubics = good[:at] + [planted] + good[at:]
+    monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
+    reports, strays = theorems._bounds_claims(samples, 5)
+    return reports, strays, cubics
+
+
+def test_bounds_pass_fails_on_branch_incoherent_pair(monkeypatch):
+    # the README's pair: ordered, but sqrt(3 w3^2 + w2^2) wraps the branch
+    w2 = -1.144943420509371 + 8.6203463196231j
+    w3 = 2.6620365926506335 + 0.7786881524437383j
+    planted = order_roots(-w3, w2, w3)
+    reports, strays, cubics = _planted_pass(monkeypatch, planted)
+    _assert_matches_reference(reports, strays, cubics)
+    own = {rep.claim_id: rep.margin for rep in check_bounds(ratios_direct(planted))}
+    for cid in ("T1A", "T1E"):
+        rep = reports[cid]
+        assert not rep.passed and rep.margin == own[cid] < 0.0
+        assert rep.witness.w == normalize(planted).w and rep.witness.bounds_ok is False
+    assert -1e-3 < reports["T1A"].margin < -9e-4 and -1.2e-2 < reports["T1E"].margin < -1.1e-2
+    assert all(reports[cid].passed for cid in ("T1B", "T2A", "T2B", "T2E", "T3"))
+    assert strays == ([], [])
+
+
+def test_bounds_pass_reports_stray_attainment(monkeypatch):
+    # another branch-incoherent pair, with |Im sigma1| = 0.362 > 1/3 far
+    # from the attainment points w = -+2i
+    w2 = 3.1348651577320052 + 9.238696826921835j
+    w3 = 4.664688529761268 - 1.789596054354937j
+    planted = order_roots(-w3, w2, w3)
+    reports, strays, cubics = _planted_pass(monkeypatch, planted)
+    _assert_matches_reference(reports, strays, cubics)
+    assert not reports["T1B"].passed and reports["T1B"].witness.w == normalize(planted).w
+    assert [rec.w for rec in strays[0]] == [normalize(planted).w] and strays[1] == []
