@@ -42,7 +42,6 @@ from .errors import (
 from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, in_gamma, principal_sqrt
 from .mapping import (
     InEllipse,
-    SampleRecord,
     emit_dataset,
     is_reachable,
     ratio_angles,
@@ -64,6 +63,7 @@ from .ratios import (
     ratios_direct,
     ratios_via_w,
 )
+from .records import SampleRecord
 from .sampling import (
     sample_collinear,
     sample_equilateral,

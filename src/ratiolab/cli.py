@@ -185,27 +185,31 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CLAIM_FAILED
 
 
-def _cmd_sweep(args) -> int:
-    records = sweep_w_grid(tuple(args.re_range), tuple(args.im_range), args.resolution)
-    count = emit_dataset(records, args.out, args.format)
-    print(to_json({
-        "rows": count,
-        "skipped": sum(1 for r in records if r.path == "skip"),
-        "bounds_violations": sum(1 for r in records if r.bounds_ok is False),
-        "out": args.out,
-    }))
+def _write_dataset(blocks, args, summary: tuple[str, ...]) -> int:
+    """Stream the blocks to --out and print the summary line: rows, then the
+    counts named in summary, then out. The counts are taken as the blocks
+    pass on their way to the file."""
+    counts = {"skipped": 0, "bounds_violations": 0}
+
+    def counted():
+        for block in blocks:
+            counts["skipped"] += sum(row[6] == "skip" for row in block)
+            counts["bounds_violations"] += sum(row[9] is False for row in block)
+            yield block
+
+    rows = emit_dataset(counted(), args.out, args.format)
+    print(to_json({"rows": rows, **{k: counts[k] for k in summary}, "out": args.out}))
     return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
+    blocks = sweep_w_grid(tuple(args.re_range), tuple(args.im_range), args.resolution)
+    return _write_dataset(blocks, args, ("skipped", "bounds_violations"))
 
 
 def _cmd_boundary(args) -> int:
-    records = trace_boundary(args.tmin, args.tmax, args.steps)
-    count = emit_dataset(records, args.out, args.format)
-    print(to_json({
-        "rows": count,
-        "bounds_violations": sum(1 for r in records if r.bounds_ok is False),
-        "out": args.out,
-    }))
-    return EXIT_OK
+    blocks = trace_boundary(args.tmin, args.tmax, args.steps)
+    return _write_dataset(blocks, args, ("bounds_violations",))
 
 
 def _cmd_ellipse(args) -> int:

@@ -1,13 +1,14 @@
 """Datasets over the w-plane and the rays, plus the inellipse oracle.
 
-sweep_w_grid and trace_boundary evaluate their points as numpy arrays, in
-blocks of at most 4096: closed_forms_array or the ray formula for the
-ratios, bounds_mask for the bound catalog, and the &/| predicates
-(_on_rays, is_reachable, _classify_w) that also serve single points. They
-still return lists of SampleRecord, whose label strings are shared objects.
-The sigma values match the scalar f_extension/g_extension (and the scalar
-identity for sigma2 on the rays) to a few ulps, not bit for bit; every
-other cell is what the scalar functions give.
+sweep_w_grid and trace_boundary are generators: they evaluate their points
+as numpy arrays in blocks of at most 4096 (closed_forms_array or the ray
+formula for the ratios, bounds_mask for the bound catalog, and the &/|
+predicates _on_rays, is_reachable and _classify_w that also serve single
+points) and yield each block as a list of row tuples in CSV_COLUMNS order.
+emit_dataset writes block after block, so memory stays flat in the grid
+size. The sigma values match the scalar f_extension/g_extension (and the
+scalar identity for sigma2 on the rays) to a few ulps, not bit for bit;
+every other cell is what the scalar functions give.
 
 The midpoint inellipse of a noncollinear root triangle is fitted purely
 geometrically: six homogeneous linear constraints (the conic passes through
@@ -27,20 +28,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cubic import Configuration, OrderedCubic, classify_configuration
+from .cubic import MAX_ROOT_MAGNITUDE, Configuration, OrderedCubic, classify_configuration
 from .errors import BadRangeError, DegenerateTriangleError
 from .kernel import EQ_TOL, SQRT3, _on_rays
 from .ratios import boundary_sigma1, closed_forms_array
-from .records import CSV_COLUMNS, SampleRecord, csv_row, jsonl_line
+from .records import CSV_COLUMNS, csv_row, jsonl_line
 from .theorems import bounds_mask
 
 __all__ = [
     "InEllipse",
-    "SampleRecord",
     "sweep_w_grid",
     "trace_boundary",
     "steiner_inellipse",
@@ -96,25 +96,26 @@ def _classify_w(w):
 
 def sweep_w_grid(
     re_range: tuple[float, float], im_range: tuple[float, float], resolution: int
-) -> list[SampleRecord]:
-    """Evaluate f and g on a rectangular grid; ray points get a skip marker.
+) -> Iterator[list[tuple]]:
+    """Evaluate f and g on a rectangular grid; ray points get a skip row.
 
-    Grid order is row-major: Re w varies in the outer loop, Im w in the
-    inner one, both ascending. Points are evaluated in numpy blocks with
-    closed_forms_array and bounds_mask.
+    Yields blocks of at most _BLOCK rows in CSV_COLUMNS order. Grid order is
+    row-major: Re w varies in the outer loop, Im w in the inner one, both
+    ascending. Both ranges must lie within MAX_ROOT_MAGNITUDE of 0, beyond
+    which 3 + w*w overflows.
     """
     re_lo, re_hi = float(re_range[0]), float(re_range[1])
     im_lo, im_hi = float(im_range[0]), float(im_range[1])
-    if not (math.isfinite(re_lo) and math.isfinite(re_hi) and re_lo < re_hi):
-        raise BadRangeError(f"bad re_range {re_range!r}")
-    if not (math.isfinite(im_lo) and math.isfinite(im_hi) and im_lo < im_hi):
-        raise BadRangeError(f"bad im_range {im_range!r}")
+    for name, lo, hi in (("re_range", re_lo, re_hi), ("im_range", im_lo, im_hi)):
+        if not (-MAX_ROOT_MAGNITUDE <= lo < hi <= MAX_ROOT_MAGNITUDE):
+            raise BadRangeError(
+                f"bad {name} {(lo, hi)!r}: need lo < hi within +-{MAX_ROOT_MAGNITUDE:.0e}"
+            )
     if resolution < 2:
         raise BadRangeError("resolution must be at least 2")
 
     re_axis = np.linspace(re_lo, re_hi, resolution)
     im_axis = np.linspace(im_lo, im_hi, resolution)
-    records: list[SampleRecord] = []
     for start in range(0, resolution * resolution, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, resolution * resolution))
         w = np.empty(k.size, dtype=complex)
@@ -125,62 +126,62 @@ def sweep_w_grid(
         s1 = np.full(k.size, np.nan, dtype=complex)
         s2 = s1.copy()
         s1[live], s2[live] = closed_forms_array(w[live])
-        ok = bounds_mask(s1, s2)
-        s1_cells = s1.tolist()
-        s2_cells = s2.tolist()
-        ok_cells = ok.tolist()
-        for i in np.flatnonzero(skip).tolist():
-            s1_cells[i] = s2_cells[i] = ok_cells[i] = None
-        records.extend(
-            map(
-                SampleRecord,
-                w.tolist(),
-                s1_cells,
-                s2_cells,
-                ["skip" if x else "interior" for x in skip.tolist()],
-                _W_CLASSES[_classify_w(w)].tolist(),
-                is_reachable(w).tolist(),
-                ok_cells,
-            )
+        yield _rows(
+            w.real,
+            w.imag,
+            *(np.where(skip, None, x) for x in (s1.real, s1.imag, s2.real, s2.imag)),
+            np.where(skip, "skip", "interior"),
+            _W_CLASSES[_classify_w(w)],
+            is_reachable(w),
+            np.where(skip, None, bounds_mask(s1, s2)),
         )
-    return records
 
 
-def trace_boundary(t_min: float, t_max: float, steps: int) -> list[SampleRecord]:
+def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tuple]]:
     """Sample the rays at w = i t for t in -[t_max, t_min] and [t_min, t_max].
 
     Uses the upper-side ray formula for sigma1 and the identity
     (1 - sigma1) sigma2 = 1/3 for sigma2; t ascends through both blocks.
+    Yields blocks of at most _BLOCK rows in CSV_COLUMNS order. t_max must
+    not exceed MAX_ROOT_MAGNITUDE.
     """
-    if not (SQRT3 - EQ_TOL <= t_min < t_max):
-        raise BadRangeError(f"need sqrt(3) <= t_min < t_max, got [{t_min}, {t_max}]")
+    if not (SQRT3 - EQ_TOL <= t_min < t_max <= MAX_ROOT_MAGNITUDE):
+        raise BadRangeError(
+            f"need sqrt(3) <= t_min < t_max <= {MAX_ROOT_MAGNITUDE:.0e}, got [{t_min}, {t_max}]"
+        )
     if steps < 2:
         raise BadRangeError("steps must be at least 2")
     ts = np.concatenate(
         [-np.linspace(t_max, t_min, steps), np.linspace(t_min, t_max, steps)]
     )
     sigma1 = boundary_sigma1(ts)
-    records: list[SampleRecord] = []
     for start in range(0, ts.size, _BLOCK):
         t = ts[start : start + _BLOCK]
         s1 = sigma1[start : start + _BLOCK]
         s2 = 1.0 / (3.0 * (1.0 - s1))
-        w = np.zeros(t.size, dtype=complex)
-        w.imag = t
-        equilateral = (abs(abs(t) - SQRT3) <= EQ_TOL).astype(np.intp)
-        records.extend(
-            map(
-                SampleRecord,
-                w.tolist(),
-                s1.tolist(),
-                s2.tolist(),
-                itertools.repeat("boundary"),
-                _W_CLASSES[2 * equilateral].tolist(),
-                itertools.repeat(True),
-                bounds_mask(s1, s2).tolist(),
-            )
+        yield _rows(
+            np.zeros(t.size),
+            t,
+            s1.real,
+            s1.imag,
+            s2.real,
+            s2.imag,
+            "boundary",
+            _W_CLASSES[2 * (abs(abs(t) - SQRT3) <= EQ_TOL)],
+            True,
+            bounds_mask(s1, s2),
         )
-    return records
+
+
+def _rows(*columns) -> list[tuple]:
+    """One block of rows from the ten columns in CSV_COLUMNS order. The
+    first column is an array that sets the row count; a later one may be a
+    single value for every row. Cells come out as Python floats, bools,
+    strings and None."""
+    cells = np.empty((len(columns), len(columns[0])), dtype=object)
+    for i, column in enumerate(columns):
+        cells[i] = column
+    return list(zip(*cells.tolist()))
 
 
 def steiner_inellipse(c: OrderedCubic) -> InEllipse:
@@ -262,27 +263,26 @@ def ratio_angles(c: OrderedCubic) -> tuple[float, float]:
     return th1, th2
 
 
-def emit_dataset(
-    records: Iterable[SampleRecord],
-    destination,
-    fmt: str = "csv",
-) -> int:
-    """Write records as CSV (with header) or JSONL; returns the row count.
+def emit_dataset(blocks: Iterable[list[tuple]], destination, fmt: str = "csv") -> int:
+    """Write blocks of rows as CSV (with header) or JSONL; returns the row
+    count.
 
-    Floats carry 17 significant digits so a reader recovers them exactly.
+    The first block is made before the file is opened, so a range error
+    raised by sweep_w_grid or trace_boundary leaves an existing file as it
+    was. Floats carry 17 significant digits so a reader recovers them
+    exactly.
     """
     fmt = fmt.lower()
     if fmt not in ("csv", "jsonl"):
         raise BadRangeError(f"format must be csv or jsonl, got {fmt!r}")
+    encode = csv_row if fmt == "csv" else jsonl_line
+    blocks = iter(blocks)
+    first = next(blocks, [])
     count = 0
     with open(destination, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in records:
-                fh.write(csv_row(rec) + "\n")
-                count += 1
-        else:
-            for rec in records:
-                fh.write(jsonl_line(rec) + "\n")
-                count += 1
+        for block in itertools.chain([first], blocks):
+            fh.write("".join([encode(row) + "\n" for row in block]))
+            count += len(block)
     return count

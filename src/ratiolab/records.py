@@ -1,18 +1,21 @@
 """Dataset row schema shared by the region mapper, theorem witnesses, and CLI.
 
-One SampleRecord is one row. CSV columns appear in exactly this order:
+A dataset row is a plain tuple of ten cells in exactly this order, which is
+also the CSV column order:
 
     w_re, w_im, sigma1_re, sigma1_im, sigma2_re, sigma2_im,
     path, classification, reachable, bounds_ok
 
 JSONL uses the same field names, one object per line. Floats are rendered
 with 17 significant digits so parsing reproduces them exactly; rows whose
-ratios were skipped leave the sigma cells empty (null in JSONL). to_json is
-the one JSON encoder of the package: every CLI output line goes through it.
-csv_row and jsonl_line write a dataset row with one %-template and write
-exactly what the per-cell encoders (fmt_float, to_json) would; a row with a
-non-finite float, or with only one of its two ratios, goes through those
-encoders so NaN and infinities keep their JSON spelling.
+ratios were skipped hold None in the four sigma cells and in bounds_ok
+(empty in CSV, null in JSONL). csv_row and jsonl_line write a row with one
+%-template and write exactly what the per-cell encoders (fmt_float,
+to_json) would; a row with a non-finite float, or with only some of its
+sigma cells, goes through those encoders so NaN and infinities keep their
+JSON spelling. to_json is the one JSON encoder of the package: every CLI
+output line goes through it. SampleRecord is the witness record of the
+claim reports.
 """
 
 from __future__ import annotations
@@ -56,33 +59,22 @@ def fmt_float(x: float) -> str:
     return _NON_FINITE.get(s, s)
 
 
-def _float_cells(rec: SampleRecord) -> tuple:
-    """w and the two ratios as six floats in column order, None where a
-    ratio is absent."""
-    s1 = rec.sigma1
-    s2 = rec.sigma2
-    return (
-        rec.w.real,
-        rec.w.imag,
-        *((None, None) if s1 is None else (s1.real, s1.imag)),
-        *((None, None) if s2 is None else (s2.real, s2.imag)),
-    )
+_NO_SIGMA = (None, None, None, None)
 
 
-def _fill(rec: SampleRecord, row: str, skip_row: str, flags: tuple) -> Optional[str]:
-    """The row's %-template filled in: row when both ratios are present,
-    skip_row when both are absent. None when only one is present or a float
-    cell is not finite (the template would spell it nan/inf); the per-cell
-    encoders write those rows. A label holding "nan" or "inf" lands there
-    too, which costs time but changes no byte."""
-    s1 = rec.sigma1
-    s2 = rec.sigma2
-    if s1 is not None and s2 is not None:
-        line = row % (rec.w.real, rec.w.imag, s1.real, s1.imag, s2.real, s2.imag, *flags)
-    elif s1 is None and s2 is None:
-        line = skip_row % (rec.w.real, rec.w.imag, *flags)
-    else:
+def _templated(row: tuple, full: str, skip: str, flags: tuple) -> Optional[str]:
+    """The row through a %-template: full when its four sigma cells are
+    present, skip when all four are None. None when only some are present
+    or a float cell is not finite (the template would spell it nan/inf);
+    the per-cell encoders write those rows. A label holding "nan" or "inf"
+    lands there too, which costs time but changes no byte."""
+    sigma = row[2:6]
+    if sigma == _NO_SIGMA:
+        line = skip % (row[0], row[1], *flags)
+    elif None in sigma:
         return None
+    else:
+        line = full % (*row[:6], *flags)
     return None if "nan" in line or "inf" in line else line
 
 
@@ -91,13 +83,12 @@ _CSV_SKIP_ROW = "%.17g,%.17g,,,,,%s,%s,%s,%s"
 _CSV_BOOL = {None: "", True: "true", False: "false"}
 
 
-def csv_row(rec: SampleRecord) -> str:
+def csv_row(row: tuple) -> str:
     """One CSV line, without the newline."""
-    flags = (rec.path, rec.classification, _CSV_BOOL[rec.reachable], _CSV_BOOL[rec.bounds_ok])
-    line = _fill(rec, _CSV_ROW, _CSV_SKIP_ROW, flags)
+    flags = (row[6], row[7], _CSV_BOOL[row[8]], _CSV_BOOL[row[9]])
+    line = _templated(row, _CSV_ROW, _CSV_SKIP_ROW, flags)
     if line is None:
-        cells = ["" if x is None else fmt_float(x) for x in _float_cells(rec)]
-        line = ",".join(cells + list(flags))
+        line = ",".join(["" if x is None else fmt_float(x) for x in row[:6]] + list(flags))
     return line
 
 
@@ -138,17 +129,11 @@ _JSONL_SKIP_ROW = (
 _JSON_BOOL = {None: "null", True: "true", False: "false"}
 
 
-def jsonl_line(rec: SampleRecord) -> str:
+def jsonl_line(row: tuple) -> str:
     """One JSONL line, without the newline: the bytes to_json writes for the
     row's column dict."""
-    flags = (
-        _quote(rec.path),
-        _quote(rec.classification),
-        _JSON_BOOL[rec.reachable],
-        _JSON_BOOL[rec.bounds_ok],
-    )
-    line = _fill(rec, _JSONL_ROW, _JSONL_SKIP_ROW, flags)
+    flags = (_quote(row[6]), _quote(row[7]), _JSON_BOOL[row[8]], _JSON_BOOL[row[9]])
+    line = _templated(row, _JSONL_ROW, _JSONL_SKIP_ROW, flags)
     if line is None:
-        values = _float_cells(rec) + (rec.path, rec.classification, rec.reachable, rec.bounds_ok)
-        line = to_json(dict(zip(CSV_COLUMNS, values)))
+        line = to_json(dict(zip(CSV_COLUMNS, row)))
     return line

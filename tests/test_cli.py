@@ -211,6 +211,28 @@ def test_boundary_dataset_peak(capsys, tmp_path):
     assert abs(near_peak + 2.0) < 0.1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--re-range", "-1e300", "1e300", "--im-range", "-1e300", "1e300",
+         "--resolution", "3"),
+        ("sweep", "--re-range", "-1", "1", "--im-range", "-1", "1e300", "--resolution", "3"),
+        ("boundary", "--tmax", "1e160", "--steps", "10"),
+        ("boundary", "--tmax", "1e300", "--steps", "10"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_dataset_range_beyond_magnitude_limit_exit_1(capsys, tmp_path, argv, fmt):
+    # 3 + w*w overflows above ~1.3e154; an existing --out file stays as it was
+    out_file = tmp_path / f"keep.{fmt}"
+    out_file.write_bytes(b"earlier run\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file), "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert "1e+100" in json.loads(err)["error"]
+    assert out_file.read_bytes() == b"earlier run\n"
+
+
 def test_ellipse_matches_critical_points(capsys):
     code, out, _ = run_cli(capsys, "ellipse", "-4-1i", "-2+8i", "4+1i")
     assert code == 0

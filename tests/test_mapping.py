@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -26,41 +28,111 @@ from ratiolab import (
 )
 from ratiolab.errors import BadRangeError
 from ratiolab.kernel import _on_rays
-from ratiolab.records import CSV_COLUMNS, SampleRecord, csv_row, fmt_float, jsonl_line, to_json
+from ratiolab.mapping import _BLOCK
+from ratiolab.records import CSV_COLUMNS, csv_row, fmt_float, jsonl_line, to_json
 
 INV_SQRT3 = 1.0 / SQRT3
 
+#: A dataset row with its cells named after the columns.
+Row = namedtuple("Row", CSV_COLUMNS)
 
-def by_w(records):
-    return {(round(r.w.real, 9), round(r.w.imag, 9)): r for r in records}
+
+def rows_of(blocks):
+    """The blocks flattened into named rows, checking each block's shape."""
+    rows = []
+    for block in blocks:
+        assert 0 < len(block) <= _BLOCK
+        assert all(type(row) is tuple and len(row) == len(CSV_COLUMNS) for row in block)
+        rows.extend(Row(*row) for row in block)
+    return rows
+
+
+def sigma1(row):
+    return None if row.sigma1_re is None else complex(row.sigma1_re, row.sigma1_im)
+
+
+def sigma2(row):
+    return None if row.sigma2_re is None else complex(row.sigma2_re, row.sigma2_im)
+
+
+def by_w(rows):
+    return {(round(r.w_re, 9), round(r.w_im, 9)): r for r in rows}
 
 
 def test_sweep_grid_markers_and_values():
-    records = sweep_w_grid((-2.0, 2.0), (-2.0, 2.0), 5)
-    assert len(records) == 25
-    table = by_w(records)
+    rows = rows_of(sweep_w_grid((-2.0, 2.0), (-2.0, 2.0), 5))
+    assert len(rows) == 25
+    table = by_w(rows)
     origin = table[(0.0, 0.0)]
     assert origin.path == "interior"
-    assert abs(origin.sigma1 - (1 - INV_SQRT3)) < 1e-12
+    assert abs(sigma1(origin) - (1 - INV_SQRT3)) < 1e-12
     assert origin.classification == "collinear"
     assert origin.reachable and origin.bounds_ok
     ray = table[(0.0, 2.0)]
-    assert ray.path == "skip" and ray.sigma1 is None and ray.bounds_ok is None
+    assert ray.path == "skip" and ray.bounds_ok is None
+    assert ray[2:6] == (None, None, None, None)
     assert ray.reachable  # w = 2i is realized by ray pairs
     ext = table[(-1.0, 0.0)]
     assert ext.path == "interior"
-    assert ext.sigma1 == 0.5
+    assert sigma1(ext) == 0.5
     assert not ext.reachable
     real_far = table[(2.0, 0.0)]
     assert real_far.path == "interior" and not real_far.reachable
     assert real_far.bounds_ok  # f/g bounds hold even off the realizable set
 
 
+def test_sweep_blocks_follow_grid_order():
+    blocks = list(sweep_w_grid((-1.0, 1.0), (-1.0, 1.0), 100))
+    assert [len(b) for b in blocks] == [_BLOCK, _BLOCK, 10_000 - 2 * _BLOCK]
+    w = [complex(r[0], r[1]) for b in blocks for r in b]
+    axis = np.linspace(-1.0, 1.0, 100)
+    assert w == [complex(x, y) for x in axis for y in axis]
+
+
 def test_sweep_validation():
     with pytest.raises(BadRangeError):
-        sweep_w_grid((2.0, -2.0), (-1.0, 1.0), 5)
+        list(sweep_w_grid((2.0, -2.0), (-1.0, 1.0), 5))
     with pytest.raises(BadRangeError):
-        sweep_w_grid((-1.0, 1.0), (-1.0, 1.0), 1)
+        list(sweep_w_grid((-1.0, 1.0), (-1.0, 1.0), 1))
+    for bad in (math.inf, math.nan, 1e300):
+        with pytest.raises(BadRangeError):
+            list(sweep_w_grid((-1.0, bad), (-1.0, 1.0), 5))
+        with pytest.raises(BadRangeError):
+            list(sweep_w_grid((-1.0, 1.0), (-bad, 1.0), 5))
+
+
+def test_trace_validation():
+    for t_min, t_max, steps in ((2.0, 2.0, 10), (1.0, 5.0, 10), (2.0, 5.0, 1),
+                                (2.0, 1e300, 10), (2.0, math.inf, 10), (2.0, math.nan, 10)):
+        with pytest.raises(BadRangeError):
+            list(trace_boundary(t_min, t_max, steps))
+
+
+def test_datasets_finite_at_the_magnitude_limit():
+    # 3 + w*w overflows near 1.3e154; the ranges stop at 1e100
+    rows = rows_of(sweep_w_grid((-1e100, 1e100), (-1e100, 1e100), 7))
+    rows += rows_of(trace_boundary(2.0, 1e100, 7))
+
+    def strict(token):
+        raise ValueError(f"non-finite token {token}")
+
+    for row in rows:
+        assert all(x is None or math.isfinite(x) for x in row[:6]), row
+        json.loads(jsonl_line(row), parse_constant=strict)
+
+
+def test_sweep_memory_flat_in_resolution():
+    def peak(resolution):
+        tracemalloc.start()
+        try:
+            for _ in sweep_w_grid((-3.0, 3.0), (-3.0, 3.0), resolution):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(91), peak(301)  # 8 281 and 90 601 points
+    assert large < 1.25 * small, (small, large)
 
 
 def test_reachability_rule():
@@ -73,22 +145,21 @@ def test_reachability_rule():
 
 
 def test_trace_boundary_endpoints_and_peak():
-    records = trace_boundary(SQRT3, 100.0, 5000)
-    assert len(records) == 10000
-    ts = [r.w.imag for r in records]
+    rows = rows_of(trace_boundary(SQRT3, 100.0, 5000))
+    assert len(rows) == 10000
+    ts = [r.w_im for r in rows]
     assert ts == sorted(ts)
-    first_pos = next(r for r in records if r.w.imag > 0 and abs(r.w.imag - SQRT3) < 1e-12)
-    assert abs(first_pos.sigma1 - complex(0.5, -SQRT3 / 6)) < 1e-12
+    first_pos = next(r for r in rows if r.w_im > 0 and abs(r.w_im - SQRT3) < 1e-12)
+    assert abs(sigma1(first_pos) - complex(0.5, -SQRT3 / 6)) < 1e-12
     assert first_pos.classification == "equilateral"
-    peak = max(r.sigma1.imag for r in records)
+    peak = max(r.sigma1_im for r in rows)
     assert abs(peak - 1.0 / 3.0) < 1e-4  # attained near t = -2
-    assert all(r.bounds_ok for r in records)
+    assert all(r.bounds_ok for r in rows)
 
 
 def test_trace_boundary_asymptote():
-    records = trace_boundary(999.0, 1000.0, 50)
-    tail = records[-1]
-    assert abs(tail.sigma1.real - 2.0 / 3.0) < 1e-5
+    tail = rows_of(trace_boundary(999.0, 1000.0, 50))[-1]
+    assert abs(tail.sigma1_re - 2.0 / 3.0) < 1e-5
 
 
 def test_steiner_inellipse_equilateral_circle():
@@ -165,18 +236,17 @@ def test_ratio_angles_examples():
     assert abs(th2 - math.atan2(rv.sigma2.imag, rv.sigma2.real)) < 1e-12
 
 
-def _sample_records():
+def _sample_rows():
     return [
-        SampleRecord(0.5 + 0.25j, 0.1 + 0.2j, 0.4 - 0.1j, "interior", "generic", True, True),
-        SampleRecord(2j, None, None, "skip", "generic", True, None),
-        SampleRecord(1 / 3 + 0j, 0.123456789012345678 + 1e-17j, 0.5 + 0j,
-                     "interior", "collinear", True, True),
+        (0.5, 0.25, 0.1, 0.2, 0.4, -0.1, "interior", "generic", True, True),
+        (0.0, 2.0, None, None, None, None, "skip", "generic", True, None),
+        (1 / 3, 0.0, 0.123456789012345678, 1e-17, 0.5, 0.0, "interior", "collinear", True, True),
     ]
 
 
 def test_emit_csv(tmp_path):
     out = tmp_path / "data.csv"
-    n = emit_dataset(_sample_records(), out, "csv")
+    n = emit_dataset([_sample_rows()[:2], _sample_rows()[2:]], out, "csv")
     assert n == 3
     lines = out.read_text().splitlines()
     assert len(lines) == 4
@@ -202,20 +272,13 @@ def test_emit_csv_empty(tmp_path):
 
 def test_emit_jsonl_round_trip(tmp_path):
     out = tmp_path / "data.jsonl"
-    recs = _sample_records()
-    assert emit_dataset(recs, out, "jsonl") == 3
+    rows = _sample_rows()
+    assert emit_dataset([rows], out, "jsonl") == 3
     lines = out.read_text().splitlines()
     assert len(lines) == 3
-    for line, rec in zip(lines, recs):
-        obj = json.loads(line)
-        assert obj["w_re"] == rec.w.real
-        assert obj["w_im"] == rec.w.imag
-        if rec.sigma1 is None:
-            assert obj["sigma1_re"] is None
-        else:
-            assert obj["sigma1_re"] == rec.sigma1.real  # exact reproduction
-        assert obj["path"] == rec.path
-        assert obj["bounds_ok"] == rec.bounds_ok
+    for line, row in zip(lines, rows):
+        # every cell reproduced exactly, None as null
+        assert tuple(json.loads(line).values()) == row
 
 
 def test_emit_rejects_unknown_format(tmp_path):
@@ -273,52 +336,59 @@ def _reference_bounds_ok(s1: complex, s2: complex) -> bool:
     return all(rep.passed for rep in check_bounds(RatioVector(s1, s2, RatioPath.INTERIOR)))
 
 
+def _reference_row(w, s1, s2, path, classification, reachable, bounds_ok):
+    cells = [w.real, w.imag]
+    for s in (s1, s2):
+        cells += [None, None] if s is None else [s.real, s.imag]
+    return Row(*cells, path, classification, reachable, bounds_ok)
+
+
 def _reference_sweep(re_range, im_range, resolution):
-    records = []
+    rows = []
     for re_w in np.linspace(*re_range, resolution):
         for im_w in np.linspace(*im_range, resolution):
             w = complex(re_w, im_w)
-            reachable = is_reachable(w)
+            reachable = bool(is_reachable(w))
             if _on_rays(w):
-                records.append(
-                    SampleRecord(w, None, None, "skip", _reference_classify_w(w), reachable, None)
+                rows.append(
+                    _reference_row(w, None, None, "skip", _reference_classify_w(w), reachable, None)
                 )
                 continue
             s1 = f_extension(w)
             s2 = g_extension(w)
-            records.append(
-                SampleRecord(w, s1, s2, "interior", _reference_classify_w(w), reachable,
-                             _reference_bounds_ok(s1, s2))
+            rows.append(
+                _reference_row(w, s1, s2, "interior", _reference_classify_w(w), reachable,
+                               _reference_bounds_ok(s1, s2))
             )
-    return records
+    return rows
 
 
 def _reference_trace(t_min, t_max, steps):
     ts = np.concatenate([-np.linspace(t_max, t_min, steps), np.linspace(t_min, t_max, steps)])
-    records = []
+    rows = []
     for t in ts:
         s1 = boundary_sigma1(float(t))
         s2 = 1.0 / (3.0 * (1.0 - s1))
         cls = "equilateral" if abs(abs(t) - SQRT3) <= EQ_TOL else "generic"
-        records.append(SampleRecord(complex(0.0, float(t)), s1, s2, "boundary", cls, True,
-                                    _reference_bounds_ok(s1, s2)))
-    return records
+        rows.append(_reference_row(complex(0.0, float(t)), s1, s2, "boundary", cls, True,
+                                   _reference_bounds_ok(s1, s2)))
+    return rows
 
 
 def _assert_same_rows(got, want):
-    # labels and flags exactly; sigma to a relative 4 eps, because numpy's
-    # complex sqrt and division round differently from cmath's
+    # w, labels and flags exactly, with their Python types; sigma to a
+    # relative 4 eps, because numpy's complex sqrt and division round
+    # differently from cmath's
     rel = 4.0 * np.finfo(float).eps
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.w, a.path, a.classification, a.reachable, a.bounds_ok) == (
-            b.w, b.path, b.classification, b.reachable, b.bounds_ok
-        )
-        for x, y in ((a.sigma1, b.sigma1), (a.sigma2, b.sigma2)):
+        assert a[:2] == b[:2] and a[6:] == b[6:], (a, b)
+        assert [type(x) for x in a] == [type(x) for x in b], (a, b)
+        for x, y in ((sigma1(a), sigma1(b)), (sigma2(a), sigma2(b))):
             if y is None:
                 assert x is None
             else:
-                assert type(x) is complex and abs(x - y) <= rel * abs(y), (a, b)
+                assert abs(x - y) <= rel * abs(y), (a, b)
 
 
 @pytest.mark.parametrize(
@@ -331,76 +401,64 @@ def _assert_same_rows(got, want):
 )
 def test_sweep_matches_reference_loop(im_range, classes):
     args = ((-3.0, 3.0), im_range, 41)
-    records = sweep_w_grid(*args)
-    _assert_same_rows(records, _reference_sweep(*args))
-    assert {r.path for r in records} == {"interior", "skip"}
-    assert {r.classification for r in records} == classes
-    assert {r.bounds_ok for r in records} == {True, None}
+    rows = rows_of(sweep_w_grid(*args))
+    _assert_same_rows(rows, _reference_sweep(*args))
+    assert {r.path for r in rows} == {"interior", "skip"}
+    assert {r.classification for r in rows} == classes
+    assert {r.bounds_ok for r in rows} == {True, None}
 
 
 def test_trace_matches_reference_loop():
-    records = trace_boundary(SQRT3, 100.0, 500)
-    _assert_same_rows(records, _reference_trace(SQRT3, 100.0, 500))
-    assert {r.classification for r in records} == {"generic", "equilateral"}
-    assert all(r.bounds_ok for r in records)
+    rows = rows_of(trace_boundary(SQRT3, 100.0, 500))
+    _assert_same_rows(rows, _reference_trace(SQRT3, 100.0, 500))
+    assert {r.classification for r in rows} == {"generic", "equilateral"}
+    assert all(r.bounds_ok for r in rows)
 
 
 
 # -- the row formatters
 
 
-def _reference_csv_row(rec):
-    cells = [rec.w.real, rec.w.imag]
-    for s in (rec.sigma1, rec.sigma2):
-        cells += [None, None] if s is None else [s.real, s.imag]
-    flags = ["" if x is None else ("true" if x else "false") for x in (rec.reachable, rec.bounds_ok)]
-    return ",".join(["" if x is None else fmt_float(x) for x in cells]
-                    + [rec.path, rec.classification] + flags)
+def _reference_csv_row(row):
+    flags = ["" if x is None else ("true" if x else "false") for x in row[8:]]
+    return ",".join(["" if x is None else fmt_float(x) for x in row[:6]] + list(row[6:8]) + flags)
 
 
-def _reference_jsonl_line(rec):
-    s1, s2 = rec.sigma1, rec.sigma2
-    values = (
-        rec.w.real, rec.w.imag,
-        s1.real if s1 is not None else None, s1.imag if s1 is not None else None,
-        s2.real if s2 is not None else None, s2.imag if s2 is not None else None,
-        rec.path, rec.classification, rec.reachable, rec.bounds_ok,
-    )
-    return to_json(dict(zip(CSV_COLUMNS, values)))
+def _reference_jsonl_line(row):
+    return to_json(dict(zip(CSV_COLUMNS, row)))
 
 
 def test_row_formatters_match_per_cell_encoding():
-    for rec in _sample_records():
-        assert csv_row(rec) == _reference_csv_row(rec)
-        assert jsonl_line(rec) == _reference_jsonl_line(rec)
+    for row in _sample_rows():
+        assert csv_row(row) == _reference_csv_row(row)
+        assert jsonl_line(row) == _reference_jsonl_line(row)
 
 
 def test_row_formatters_spell_non_finite_floats():
     nan, inf = math.nan, math.inf
-    records = [
-        SampleRecord(complex(nan, 1.0), 0.1 + 0.2j, 0.4 - 0.1j, "interior", "generic", True, True),
-        SampleRecord(complex(0.5, inf), None, None, "skip", "generic", True, None),
-        SampleRecord(0.5 + 0.25j, complex(-inf, 0.2), complex(0.4, nan), "interior", "generic",
-                     False, False),
-        SampleRecord(0.5 + 0.25j, 0.1 + 0.2j, None, "interior", "generic", True, None),
+    rows = [
+        (nan, 1.0, 0.1, 0.2, 0.4, -0.1, "interior", "generic", True, True),
+        (0.5, inf, None, None, None, None, "skip", "generic", True, None),
+        (0.5, 0.25, -inf, 0.2, 0.4, nan, "interior", "generic", False, False),
+        (0.5, 0.25, 0.1, 0.2, None, None, "interior", "generic", True, None),
     ]
-    for rec in records:
-        line = csv_row(rec)
-        assert line == _reference_csv_row(rec)
+    for row in rows:
+        line = csv_row(row)
+        assert line == _reference_csv_row(row)
         assert "nan" not in line and "inf" not in line
-        line = jsonl_line(rec)
-        assert line == _reference_jsonl_line(rec)
+        line = jsonl_line(row)
+        assert line == _reference_jsonl_line(row)
         json.loads(line)
-    assert csv_row(records[0]).startswith("NaN,1,")
-    assert csv_row(records[1]).startswith("0.5,Infinity,,,,,")
-    assert ",-Infinity,0.20000000000000001,0.40000000000000002,NaN," in csv_row(records[2])
-    assert '"sigma1_re": -Infinity' in jsonl_line(records[2])
+    assert csv_row(rows[0]).startswith("NaN,1,")
+    assert csv_row(rows[1]).startswith("0.5,Infinity,,,,,")
+    assert ",-Infinity,0.20000000000000001,0.40000000000000002,NaN," in csv_row(rows[2])
+    assert '"sigma1_re": -Infinity' in jsonl_line(rows[2])
 
 
 def test_row_formatters_escape_labels():
     for path in ('say "hi"', "caf\u00e9", "back\\slash"):
-        rec = SampleRecord(0.5 + 0.25j, 0.1 + 0.2j, 0.4 - 0.1j, path, "generic", True, True)
-        line = jsonl_line(rec)
+        row = (0.5, 0.25, 0.1, 0.2, 0.4, -0.1, path, "generic", True, True)
+        line = jsonl_line(row)
         assert '"path": ' + json.dumps(path) + "," in line
         assert json.loads(line)["path"] == path
-        assert line == _reference_jsonl_line(rec)
+        assert line == _reference_jsonl_line(row)
