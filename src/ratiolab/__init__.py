@@ -39,7 +39,7 @@ from .errors import (
     ScaleGuardError,
     UndefinedRatioError,
 )
-from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, in_gamma, principal_sqrt
+from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, principal_sqrt
 from .mapping import (
     InEllipse,
     emit_dataset,

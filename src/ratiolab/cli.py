@@ -17,6 +17,7 @@ no other command reads RATIOLAB_SEED. Tolerances are fixed constants
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -83,20 +84,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _report_fields(rep: TheoremReport) -> dict:
-    w = rep.witness
-    witness = None if w is None else {
-        "w": w.w,
-        "sigma1": w.sigma1,
-        "sigma2": w.sigma2,
-        "path": w.path,
-        "classification": w.classification,
-    }
     return {
         "claim": rep.claim_id,
         "passed": rep.passed,
         "margin": float(rep.margin),
         "note": rep.note,
-        "witness": witness,
+        "witness": None if rep.witness is None else dataclasses.asdict(rep.witness),
     }
 
 

@@ -44,7 +44,6 @@ from .kernel import (
     EQ_TOL,
     MACHINE_EPS,
     _on_rays,
-    in_gamma,
     principal_sqrt,
     require_finite,
 )
@@ -232,13 +231,14 @@ def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
       * Re w2n < Re w3n                       (ordering-w2-w3)
       * -Re w3n < Re w2n                      (ordering-w1-w2)
       * w2n + w3n != 0                        (w2-plus-w3-zero)
-      * 3 w3n^2 + w2n^2 off the open cut      (branch-cut / boundary-real-w3)
-      * principal_sqrt(3 w3n^2 + w2n^2)
+      * off the rays: principal_sqrt(3 w3n^2 + w2n^2)
           == w3n * principal_sqrt(3 + w^2)    (branch-incoherent)
+      * on the open rays: Im w3n != 0         (boundary-real-w3)
 
-    On the rays (on_boundary = True) the last condition is replaced by
-    Im w3n != 0, and the ratio comes from the boundary formula with a side
-    chosen by the sign of Im w3n. Bands on w2n and w3n are EQ_TOL * |w3n|.
+    On the rays (on_boundary = True, the kernel._on_rays band) the ratio
+    comes from the boundary formula with a side chosen by the sign of
+    Im w3n. Off that band 3 + w^2 stays off the branch cut, so no cut
+    condition is needed there. Bands on w2n and w3n are EQ_TOL * |w3n|.
     """
     w2n = require_finite(w2n, "w2n")
     w3n = require_finite(w3n, "w3n")
@@ -266,16 +266,12 @@ def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
             # real w3 on the open rays: critical points get equal real parts
             reasons.append("boundary-real-w3")
     else:
-        if in_gamma(d):
-            if abs(d) > EQ_TOL:
-                reasons.append("branch-cut")
-        else:
-            q = 3.0 * w3n * w3n + w2n * w2n
-            big = max(abs(w2n), abs(w3n))
-            if abs(q) > _COINCIDENCE * big * big:
-                rq = principal_sqrt(q)
-                if abs(rq - w3n * principal_sqrt(d)) >= abs(rq):
-                    reasons.append("branch-incoherent")
+        q = 3.0 * w3n * w3n + w2n * w2n
+        big = max(abs(w2n), abs(w3n))
+        if abs(q) > _COINCIDENCE * big * big:
+            rq = principal_sqrt(q)
+            if abs(rq - w3n * principal_sqrt(d)) >= abs(rq):
+                reasons.append("branch-incoherent")
 
     return AdmissibilityReport(not reasons, on_boundary, tuple(reasons))
 

@@ -6,7 +6,7 @@ On the cut itself we return the limit from the upper half plane, so
 principal_sqrt(-4) == 2j.
 
 Tolerance policy: every fuzzy comparison uses one of two fixed constants.
-EQ_TOL is the band for equality, ordering, cut and ray membership; IDENTITY_TOL
+EQ_TOL is the band for equality, ordering and ray membership; IDENTITY_TOL
 is the band on |sigma1 - sigma2| in the T4 equivalence check. Neither can be
 set by a caller. The input gate (cubic.order_roots) applies EQ_TOL to the
 scale-free configuration (lengths relative to the root triangle's diameter),
@@ -24,7 +24,6 @@ __all__ = [
     "IDENTITY_TOL",
     "SQRT3",
     "principal_sqrt",
-    "in_gamma",
     "require_finite",
 ]
 
@@ -33,8 +32,8 @@ SQRT3 = math.sqrt(3.0)
 #: ulp-scale constant used for cancellation-aware floors.
 MACHINE_EPS = 2.220446049250313e-16
 
-#: Equality band on dimensionless quantities: ties, ordering gaps, the
-#: branch cut and the excluded rays.
+#: Equality band on dimensionless quantities: ties, ordering gaps and the
+#: excluded rays.
 EQ_TOL = 1e-9
 
 #: Band on |sigma1 - sigma2| in the T4 equivalence check.
@@ -61,13 +60,9 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def in_gamma(z: complex) -> bool:
-    """Whether z lies on the branch cut (nonpositive reals, 0 included)."""
-    z = require_finite(z)
-    return abs(z.imag) <= EQ_TOL and z.real <= EQ_TOL
-
-
 def _on_rays(w):
-    """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3);
-    elementwise for a complex array."""
+    """Whether w lies on the excluded rays Re w = 0, |Im w| >= sqrt(3), where
+    3 + w^2 is on the branch cut; elementwise for a complex array. This one
+    band decides the rays for the input gate, the closed forms and the
+    datasets."""
     return (abs(w.real) <= EQ_TOL) & (abs(w.imag) >= SQRT3 - EQ_TOL)

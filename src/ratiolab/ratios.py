@@ -43,7 +43,7 @@ import numpy as np
 
 from .cubic import AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import EQ_TOL, SQRT3, in_gamma, principal_sqrt, require_finite
+from .kernel import EQ_TOL, SQRT3, _on_rays, principal_sqrt, require_finite
 
 __all__ = [
     "RatioPath",
@@ -85,15 +85,15 @@ def ratios_direct(c: OrderedCubic) -> RatioVector:
 
 
 def _root_term(w: complex) -> tuple[complex, complex, bool]:
-    """(w, R = sqrt(3 + w^2), whether w + 3 and R add), rejecting w on/near
-    the open excluded rays.
+    """(w, R = sqrt(3 + w^2), whether w + 3 and R add), rejecting w on the
+    open excluded rays (the _on_rays band).
 
     The ray tips +-i*sqrt(3) map to 3 + w^2 = 0 where the principal root is
     continuous, so they evaluate fine; only the open rays are rejected.
     """
     w = require_finite(w, "w")
     d = 3.0 + w * w
-    if in_gamma(d) and abs(d) > EQ_TOL:
+    if _on_rays(w) and abs(d) > EQ_TOL:
         raise OutsideDomainError(
             f"w={w!r} lies on the excluded rays; use the boundary formula"
         )

@@ -15,7 +15,7 @@ to_json) would; a row with a non-finite float, or with only some of its
 sigma cells, goes through those encoders so NaN and infinities keep their
 JSON spelling. to_json is the one JSON encoder of the package: every CLI
 output line goes through it. SampleRecord is the witness record of the
-claim reports.
+claim reports (w, sigma1, sigma2, path, classification), not a dataset row.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SampleRecord:
+    """The witness of a claim report: the five fields verify prints, in
+    the order it prints them."""
+
     w: complex
-    sigma1: Optional[complex]
-    sigma2: Optional[complex]
+    sigma1: complex
+    sigma2: complex
     path: str
     classification: str
-    reachable: bool
-    bounds_ok: Optional[bool]
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

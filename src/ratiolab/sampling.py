@@ -26,6 +26,12 @@ yielded when assess_admissibility accepts its normalized pair, on the rays
 exactly when it was drawn as a ray sample. Blocks do not depend on n, so a
 shorter run is a prefix of a longer one with the same seed.
 
+The four scalar samplers (hyperbolic, collinear, equilateral and
+near-equilateral) each draw root triples one at a time from a private
+candidate generator, the two equilateral ones from the same generator, and
+pass them through _gated: it yields order_roots of each triple and skips
+the triples order_roots rejects. n <= 0 yields nothing and draws nothing.
+
 The margins keep every accepted configuration far enough from the
 degenerate sets that the documented comparison tolerances hold with
 headroom.
@@ -34,6 +40,7 @@ headroom.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -125,21 +132,40 @@ def sample_ordered_cubics(n: int, rng: np.random.Generator) -> Iterator[OrderedC
                 return
 
 
-def sample_hyperbolic(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
-    """Yield n all-real-root configurations with comfortably distinct roots."""
-    produced = 0
-    while produced < n:
+def _gated(candidates: Iterator[tuple]) -> Iterator[OrderedCubic]:
+    """order_roots of each candidate root triple; triples it rejects are skipped."""
+    for roots in candidates:
+        try:
+            c = order_roots(*roots)
+        except UndefinedRatioError:
+            continue
+        yield c
+
+
+def _hyperbolic_roots(rng: np.random.Generator) -> Iterator[tuple]:
+    while True:
         xs = np.sort(rng.uniform(-10.0, 10.0, size=3))
         if xs[1] - xs[0] < 1e-3 or xs[2] - xs[1] < 1e-3:
             continue
         s = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
         off = rng.uniform(-5.0, 5.0) * s
-        try:
-            c = order_roots(xs[0] * s + off, xs[1] * s + off, xs[2] * s + off)
-        except UndefinedRatioError:
+        yield xs[0] * s + off, xs[1] * s + off, xs[2] * s + off
+
+
+def sample_hyperbolic(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
+    """Yield n all-real-root configurations with comfortably distinct roots."""
+    yield from islice(_gated(_hyperbolic_roots(rng)), max(n, 0))
+
+
+def _collinear_roots(rng: np.random.Generator) -> Iterator[tuple]:
+    while True:
+        xs = np.sort(rng.uniform(-5.0, 5.0, size=3))
+        if xs[1] - xs[0] < 1e-3 or xs[2] - xs[1] < 1e-3:
             continue
-        produced += 1
-        yield c
+        ang = rng.uniform(-1.2, 1.2)  # |angle| < pi/2 - margin
+        d = complex(math.cos(ang), math.sin(ang))
+        off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        yield off + d * xs[0], off + d * xs[1], off + d * xs[2]
 
 
 def sample_collinear(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
@@ -148,56 +174,31 @@ def sample_collinear(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]
     Roots are c + d * x_k for sorted reals x_k and a direction d kept away
     from vertical so the real parts stay distinct.
     """
-    produced = 0
-    while produced < n:
-        xs = np.sort(rng.uniform(-5.0, 5.0, size=3))
-        if xs[1] - xs[0] < 1e-3 or xs[2] - xs[1] < 1e-3:
-            continue
-        ang = rng.uniform(-1.2, 1.2)  # |angle| < pi/2 - margin
-        d = complex(math.cos(ang), math.sin(ang))
+    yield from islice(_gated(_collinear_roots(rng)), max(n, 0))
+
+
+def _equilateral_roots(rng: np.random.Generator, near: bool) -> Iterator[tuple]:
+    """Equilateral triples (w = +-i sqrt(3)); when near, w2 moves by a
+    log-uniform delta * w3, which shifts w parallel to the real axis."""
+    while True:
+        re3 = rng.uniform(0.5, 5.0)
+        im3 = rng.uniform(-1.0, 1.0) * re3 / (2.0 * SQRT3)
+        w3 = complex(re3, im3)
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        w2 = sign * SQRT3 * 1j * w3
+        if near:
+            delta = math.exp(rng.uniform(math.log(_DELTA_SPAN[0]), math.log(_DELTA_SPAN[1])))
+            w2 = w2 + delta * w3
         off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
-        try:
-            c = order_roots(off + d * xs[0], off + d * xs[1], off + d * xs[2])
-        except UndefinedRatioError:
-            continue
-        produced += 1
-        yield c
-
-
-def _equilateral_base(rng: np.random.Generator) -> tuple[complex, complex]:
-    re3 = rng.uniform(0.5, 5.0)
-    im3 = rng.uniform(-1.0, 1.0) * re3 / (2.0 * SQRT3)
-    w3 = complex(re3, im3)
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    return w3, sign * SQRT3 * 1j * w3
+        yield -w3 + off, w2 + off, w3 + off
 
 
 def sample_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n equilateral configurations (w = +-i sqrt(3), no vertical side)."""
-    produced = 0
-    while produced < n:
-        w3, w2 = _equilateral_base(rng)
-        off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
-        try:
-            c = order_roots(-w3 + off, w2 + off, w3 + off)
-        except UndefinedRatioError:
-            continue
-        produced += 1
-        yield c
+    yield from islice(_gated(_equilateral_roots(rng, near=False)), max(n, 0))
 
 
 def sample_near_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n slightly perturbed equilateral configurations (never exactly
     equilateral: w moves off +-i sqrt(3) parallel to the real axis)."""
-    produced = 0
-    while produced < n:
-        w3, w2 = _equilateral_base(rng)
-        delta = math.exp(rng.uniform(math.log(_DELTA_SPAN[0]), math.log(_DELTA_SPAN[1])))
-        w2 = w2 + delta * w3
-        off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
-        try:
-            c = order_roots(-w3 + off, w2 + off, w3 + off)
-        except UndefinedRatioError:
-            continue
-        produced += 1
-        yield c
+    yield from islice(_gated(_equilateral_roots(rng, near=True)), max(n, 0))

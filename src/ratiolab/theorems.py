@@ -23,6 +23,8 @@ violating configuration. The Monte Carlo pass of T1-T3 keeps its samples
 in one complex table (80 B per sample); each bound's margin is the minimum
 over the table, its witness the first sample at that minimum, and its
 verdict the bound's open or closed threshold applied to that minimum.
+T4, T5 and HYP check one report per configuration; the claim fails when
+any report fails, and its witness is the last failing configuration.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -99,16 +101,12 @@ class TheoremReport:
 
 
 def _witness(c: OrderedCubic, rv: RatioVector) -> SampleRecord:
-    n = normalize(c)
-    ok = all(r.passed for r in check_bounds(rv))
     return SampleRecord(
-        w=n.w,
+        w=normalize(c).w,
         sigma1=rv.sigma1,
         sigma2=rv.sigma2,
         path=rv.path.value,
         classification=classify_configuration(c).value,
-        reachable=True,
-        bounds_ok=ok,
     )
 
 
@@ -424,26 +422,10 @@ def sigma2_extremal_family(
 # aggregated claim runners
 
 
-@dataclass
-class _Agg:
-    witness: Optional[SampleRecord] = None
-    failed: bool = False
-
-    def check_each(
-        self,
-        cubics: Iterable[OrderedCubic],
-        check: Callable[[OrderedCubic], TheoremReport],
-    ) -> list[float]:
-        """Run check on every cubic; a failure marks the aggregate failed and
-        keeps its witness (the latest one wins). Returns the margins."""
-        margins = []
-        for c in cubics:
-            rep = check(c)
-            margins.append(rep.margin)
-            if not rep.passed:
-                self.failed = True
-                self.witness = rep.witness
-        return margins
+def _verdict(reports: list[TheoremReport]) -> tuple[bool, Optional[SampleRecord]]:
+    """Whether every report passed, and the witness of the last failing one."""
+    failed = [rep for rep in reports if not rep.passed]
+    return not failed, failed[-1].witness if failed else None
 
 
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -591,51 +573,47 @@ def _claims_t3(shared: dict) -> list[TheoremReport]:
 def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 4)
     n = max(1000, samples // 10)
-    agg = _Agg()
-    agg.check_each(sample_ordered_cubics(n, rng), check_equivalence_t4)
+    sampled = list(map(check_equivalence_t4, sample_ordered_cubics(n, rng)))
+    equilateral = list(map(check_equivalence_t4, sample_equilateral(200, rng)))
+    near = list(map(check_equivalence_t4, sample_near_equilateral(200, rng)))
+    # the proof witnesses w = +-i sqrt(3)
+    proof = [check_equivalence_t4(order_roots(-1.0, w2, 1.0)) for w2 in (SQRT3 * 1j, -SQRT3 * 1j)]
+    passed, witness = _verdict(sampled + equilateral + near + proof)
     # constructed equilateral cases must show exact equality (1e-10); the
     # T4 margin is |sigma1 - sigma2|
-    eq_worst = max(agg.check_each(sample_equilateral(200, rng), check_equivalence_t4))
-    agg.check_each(sample_near_equilateral(200, rng), check_equivalence_t4)
-    # the proof witness w = +-i sqrt(3)
-    for w2 in (SQRT3 * 1j, -SQRT3 * 1j):
-        c = order_roots(-1.0, w2, 1.0)
-        rv = ratios_direct(c)
-        eq_worst = max(eq_worst, abs(rv.sigma1 - rv.sigma2))
-        if classify_configuration(c) is not Configuration.EQUILATERAL:
-            agg.failed = True
-    ok = not agg.failed and eq_worst <= 1e-10
+    eq_worst = max(rep.margin for rep in equilateral + proof)
+    ok = passed and eq_worst <= 1e-10
     note = f"{n} random + 400 constructed; max |sigma1 - sigma2| on equilateral = {eq_worst:.3e}"
-    return [TheoremReport("T4", ok, agg.witness, eq_worst, note)]
+    return [TheoremReport("T4", ok, witness, eq_worst, note)]
 
 
 def _claims_t5(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 5)
     n = max(1000, samples // 10)
-    agg = _Agg()
-    agg.check_each(sample_ordered_cubics(n, rng), check_equivalence_t5)
+    reports = list(map(check_equivalence_t5, sample_ordered_cubics(n, rng)))
     collinear = list(sample_collinear(400, rng))
-    agg.check_each(collinear, check_equivalence_t5)
+    passed, witness = _verdict(reports + list(map(check_equivalence_t5, collinear)))
     col_worst = max(max(abs(rv.sigma1.imag), abs(rv.sigma2.imag)) for rv in map(ratios_direct, collinear))
     # on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never vanish,
     # so ray configurations never have a real ratio
     _, _, v1, v2 = boundary_uv(_ray_grid())
     ray_min = float(min(np.min(np.abs(v1)), np.min(np.abs(v2))))
-    ok = not agg.failed and col_worst <= 1e-10 and ray_min > 0.0
+    ok = passed and col_worst <= 1e-10 and ray_min > 0.0
     note = (
         f"{n} random + 400 collinear; max |Im sigma| on collinear = {col_worst:.3e}; "
         f"ray min |Im sigma1| = {ray_min:.3e}"
     )
-    return [TheoremReport("T5", ok, agg.witness, col_worst, note)]
+    return [TheoremReport("T5", ok, witness, col_worst, note)]
 
 
 def _claims_hyp(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 6)
     n = max(1000, samples // 10)
-    agg = _Agg()
-    margin = min(agg.check_each(sample_hyperbolic(n, rng), check_hyperbolic))
-    ok = not agg.failed and margin > 0.0
-    return [TheoremReport("HYP", ok, agg.witness if not ok else None, margin, f"{n} samples")]
+    reports = list(map(check_hyperbolic, sample_hyperbolic(n, rng)))
+    passed, witness = _verdict(reports)
+    margin = min(rep.margin for rep in reports)
+    ok = passed and margin > 0.0
+    return [TheoremReport("HYP", ok, witness, margin, f"{n} samples")]
 
 
 def run_claims(

@@ -285,13 +285,17 @@ def test_report_json_with_witness_parses():
     from ratiolab.records import SampleRecord, to_json
     from ratiolab.theorems import TheoremReport
 
-    wit = SampleRecord(0.5 + 2j, 0.1 + 0.2j, 0.4 - 0.1j, "interior", "generic", True, False)
+    wit = SampleRecord(0.5 + 2j, 0.1 + 0.2j, 0.4 - 0.1j, "interior", "generic")
     rep = TheoremReport("T1A", False, wit, -0.0125, 'synthetic "quoted" note')
     obj = json.loads(to_json(_report_fields(rep)))
     assert obj["claim"] == "T1A" and obj["passed"] is False
     assert obj["note"] == 'synthetic "quoted" note'
-    assert obj["witness"]["w"]["im"] == 2.0
+    # the witness object holds the record's five fields, in its order
+    assert list(obj["witness"]) == ["w", "sigma1", "sigma2", "path", "classification"]
+    assert obj["witness"]["w"] == {"re": 0.5, "im": 2.0}
     assert obj["witness"]["sigma2"]["re"] == 0.4
+    assert obj["witness"]["path"] == "interior"
+    assert obj["witness"]["classification"] == "generic"
     rep = TheoremReport("L1A", True, None, float("inf"), "")
     obj = json.loads(to_json(_report_fields(rep)))
     assert obj["margin"] == float("inf")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ratiolab import (
     SQRT3,
-    in_gamma,
     principal_sqrt,
 )
 from ratiolab.kernel import EQ_TOL, IDENTITY_TOL
@@ -90,14 +89,6 @@ def test_sqrt_conjugation_off_cut(re, im):
 def test_sqrt_of_square_recovers_right_half_plane(re, im):
     z = complex(re, im)
     assert abs(principal_sqrt(z * z) - z) <= 1e-12 * abs(z)
-
-
-def test_in_gamma_examples():
-    assert in_gamma(-5)
-    assert in_gamma(0)
-    assert not in_gamma(1 + 1j)
-    assert not in_gamma(1e-6)
-    assert in_gamma(complex(-1, 5e-10))
 
 
 def test_tolerance_validation():

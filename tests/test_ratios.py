@@ -79,6 +79,22 @@ def test_extensions_reject_open_rays():
             g_extension(w)
 
 
+def test_extensions_use_the_ray_band():
+    # the closed forms reject exactly the _on_rays band that the gate and
+    # the sweep use, which is wider than the cut band of 3 + w^2 there
+    # (Im(3 + w^2) = 1e-8 at 5e-10 + 10i); the tips +-i sqrt(3) evaluate
+    for w in (5e-10 + 10j, -5e-10 + 10j, 9e-10 + 2j):
+        assert _on_rays(w)
+        with pytest.raises(OutsideDomainError):
+            f_extension(w)
+        with pytest.raises(OutsideDomainError):
+            g_extension(w)
+    # 3 + w^2 rounds to 4.4e-16 there, so R is off by about 2e-8
+    for w, sigma in ((SQRT3 * 1j, EQUILATERAL_SIGMA), (-SQRT3 * 1j, EQUILATERAL_SIGMA.conjugate())):
+        assert abs(f_extension(w) - sigma) <= 1e-8
+        assert abs(g_extension(w) - sigma) <= 1e-8
+
+
 def _mp_closed_forms(w: complex) -> tuple[complex, complex]:
     """f(w), g(w) from the unrationalized quotients at 50 digits (1/2 at
     their removable points)."""

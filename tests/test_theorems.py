@@ -1,5 +1,6 @@
 import ast
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -413,7 +414,7 @@ def test_bounds_pass_fails_on_branch_incoherent_pair(monkeypatch):
     for cid in ("T1A", "T1E"):
         rep = reports[cid]
         assert not rep.passed and rep.margin == own[cid] < 0.0
-        assert rep.witness.w == normalize(planted).w and rep.witness.bounds_ok is False
+        assert rep.witness.w == normalize(planted).w
     assert -1e-3 < reports["T1A"].margin < -9e-4 and -1.2e-2 < reports["T1E"].margin < -1.1e-2
     assert all(reports[cid].passed for cid in ("T1B", "T2A", "T2B", "T2E", "T3"))
     assert strays == ([], [])
@@ -429,3 +430,19 @@ def test_bounds_pass_reports_stray_attainment(monkeypatch):
     _assert_matches_reference(reports, strays, cubics)
     assert not reports["T1B"].passed and reports["T1B"].witness.w == normalize(planted).w
     assert [rec.w for rec in strays[0]] == [normalize(planted).w] and strays[1] == []
+
+
+def test_t4_witness_is_the_last_failing_configuration(monkeypatch):
+    # two sampled triangles flagged as the gate's double critical point:
+    # T4 fails on both (equilateral by the flag, yet sigma1 != sigma2), and
+    # the report's witness is the later one
+    good = list(sample_ordered_cubics(1000, np.random.default_rng([7, 4])))
+    first, second = (dataclasses.replace(c, coincident=True) for c in good[:2])
+    cubics = good[2:300] + [first] + good[300:600] + [second] + good[600:]
+    assert not check_equivalence_t4(first).passed and not check_equivalence_t4(second).passed
+    monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
+    (rep,) = theorems._claims_t4(1000, 7)
+    assert not rep.passed
+    assert rep.witness == theorems._witness(second, ratios_direct(second))
+    assert rep.witness.w == normalize(second).w != normalize(first).w
+    assert rep.witness.classification == "equilateral"
