@@ -27,12 +27,21 @@ long as two guards for inputs the arithmetic cannot resolve stay quiet:
 root magnitudes above 1e100 or a diameter below 1e-100, and a root
 separation below 1e-12 of the largest magnitude (a small triangle far from
 the origin, whose shape the input's rounding has already blurred).
+
+order_roots_array, normalize_array and admissibility_mask are the same gate
+on whole blocks of configurations, for the sampler: each mirrors the body of
+its scalar form with kernel's bit-faithful complex helpers, so every row gets
+the scalar decision and the scalar values to the last bit. The scalar forms
+keep their own bodies, because a numpy call on one row costs about twenty
+times the scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     CriticalRealPartsEqualError,
@@ -43,6 +52,10 @@ from .errors import (
 from .kernel import (
     EQ_TOL,
     MACHINE_EPS,
+    _cabs,
+    _cmul,
+    _cquot,
+    _csqrt,
     _on_rays,
     principal_sqrt,
     require_finite,
@@ -53,7 +66,12 @@ __all__ = [
     "OrderedCubic",
     "NormalizedCubic",
     "AdmissibilityReport",
+    "GATE_REASONS",
+    "GATE_TABLE",
     "order_roots",
+    "order_roots_array",
+    "normalize_array",
+    "admissibility_mask",
     "critical_points_direct",
     "critical_points_bruteforce",
     "normalize",
@@ -121,6 +139,33 @@ class AdmissibilityReport:
 #: double critical point: either the EQ_TOL band on |z2 - z1| = (2/3)sqrt|q|,
 #: or accumulated cancellation noise in q itself, whichever is larger.
 _COINCIDENCE = max((1.5 * EQ_TOL) ** 2, 512.0 * MACHINE_EPS)
+
+
+#: The gate's reject reasons; bit k of a reasons mask stands for
+#: GATE_REASONS[k]. The first six are order_roots's checks in the order it
+#: makes them, each named for the error it raises there (three for
+#: ScaleGuardError); the rest are assess_admissibility's reason tags.
+GATE_REASONS = (
+    "root-magnitude",             # ScaleGuardError
+    "roots-not-distinct",         # RootsNotDistinctError
+    "root-diameter",              # ScaleGuardError
+    "root-separation",            # ScaleGuardError
+    "root-real-parts-equal",      # RootRealPartsEqualError
+    "critical-real-parts-equal",  # CriticalRealPartsEqualError
+    "w3-real-part-not-positive",
+    "ordering-w2-w3",
+    "ordering-w1-w2",
+    "w2-plus-w3-zero",
+    "boundary-real-w3",
+    "branch-incoherent",
+)
+_BIT = {tag: 1 << k for k, tag in enumerate(GATE_REASONS)}
+
+#: Row type of order_roots_array's table: the fields of OrderedCubic.
+GATE_TABLE = np.dtype(
+    [(name, complex) for name in ("w1", "w2", "w3", "z1", "z2")] + [("coincident", bool)],
+    align=True,
+)
 
 
 def _radicand(w1: complex, w2: complex, w3: complex) -> tuple[complex, complex, complex]:
@@ -215,12 +260,68 @@ def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     return OrderedCubic(w1, w2, w3, z1, z2, False)
 
 
+def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
+    """order_roots on each row of an (n, 3) complex array, bit for bit.
+
+    Returns (table, reasons). table holds a GATE_TABLE row per input row,
+    the OrderedCubic that order_roots returns; reasons holds 0 there, or
+    else the GATE_REASONS bit of the error order_roots raises, and the row's
+    table values mean nothing. Raises ValueError on a non-finite root, as
+    order_roots does.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    if not np.isfinite(roots).all():
+        raise ValueError("roots must have finite components")
+    ws = np.take_along_axis(roots, np.argsort(roots.real, axis=1, kind="stable"), axis=1)
+    w1, w2, w3 = ws.T
+    # rejected rows may overflow or divide by zero; their values are unused
+    with np.errstate(all="ignore"):
+        mag = np.maximum(np.maximum(_cabs(w1), _cabs(w2)), _cabs(w3))
+        d12, d13, d23 = _cabs(w1 - w2), _cabs(w1 - w3), _cabs(w2 - w3)
+        sep = np.minimum(np.minimum(d12, d13), d23)
+        diam = np.maximum(np.maximum(d12, d13), d23)
+        band = EQ_TOL * diam
+
+        s = w1 + w2 + w3
+        m = _cquot(s, 3.0)
+        u1, u2, u3 = w1 - m, w2 - m, w3 - m
+        q = (_cmul(u1, u1) + _cmul(u2, u2) + _cmul(u3, u3)
+             - _cmul(u1, u2) - _cmul(u1, u3) - _cmul(u2, u3))
+        coincident = _cabs(q) <= _COINCIDENCE * diam * diam
+        r = _csqrt(q)
+        z1 = np.where(coincident, m, _cquot(s - r, 3.0))
+        z2 = np.where(coincident, m, _cquot(s + r, 3.0))
+
+        failed = (  # in order_roots's order, one per GATE_REASONS bit
+            mag > MAX_ROOT_MAGNITUDE,
+            sep <= band,
+            diam < MIN_ROOT_DIAMETER,
+            sep / mag < MIN_SEPARATION_RATIO,
+            (w2.real - w1.real <= band) | (w3.real - w2.real <= band),
+            ~coincident & (z2.real - z1.real <= band),
+        )
+    reasons = np.zeros(len(ws), dtype=np.uint16)
+    for k in reversed(range(len(failed))):  # the first failing check wins
+        reasons[failed[k]] = 1 << k
+    table = np.empty(len(ws), dtype=GATE_TABLE)
+    for name, column in zip(GATE_TABLE.names, (w1, w2, w3, z1, z2, coincident)):
+        table[name] = column
+    return table, reasons
+
+
 def normalize(c: OrderedCubic) -> NormalizedCubic:
     """Translate so that w1 + w3 = 0; the ratio vector is unchanged."""
     offset = (c.w1 + c.w3) / 2.0
     w2n = c.w2 - offset
     w3n = c.w3 - offset
     return NormalizedCubic(w2n=w2n, w3n=w3n, offset=offset, w=w2n / w3n)
+
+
+def normalize_array(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w2n, w3n) of normalize on each row of an order_roots_array table,
+    bit for bit."""
+    offset = _cquot(table["w1"] + table["w3"], 2.0)
+    return table["w2"] - offset, table["w3"] - offset
 
 
 def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
@@ -274,6 +375,43 @@ def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
                 reasons.append("branch-incoherent")
 
     return AdmissibilityReport(not reasons, on_boundary, tuple(reasons))
+
+
+def admissibility_mask(w2n, w3n) -> tuple[np.ndarray, np.ndarray]:
+    """assess_admissibility on complex arrays, bit for bit.
+
+    Returns (reasons, on_boundary): reasons holds the GATE_REASONS bits of
+    the tags the report lists, so 0 marks an admissible pair. Raises
+    ValueError on a non-finite component, as assess_admissibility does.
+    """
+    w2n = np.asarray(w2n, dtype=complex)
+    w3n = np.asarray(w3n, dtype=complex)
+    if not (np.isfinite(w2n).all() and np.isfinite(w3n).all()):
+        raise ValueError("w2n and w3n must have finite components")
+    # rows with w3n == 0 divide by zero; they keep only the first four tags
+    with np.errstate(all="ignore"):
+        band = EQ_TOL * _cabs(w3n)
+        formed = w3n != 0
+        w = _cquot(w2n, w3n)
+        d = 3.0 + _cmul(w, w)
+        on_boundary = formed & _on_rays(w)
+        q = _cmul(_cmul(3.0, w3n), w3n) + _cmul(w2n, w2n)
+        big = np.maximum(_cabs(w2n), _cabs(w3n))
+        rq = _csqrt(q)
+        wraps = (_cabs(q) > _COINCIDENCE * big * big) & (
+            _cabs(rq - _cmul(w3n, _csqrt(d))) >= _cabs(rq))
+        tags = {
+            "w3-real-part-not-positive": w3n.real <= band,
+            "ordering-w2-w3": w3n.real - w2n.real <= band,
+            "ordering-w1-w2": w2n.real + w3n.real <= band,
+            "w2-plus-w3-zero": _cabs(w2n + w3n) <= band,
+            "boundary-real-w3": on_boundary & (_cabs(d) > EQ_TOL) & (np.abs(w3n.imag) <= band),
+            "branch-incoherent": formed & ~on_boundary & wraps,
+        }
+    reasons = np.zeros(w3n.shape, dtype=np.uint16)
+    for tag, hit in tags.items():
+        reasons[hit] |= _BIT[tag]
+    return reasons, on_boundary
 
 
 def classify_configuration(c: OrderedCubic) -> Configuration:

@@ -43,12 +43,13 @@ import numpy as np
 
 from .cubic import AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import EQ_TOL, SQRT3, _on_rays, principal_sqrt, require_finite
+from .kernel import EQ_TOL, SQRT3, _cquot, _on_rays, principal_sqrt, require_finite
 
 __all__ = [
     "RatioPath",
     "RatioVector",
     "ratios_direct",
+    "ratios_direct_array",
     "f_extension",
     "g_extension",
     "closed_forms_array",
@@ -82,6 +83,13 @@ def ratios_direct(c: OrderedCubic) -> RatioVector:
     s1 = (c.z1 - c.w1) / (c.w2 - c.w1)
     s2 = (c.z2 - c.w2) / (c.w3 - c.w2)
     return RatioVector(s1, s2, RatioPath.COINCIDENT if c.coincident else RatioPath.DIRECT)
+
+
+def ratios_direct_array(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma1, sigma2) of ratios_direct on each row of a
+    cubic.order_roots_array table, bit for bit."""
+    w1, w2, w3 = table["w1"], table["w2"], table["w3"]
+    return _cquot(table["z1"] - w1, w2 - w1), _cquot(table["z2"] - w2, w3 - w2)
 
 
 def _root_term(w: complex) -> tuple[complex, complex, bool]:

@@ -20,11 +20,14 @@ Im w3 = 0. There is no rejection loop and no fixed floor on the components
 of w3, so ray samples reach |t| = 1e3.
 
 The cheap filters (real-part ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4
-at pair scale, |w -+ 1| >= 1e-6) run as array masks. Each surviving
-candidate is scaled, translated and passed to the scalar order_roots; it is
-yielded when assess_admissibility accepts its normalized pair, on the rays
-exactly when it was drawn as a ray sample. Blocks do not depend on n, so a
-shorter run is a prefix of a longer one with the same seed.
+at pair scale, |w -+ 1| >= 1e-6) run as array masks. The surviving
+candidates are scaled and translated, and the whole block goes through the
+array gate (order_roots_array, normalize_array, admissibility_mask), which
+decides each row as the scalar order_roots and assess_admissibility would;
+a row is kept when it is admissible, on the rays exactly when it was drawn
+as a ray sample. The T1-T3 pass reads these gate tables directly, and
+sample_ordered_cubics yields an OrderedCubic per row. Blocks do not depend
+on n, so a shorter run is a prefix of a longer one with the same seed.
 
 The four scalar samplers (hyperbolic, collinear, equilateral and
 near-equilateral) each draw root triples one at a time from a private
@@ -45,7 +48,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .cubic import OrderedCubic, assess_admissibility, normalize, order_roots
+from .cubic import (
+    OrderedCubic,
+    admissibility_mask,
+    normalize_array,
+    order_roots,
+    order_roots_array,
+)
 from .errors import UndefinedRatioError
 from .kernel import SQRT3
 
@@ -71,9 +80,9 @@ def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.where(rng.uniform(size=size) < 0.5, 1.0, -1.0)
 
 
-def _candidate_block(rng: np.random.Generator):
-    """One block of candidates: the root triples that pass the array masks,
-    each with whether it was drawn as a ray sample."""
+def _candidate_block(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One block of candidates: the (k, 3) root triples that pass the
+    array masks, and whether each was drawn as a ray sample."""
     on_ray = rng.uniform(size=_BLOCK) < _BOUNDARY_FRACTION
     s = np.exp(rng.uniform(math.log(_SCALE_SPAN[0]), math.log(_SCALE_SPAN[1]), _BLOCK))
     off = (rng.uniform(-5.0, 5.0, _BLOCK) + 1j * rng.uniform(-5.0, 5.0, _BLOCK)) * s
@@ -105,31 +114,30 @@ def _candidate_block(rng: np.random.Generator):
         & (np.abs(w + 1.0) >= _W_MARGIN) & (np.abs(w - 1.0) >= _W_MARGIN)
     )
     s, off, w2, w3 = s[keep], off[keep], w2[keep], w3[keep]
-    return zip(
-        (-w3 * s + off).tolist(),
-        (w2 * s + off).tolist(),
-        (w3 * s + off).tolist(),
-        on_ray[keep].tolist(),
-    )
+    roots = np.stack((-w3 * s + off, w2 * s + off, w3 * s + off), axis=1)
+    return roots, on_ray[keep]
+
+
+def _admissible_blocks(n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """GATE_TABLE blocks of admissible configurations, n rows in all: the
+    rows of each candidate block that pass the array gate, on the rays
+    exactly when drawn as ray samples."""
+    produced = 0
+    while produced < n:
+        roots, ray = _candidate_block(rng)
+        table, reasons = order_roots_array(roots)
+        table, ray = table[reasons == 0], ray[reasons == 0]
+        tags, on_boundary = admissibility_mask(*normalize_array(table))
+        block = table[(tags == 0) & (on_boundary == ray)][: n - produced]
+        produced += len(block)
+        yield block
 
 
 def sample_ordered_cubics(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n admissible configurations, mixing interior and ray samples."""
-    produced = 0
-    while produced < n:
-        for r1, r2, r3, ray in _candidate_block(rng):
-            try:
-                c = order_roots(r1, r2, r3)
-            except UndefinedRatioError:
-                continue
-            nc = normalize(c)
-            report = assess_admissibility(nc.w2n, nc.w3n)
-            if not report.admissible or report.on_boundary != ray:
-                continue
-            yield c
-            produced += 1
-            if produced == n:
-                return
+    for block in _admissible_blocks(n, rng):
+        for row in block.tolist():
+            yield OrderedCubic(*row)
 
 
 def _gated(candidates: Iterator[tuple]) -> Iterator[OrderedCubic]:

@@ -44,16 +44,18 @@ from .cubic import (
     order_roots,
 )
 from .errors import BadParameterError, BadRangeError, ConstraintViolatedError, NotHyperbolicError
-from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3
+from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, _cabs
 from .ratios import (
     RatioVector,
     boundary_modulus_sq,
     boundary_sigma_diff,
     boundary_uv,
     ratios_direct,
+    ratios_direct_array,
 )
 from .records import SampleRecord
 from .sampling import (
+    _admissible_blocks,
     sample_collinear,
     sample_equilateral,
     sample_hyperbolic,
@@ -122,7 +124,7 @@ _NO_WITNESS = (None,) * len(_BOUND_IDS)
 def _bound_margins(s1, s2, minimum, modulus):
     """The signed margins of _BOUND_IDS. s1 and s2 are complex scalars
     (minimum = min, modulus = abs) or complex arrays (np.minimum,
-    _modulus_array)."""
+    kernel._cabs)."""
     two_thirds = 2.0 / 3.0
     return (
         minimum(s1.real, two_thirds - s1.real),
@@ -142,12 +144,6 @@ def _bound_verdicts(margins):
     return (t1a > 0.0, t1b >= lo, t1e >= lo, t2a > 0.0, t2b >= lo, t2e >= lo, t3 >= lo)
 
 
-def _modulus_array(z: np.ndarray) -> np.ndarray:
-    # np.hypot is the libm hypot behind abs(complex); np.abs rounds
-    # differently in about a third of cases
-    return np.hypot(z.real, z.imag)
-
-
 def check_bounds(r: RatioVector) -> list[TheoremReport]:
     """Signed margins for the seven per-sample bound claims.
 
@@ -161,7 +157,7 @@ def check_bounds(r: RatioVector) -> list[TheoremReport]:
 def bounds_mask(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Elementwise all(rep.passed for rep in check_bounds(...)) on complex
     arrays of sigma1 and sigma2."""
-    margins = _bound_margins(s1, s2, np.minimum, _modulus_array)
+    margins = _bound_margins(s1, s2, np.minimum, _cabs)
     return np.logical_and.reduce(_bound_verdicts(margins))
 
 
@@ -438,6 +434,20 @@ def _row_witness(row: np.ndarray) -> SampleRecord:
     return _witness(c, ratios_direct(c))
 
 
+def _bounds_table(samples: int, rng: np.random.Generator) -> np.ndarray:
+    """A (samples, 5) complex table of rows (w1, w2, w3, sigma1, sigma2),
+    one per configuration sample_ordered_cubics would yield, filled from the
+    sampler's gate tables."""
+    table = np.empty((samples, 5), dtype=complex)
+    start = 0
+    for block in _admissible_blocks(samples, rng):
+        rows = table[start:start + len(block)]
+        rows[:, 0], rows[:, 1], rows[:, 2] = block["w1"], block["w2"], block["w3"]
+        rows[:, 3], rows[:, 4] = ratios_direct_array(block)
+        start += len(block)
+    return table
+
+
 def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], tuple[list, list]]:
     """One Monte Carlo pass: the reports of _BOUND_IDS and the witnesses of
     stray attainments of |Im sigma1| and |Im sigma2| = 1/3 (T1C/T1D, T2C/T2D).
@@ -447,11 +457,8 @@ def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], t
     _bound_verdicts on the minima says whether every sample passes, since
     each verdict is a threshold on one margin (a NaN margin is the minimum).
     """
-    table = np.empty((samples, 5), dtype=complex)
-    for row, c in zip(table, sample_ordered_cubics(samples, _rng_for(seed, 1))):
-        rv = ratios_direct(c)
-        row[:] = (c.w1, c.w2, c.w3, rv.sigma1, rv.sigma2)
-    margins = _bound_margins(table[:, 3], table[:, 4], np.minimum, _modulus_array)
+    table = _bounds_table(samples, _rng_for(seed, 1))
+    margins = _bound_margins(table[:, 3], table[:, 4], np.minimum, _cabs)
     minima = [float(m.min()) for m in margins]
     note = f"{samples} samples"
     reports = {

@@ -20,7 +20,8 @@ from ratiolab import (
     order_roots,
     ratios_direct,
 )
-from ratiolab.sampling import sample_ordered_cubics
+from ratiolab.cubic import GATE_REASONS, admissibility_mask, normalize_array, order_roots_array
+from ratiolab.sampling import _candidate_block, sample_ordered_cubics
 
 INV_SQRT3 = 1.0 / SQRT3
 
@@ -335,3 +336,171 @@ def test_classification_examples():
     assert classify_configuration(near) is Configuration.GENERIC
     rv = ratios_direct(near)
     assert abs(rv.sigma1 - rv.sigma2) > 1e-6
+
+
+# The array gate against the scalar gate, row by row: the same decision,
+# the reason bit of the same error or tags, and the same bits in every value.
+
+_ERROR_REASONS = {
+    RootsNotDistinctError: "roots-not-distinct",
+    RootRealPartsEqualError: "root-real-parts-equal",
+    CriticalRealPartsEqualError: "critical-real-parts-equal",
+}
+_GUARD_REASONS = {
+    "root magnitude": "root-magnitude",
+    "root diameter": "root-diameter",
+    "root separation": "root-separation",
+}
+
+
+def _reason_of(exc):
+    if isinstance(exc, ScaleGuardError):
+        return next(tag for msg, tag in _GUARD_REASONS.items() if str(exc).startswith(msg))
+    return _ERROR_REASONS[type(exc)]
+
+
+def _mask(tags):
+    return sum(1 << GATE_REASONS.index(tag) for tag in tags)
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).view(np.uint64)
+
+
+_BRANCH_W2 = -1.144943420509371 + 8.6203463196231j  # the README's pair
+_BRANCH_W3 = 2.6620365926506335 + 0.7786881524437383j
+_M0 = complex(-1.0, -0.0)
+
+
+def _hand_placed_roots():
+    """Root triples in every band of the gate."""
+    band = 2e-9  # EQ_TOL times the diameter 2 of most rows below
+    rows = [
+        (0, -1, 1), (0, 1j, 1), (1, 1, 0), (0, 1e-12, 1), (0.0, 1e20, 1e20 + 1e5),
+        # each scale guard
+        (-1e101, 0, 1e101), (-1e-200, 0.3e-200 + 0.5e-200j, 1e-200),
+        (1e6 - 1e-7, 1e6, 1e6 + 1e-7), (-1e100, 3j, 1e100), (-1e-100, 1e-101j, 1e-100),
+        # on the rays, real w3: critical real parts tie; the tips +-i sqrt(3)
+        (-1, 2j, 1), (-1, -5j, 1), (-1, SQRT3 * 1j, 1), (-1, -SQRT3 * 1j, 1),
+        (-2 - 1j, SQRT3 * 1j * (2 + 1j), 2 + 1j),
+        # on the rays with complex w3, inside and left of the ordering
+        (-(3 + 1j), 2j * (3 + 1j), 3 + 1j), (-(1 + 1j), 2j * (1 + 1j), 1 + 1j),
+        # near-equilateral and exactly coincident
+        (-1, 2e-10 + 1.7320508075688772j, 1), (-1, 1e-8 + SQRT3 * 1j, 1),
+        (-4 - 1j, -2 + 8j, 4 + 1j), (-1 - 1j, 0, 1 + 1j), (-1, 0.2, 1),
+        (-_BRANCH_W3, _BRANCH_W2, _BRANCH_W3),
+        (-3.1348651577320052 + 1.789596054354937j, 3.1348651577320052 + 9.238696826921835j,
+         4.664688529761268 - 1.789596054354937j),
+        # signed zeros
+        (_M0, complex(-0.0, 2.0), complex(1.0, -0.0)), (_M0, complex(0.2, -0.0), complex(1.0, -0.0)),
+        (complex(-0.0, -0.0), complex(1.0, -0.0), complex(2.0, -1.0)),
+        (complex(-1.0, 0.5), complex(-0.0, 0.0), complex(1.0, -0.5)),
+    ]
+    # ties and near +-1: real-part gaps and root separations on either
+    # side of the band EQ_TOL * diameter
+    for k in (0.5, 0.999, 1.0, 1.001, 2.0):
+        rows += [
+            (-1, -1 + k * band + 1j, 1), (-1, 1 - k * band - 1j, 1),
+            (-1, 1 - k * band, 1), (-1, -1 + k * band, 1), (-1, 1 - k * band * 1j, 1),
+            (-1, 0.5 + 1.5j, 1 + k * band * 1j), (-1 + 0.3j, 0.4j + k * band, 1),
+        ]
+    return np.array(rows, dtype=complex)
+
+
+def _raw_candidates(count):
+    """Raw sampler candidates, rejects included: about count root triples."""
+    rng = np.random.default_rng(20261018)
+    blocks, total = [], 0
+    while total < count:
+        roots, _ = _candidate_block(rng)
+        blocks.append(roots)
+        total += len(roots)
+    return np.concatenate(blocks)
+
+
+def _scalar_gate(roots):
+    """order_roots, normalize and assess_admissibility row by row: the
+    reasons mask of each row, and for the rows order_roots accepts their
+    values, their normalized pairs, admissibility masks and ray flags."""
+    reasons, values, coincident, pairs, adm, on_boundary = [], [], [], [], [], []
+    for row in roots.tolist():
+        try:
+            c = order_roots(*row)
+        except UndefinedRatioError as exc:
+            reasons.append(_mask([_reason_of(exc)]))
+            continue
+        reasons.append(0)
+        values.append((c.w1, c.w2, c.w3, c.z1, c.z2))
+        coincident.append(c.coincident)
+        nc = normalize(c)
+        pairs.append((nc.w2n, nc.w3n))
+        rep = assess_admissibility(nc.w2n, nc.w3n)
+        adm.append(_mask(rep.reasons))
+        on_boundary.append(rep.on_boundary)
+    return reasons, values, coincident, pairs, adm, on_boundary
+
+
+def _assert_gate_matches_scalar(roots):
+    reasons, values, coincident, pairs, adm, on_boundary = _scalar_gate(roots)
+    table, got_reasons = order_roots_array(roots)
+    assert got_reasons.tolist() == reasons
+    accepted = table[got_reasons == 0]
+    got_values = np.stack([accepted[f] for f in ("w1", "w2", "w3", "z1", "z2")], axis=1)
+    assert np.array_equal(_bits(got_values), _bits(values).reshape(-1, 10))
+    assert accepted["coincident"].tolist() == coincident
+    got_pairs = np.stack(normalize_array(accepted), axis=1)
+    assert np.array_equal(_bits(got_pairs), _bits(pairs).reshape(-1, 4))
+    got_adm, got_on_boundary = admissibility_mask(*got_pairs.T)
+    assert got_adm.tolist() == adm
+    assert got_on_boundary.tolist() == on_boundary
+    return got_reasons, got_adm
+
+
+def test_array_gate_matches_scalar_gate_on_hand_placed_rows():
+    roots = _hand_placed_roots()
+    reasons, adm = _assert_gate_matches_scalar(roots)
+    # the rows reach every order_roots check
+    assert {_mask([tag]) for tag in GATE_REASONS[:6]} <= set(reasons.tolist())
+    assert np.count_nonzero(reasons == 0) >= 10
+    # translated and scaled copies stay in their bands
+    _assert_gate_matches_scalar(roots * 1e-3 + (2.5 - 7j))
+    _assert_gate_matches_scalar(roots[:, ::-1] * 1e40)
+
+
+def test_array_gate_matches_scalar_gate_on_sampler_candidates():
+    roots = _raw_candidates(100_000)
+    reasons, adm = _assert_gate_matches_scalar(roots)
+    # the sampler's array masks pass only well-ordered triples, so the
+    # rejects among them are assess_admissibility's branch-incoherent pairs
+    assert len(roots) >= 100_000 and (adm == _mask(["branch-incoherent"])).sum() > 100
+
+
+def test_admissibility_mask_matches_scalar_on_hand_placed_pairs():
+    pairs = [
+        (0, 1), (2j, 1), (2j * (3 + 1j), 3 + 1j), (2j * (1 + 1j), 1 + 1j), (5, 1), (-5, 1),
+        (0, -1), (0, 0), (1, 0), (-1, 1), (1, 1), (-1 + 1e-10, 1), (_BRANCH_W2, _BRANCH_W3),
+        (SQRT3 * 1j, 1), (-SQRT3 * 1j * (2 + 1j), 2 + 1j), (1.999e-9j, 1), (2j, 1 + 1e-10j),
+        (complex(-0.0, 2.0), complex(1.0, -0.0)), (complex(0.5, -0.0), complex(-0.0, -0.0)),
+        (complex(0.3, 0.4), complex(1.0, -0.0)), (3.1348651577320052 + 9.238696826921835j,
+                                                  4.664688529761268 - 1.789596054354937j),
+    ]
+    w2n, w3n = (np.array(col, dtype=complex) for col in zip(*pairs))
+    adm, on_boundary = admissibility_mask(w2n, w3n)
+    seen = set()
+    for i, (a, b) in enumerate(pairs):
+        rep = assess_admissibility(a, b)
+        assert adm[i] == _mask(rep.reasons) and on_boundary[i] == rep.on_boundary, (a, b)
+        seen.update(rep.reasons)
+    assert seen == set(GATE_REASONS[6:])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_array_gate_rejects_nonfinite_input(bad):
+    with pytest.raises(ValueError):
+        order_roots(-1, bad, 1)
+    with pytest.raises(ValueError):
+        order_roots_array(np.array([[-1, 0.5j, 1], [-1, bad, 1]]))
+    with pytest.raises(ValueError):
+        assess_admissibility(bad, 1)
+    with pytest.raises(ValueError):
+        admissibility_mask(np.array([0.5, bad]), np.array([1.0, 1.0]))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from ratiolab import (
     SQRT3,
     principal_sqrt,
 )
-from ratiolab.kernel import EQ_TOL, IDENTITY_TOL
+from ratiolab.kernel import EQ_TOL, IDENTITY_TOL, _cabs, _cmul, _complex, _cquot, _csqrt
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -99,3 +100,101 @@ def test_tolerance_validation():
 def test_sqrt3_constant():
     assert SQRT3 == math.sqrt(3.0)
     assert cmath.isclose(SQRT3 * SQRT3, 3.0, rel_tol=1e-15)
+
+
+# The array helpers behind the array gate must reproduce CPython's complex
+# arithmetic bit for bit, signs of zero included.
+
+
+def _bits(z):
+    """The raw bits of a complex array: two uint64 words per value."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+def _random_complex(rng, n):
+    """Parts of both signs with magnitudes spread over 1e-30 .. 1e30."""
+    parts = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-30.0, 30.0, (2, n))
+    return _complex(*parts)
+
+
+_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308, 2.2250738585072014e-308,
+          1.0, -1.0, 3.0, -2.5, 1e200, -1.3e200)
+# every pair of planted parts: signed zeros, subnormals, DBL_MIN, 1e200
+_PLANTED = np.array([complex(x, y) for x in _PARTS for y in _PARTS])
+
+
+def _operands():
+    rng = np.random.default_rng(20261018)
+    a, b = _random_complex(rng, 100_000), _random_complex(rng, 100_000)
+    pa, pb = np.repeat(_PLANTED, len(_PLANTED)), np.tile(_PLANTED, len(_PLANTED))
+    return np.concatenate([a, pa]), np.concatenate([b, pb])
+
+
+def _cpython(op, a, b):
+    """op on Python complex values, row by row; rows whose result CPython
+    does not give as a finite complex (overflow, division by zero) are
+    dropped from a, b and the result."""
+    out, keep = [], []
+    for x, y in zip(a.tolist(), b.tolist()):
+        try:
+            z = op(x, y)
+        except ZeroDivisionError:
+            keep.append(False)
+            continue
+        keep.append(cmath.isfinite(z))
+        if keep[-1]:
+            out.append(z)
+    keep = np.array(keep)
+    return a[keep], b[keep], np.array(out, dtype=complex)
+
+
+@pytest.mark.parametrize("name, op, helper", [
+    ("mul", lambda x, y: x * y, _cmul),
+    ("quot", lambda x, y: x / y, _cquot),
+    ("real-mul", lambda x, y: 3.0 * y, lambda a, b: _cmul(3.0, b)),
+    ("real-quot", lambda x, y: x / 3.0, lambda a, b: _cquot(a, 3.0)),
+    ("real-quot-2", lambda x, y: x / 2.0, lambda a, b: _cquot(a, 2.0)),
+    ("add", lambda x, y: x + y, lambda a, b: a + b),
+    ("sub", lambda x, y: x - y, lambda a, b: a - b),
+    ("real-add", lambda x, y: 3.0 + x, lambda a, b: 3.0 + a),
+])
+def test_binary_helpers_match_cpython_bit_for_bit(name, op, helper):
+    a, b, expected = _cpython(op, *_operands())
+    assert len(expected) > 100_000
+    with np.errstate(all="ignore"):
+        got = helper(a, b)
+    assert np.array_equal(_bits(got), _bits(expected)), name
+
+
+def test_quotient_takes_both_smith_branches():
+    # the planted divisors include pure real, pure imaginary and |re| = |im|
+    # (a tie divides by the real part); random ones take both branches
+    _, b = _operands()
+    by_imag = np.abs(b.real) < np.abs(b.imag)
+    assert by_imag.any() and (~by_imag & (b != 0)).any()
+    assert ((b.real == 0) & (b.imag != 0)).any() and ((b.imag == 0) & (b.real != 0)).any()
+    assert (np.abs(b.real) == np.abs(b.imag)).any()
+
+
+def test_abs_and_sqrt_match_cpython_bit_for_bit():
+    a, _ = _operands()
+    values = a.tolist()
+    assert np.array_equal(_cabs(a).view(np.uint64),
+                          np.array([abs(z) for z in values]).view(np.uint64))
+    assert np.array_equal(_bits(_csqrt(a)), _bits([principal_sqrt(z) for z in values]))
+    # cmath.sqrt's scaled path: both parts below DBL_MIN, zero excepted
+    tiny = (np.abs(a.real) < 2.2250738585072014e-308) & (np.abs(a.imag) < 2.2250738585072014e-308)
+    assert (tiny & (a != 0)).sum() >= 20
+
+
+def test_numpy_complex_division_is_not_bit_faithful():
+    # numpy divides by multiplying with a reciprocal, so its quotients, by a
+    # complex or by 3.0, are not CPython's; that is why _cquot exists. Its
+    # products may differ as well (they do with numpy 2.4's AVX-512 loops),
+    # but that depends on the loops the CPU selects, so it is not asserted
+    rng = np.random.default_rng(20261018)
+    a, b = _random_complex(rng, 10_000), _random_complex(rng, 10_000)
+    quotients = [x / y for x, y in zip(a.tolist(), b.tolist())]
+    thirds = [x / 3.0 for x in a.tolist()]
+    assert (_bits(a / b) != _bits(quotients)).any()
+    assert (_bits(a / 3.0) != _bits(thirds)).any()

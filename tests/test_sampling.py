@@ -4,9 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from ratiolab import SQRT3, UndefinedRatioError, assess_admissibility, normalize, order_roots
+from ratiolab import (
+    SQRT3,
+    UndefinedRatioError,
+    assess_admissibility,
+    normalize,
+    order_roots,
+    ratios_direct,
+    theorems,
+)
 from ratiolab.sampling import (
     _BLOCK,
+    _candidate_block,
     sample_collinear,
     sample_equilateral,
     sample_hyperbolic,
@@ -64,6 +73,44 @@ def test_ray_samples_cover_t_range(batch):
     ts = [abs(w.imag) for rep, w in batch if rep.on_boundary]
     assert max(ts) > 500.0
     assert min(ts) < 1.8
+
+
+def _reference_ordered_cubics(n, rng):
+    """sample_ordered_cubics as a scalar loop: each candidate of a block
+    through order_roots, normalize and assess_admissibility, stopping as
+    soon as n configurations are out."""
+    produced = 0
+    while produced < n:
+        roots, rays = _candidate_block(rng)
+        for (r1, r2, r3), ray in zip(roots.tolist(), rays.tolist()):
+            try:
+                c = order_roots(r1, r2, r3)
+            except UndefinedRatioError:
+                continue
+            nc = normalize(c)
+            report = assess_admissibility(nc.w2n, nc.w3n)
+            if not report.admissible or report.on_boundary != ray:
+                continue
+            yield c
+            produced += 1
+            if produced == n:
+                return
+
+
+@pytest.mark.parametrize("seed", [0, 1729, 2026])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, N])
+def test_ordered_cubics_match_scalar_gate_loop(n, seed):
+    # the array gate keeps the configurations the scalar gate keeps, with
+    # the same bits (repr tells every finite float apart, signed zeros too),
+    # and draws the same blocks
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = list(_reference_ordered_cubics(n, ref_rng))
+    assert list(map(repr, sample_ordered_cubics(n, rng))) == list(map(repr, expected))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the T1-T3 table is the scalar ratios_direct fill of these cubics
+    table = theorems._bounds_table(n, np.random.default_rng(seed))
+    ref = [(c.w1, c.w2, c.w3, rv.sigma1, rv.sigma2) for c, rv in zip(expected, map(ratios_direct, expected))]
+    assert np.array_equal(table.view(np.uint64), np.array(ref, dtype=complex).reshape(n, 5).view(np.uint64))
 
 
 # Reference loops for the four scalar samplers: one rejection loop each

@@ -33,6 +33,7 @@ from ratiolab import (
     sigma2_extremal_family,
 )
 from ratiolab import theorems
+from ratiolab.cubic import GATE_TABLE
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import boundary_uv
 from ratiolab.kernel import EQ_TOL
@@ -398,7 +399,9 @@ def _planted_pass(monkeypatch, planted, samples=2000, at=1000):
     position at; returns its reports, its strays and the cubics it saw."""
     good = list(sample_ordered_cubics(samples - 1, np.random.default_rng([5, 1])))
     cubics = good[:at] + [planted] + good[at:]
-    monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
+    # the pass reads the sampler's gate tables: hand it one of these cubics
+    table = np.array([dataclasses.astuple(c) for c in cubics], dtype=GATE_TABLE)
+    monkeypatch.setattr(theorems, "_admissible_blocks", lambda n, rng: iter([table[:n]]))
     reports, strays = theorems._bounds_claims(samples, 5)
     return reports, strays, cubics
 
