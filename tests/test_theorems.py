@@ -2,6 +2,7 @@ import ast
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,111 @@ def test_scan_range_validation():
         scan_lemma1(SQRT3, 50.0, 10)
     with pytest.raises(BadRangeError):
         scan_lemma2(50.0, 2.0, 2000)
+
+
+def _reference_scan_lemma1(t_min=SQRT3, t_max=1e3, steps=10**6):
+    """scan_lemma1 over the whole grid at once, without blocks."""
+    grid = theorems._scan_grid(t_min, t_max, steps)
+    a, b = lemma1_expressions(grid)
+    t2 = grid * grid
+    rhs = 9.0 * (t2 + 1.0) ** 2
+    resid = np.abs(16.0 * t2 * (t2 - 3.0) - (5.0 * t2 - 3.0) ** 2 + rhs) / rhs
+    identity_ok = bool(np.max(resid) <= 1e-6)
+    note = f"identity max rel resid {np.max(resid):.3e}"
+    min_a = float(np.min(np.abs(a)))
+    min_b = float(np.min(np.abs(b)))
+    return (
+        theorems.TheoremReport("L1A", min_a > 0.0 and identity_ok, None, min_a, note),
+        theorems.TheoremReport("L1B", min_b > 0.0 and identity_ok, None, min_b, note),
+    )
+
+
+def _reference_scan_lemma2(t_min=SQRT3, t_max=1e3, steps=10**6):
+    """scan_lemma2 over the whole grid at once, without blocks; the same
+    _cube, so only the blocking differs."""
+    grid = theorems._scan_grid(t_min, t_max, steps)
+    half = len(grid) // 2
+    stride = max(1, half // 10000)
+    branches = (grid[:half][::stride], grid[half:][::stride])
+    roots_a = [r for br in branches for r in theorems._sign_change_roots(lambda t: lemma2_expressions(t)[0], br)]
+    roots_b = [r for br in branches for r in theorems._sign_change_roots(lambda t: lemma2_expressions(t)[1], br)]
+
+    t2 = grid * grid
+    lhs = (theorems._cube(grid) - 7.0 * grid) ** 2 - 4.0 * (t2 - 1.0) ** 2 * (t2 - 3.0)
+    rhs = -3.0 * (grid - 2.0) * (grid + 2.0) * (t2 + 1.0) ** 2
+    scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1.0))
+    resid = np.abs(lhs - rhs) / scale
+    identity_ok = bool(np.max(resid) <= 1e-6)
+    note = f"identity max rel resid {np.max(resid):.3e}"
+
+    ok_a = identity_ok and len(roots_a) == 1 and abs(roots_a[0] + 2.0) <= 1e-9
+    ok_b = identity_ok and len(roots_b) == 1 and abs(roots_b[0] - 2.0) <= 1e-9
+    dev_a = max((abs(r + 2.0) for r in roots_a), default=math.inf)
+    dev_b = max((abs(r - 2.0) for r in roots_b), default=math.inf)
+    return (
+        theorems.TheoremReport("L2A", ok_a, None, dev_a, note + f"; roots {roots_a}"),
+        theorems.TheoremReport("L2B", ok_b, None, dev_b, note + f"; roots {roots_b}"),
+    )
+
+
+def _assert_same_reports(got, want):
+    assert got == want
+    assert [r.margin.hex() for r in got] == [r.margin.hex() for r in want]
+
+
+# grid lengths 2 (steps + 999): 3 998 (under one block), 32 768 (exactly
+# one block of 2^15), 32 770 (one block plus two points)
+@pytest.mark.parametrize(
+    "args",
+    [(), (SQRT3, 50.0, 2000), (SQRT3, 1e3, 10**6), (2.5, 40.0, 5000),
+     (SQRT3, 5.0, 1000), (SQRT3, 5.0, 15385), (SQRT3, 5.0, 15386)],
+)
+def test_blocked_scans_match_the_unblocked_scans(args):
+    _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
+    _assert_same_reports(scan_lemma2(*args), _reference_scan_lemma2(*args))
+
+
+# the grid of (SQRT3, 50.0, 2000) has 5 998 points: one block plus one
+# point, and five blocks plus a short sixth one
+@pytest.mark.parametrize("block", [5997, 1000])
+def test_blocked_scans_match_across_planted_seams(monkeypatch, block):
+    assert len(theorems._scan_grid(SQRT3, 5.0, 15385)) == theorems._SCAN_BLOCK
+    args = (SQRT3, 50.0, 2000)
+    assert len(theorems._scan_grid(*args)) == 5998
+    monkeypatch.setattr(theorems, "_SCAN_BLOCK", block)
+    _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
+    _assert_same_reports(scan_lemma2(*args), _reference_scan_lemma2(*args))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_blocks_cover_the_grid_in_order(extra):
+    block = theorems._SCAN_BLOCK
+    for n in (1, block + extra, 3 * block + extra):
+        grid = np.arange(float(n))
+        blocks = list(theorems._blocks(grid))
+        assert all(0 < len(b) <= block for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), grid)
+
+
+def test_cube_is_odd_and_within_one_ulp_of_pow():
+    grid = theorems._scan_grid(SQRT3, 1e3, 10**6)
+    cube, pow3 = theorems._cube(grid), grid**3
+    assert np.array_equal(theorems._cube(-grid), -cube)
+    assert np.array_equal(np.signbit(cube), np.signbit(grid))
+    assert np.all(np.abs(cube - pow3) <= np.spacing(np.abs(pow3)))
+    assert theorems._cube(-2.0) == -8.0 and theorems._cube(3.0) == 27.0
+
+
+@pytest.mark.parametrize("scan", [scan_lemma1, scan_lemma2])
+def test_lemma_scan_memory_bounded(scan):
+    theorems._scan_grid(SQRT3, 1e3, 10**6)  # the cached grid, built untraced
+    tracemalloc.start()
+    try:
+        scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_check_bounds_hyperbolic_margins():
