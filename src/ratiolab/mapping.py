@@ -154,10 +154,9 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tupl
     ts = np.concatenate(
         [-np.linspace(t_max, t_min, steps), np.linspace(t_min, t_max, steps)]
     )
-    sigma1 = boundary_sigma1(ts)
     for start in range(0, ts.size, _BLOCK):
         t = ts[start : start + _BLOCK]
-        s1 = sigma1[start : start + _BLOCK]
+        s1 = boundary_sigma1(t)
         s2 = 1.0 / (3.0 * (1.0 - s1))
         yield _rows(
             np.zeros(t.size),

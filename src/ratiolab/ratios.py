@@ -7,17 +7,20 @@ For an ordered cubic the ratio vector is
 and always satisfies (1 - sigma1) * sigma2 = 1/3. On admissible interior
 configurations the ratios are functions of w = w2/w3 alone:
 
-    f(w) = (w + 3 - sqrt(3 + w^2)) / (3 (w + 1)) = 2 / (w + 3 + R)
-    g(w) = (-2 w + sqrt(3 + w^2)) / (3 (1 - w))  = (w + 3 + R) / (3 (w + 1 + R))
+    f(w) = (w + 3 - R) / (3 (w + 1)) = 2 / (w + 3 + R),   R = sqrt(3 + w^2)
+    g(w) = 1 - conj f(-conj w)
 
-with R = sqrt(3 + w^2). Each point is evaluated with the form whose terms
-add rather than cancel: the rationalized right-hand forms where
-Re((w + 3) conj(R)) >= 0, the textbook quotients elsewhere (large |w| with
-Re w < 0, where w + 3 + R cancels). The removable points w = -1 (for f) and
-w = +1 (for g), both of value 1/2, fall on the rationalized side, whose
-denominators never vanish on the principal branch; so they need no special
-case, and the textbook denominators w + 1 and 1 - w stay away from zero.
-The four quotients are written once, with operators only: f_extension and
+g is the mirror symmetry: reflecting the roots in a vertical line
+(w -> -conj w) reverses their order by real part and gives
+sigma1' = 1 - conj sigma2, sigma2' = 1 - conj sigma1. The mirror point's
+root term is conj R, so one square root serves both ratios, and 1 - conj f
+cannot cancel because 0 < Re f < 2/3. Each point takes the form of f whose
+terms add rather than cancel: the rationalized one where
+Re((w + 3) conj(R)) >= 0, the textbook quotient elsewhere (large |w| with
+Re w < 0, where w + 3 + R cancels). The removable point w = -1 of f (value
+1/2, and so g(1) = 1/2) falls on the rationalized side, whose denominator
+never vanishes on the principal branch, so it needs no special case. The
+two quotients are written once, with operators only: f_extension and
 g_extension apply them to one point (cmath, bit-for-bit stable), and
 closed_forms_array to a numpy array, picking the same form per point with
 a mask (np.sqrt rounds differently, so the two agree to a few ulps).
@@ -92,9 +95,9 @@ def ratios_direct_array(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _cquot(table["z1"] - w1, w2 - w1), _cquot(table["z2"] - w2, w3 - w2)
 
 
-def _root_term(w: complex) -> tuple[complex, complex, bool]:
-    """(w, R = sqrt(3 + w^2), whether w + 3 and R add), rejecting w on the
-    open excluded rays (the _on_rays band).
+def _root_term(w: complex) -> tuple[complex, complex]:
+    """(w, R = sqrt(3 + w^2)), rejecting w on the open excluded rays (the
+    _on_rays band).
 
     The ray tips +-i*sqrt(3) map to 3 + w^2 = 0 where the principal root is
     continuous, so they evaluate fine; only the open rays are rejected.
@@ -105,14 +108,19 @@ def _root_term(w: complex) -> tuple[complex, complex, bool]:
         raise OutsideDomainError(
             f"w={w!r} lies on the excluded rays; use the boundary formula"
         )
-    r = principal_sqrt(d)
+    return w, principal_sqrt(d)
+
+
+def _adds(w, r):
+    """Whether w + 3 and R add, Re((w + 3) conj(R)) >= 0; elementwise on
+    arrays."""
     a = w + 3.0
-    return w, r, a.real * r.real + a.imag * r.imag >= 0.0
+    return a.real * r.real + a.imag * r.imag >= 0.0
 
 
-# The four closed-form bodies, operators only, so that the scalar and the
-# array forms share them: the rationalized ("add") and textbook ("sub")
-# quotients of f and g in w and R = sqrt(3 + w^2).
+# The two closed-form bodies of f, operators only, so that the scalar and
+# the array forms share them: the rationalized ("add") and textbook ("sub")
+# quotients in w and R = sqrt(3 + w^2).
 
 
 def _f_add(w, r):
@@ -123,39 +131,39 @@ def _f_sub(w, r):
     return (w + 3.0 - r) / (3.0 * (w + 1.0))
 
 
-def _g_add(w, r):
-    return (w + 3.0 + r) / (3.0 * (w + 1.0 + r))
-
-
-def _g_sub(w, r):
-    return (-2.0 * w + r) / (3.0 * (1.0 - w))
+def _f(w: complex, r: complex) -> complex:
+    return _f_add(w, r) if _adds(w, r) else _f_sub(w, r)
 
 
 def f_extension(w: complex) -> complex:
     """Analytic extension of sigma1 as a function of w (value 1/2 at w = -1)."""
-    w, r, add = _root_term(w)
-    if add:
-        return _f_add(w, r)
-    return _f_sub(w, r)
+    return _f(*_root_term(w))
 
 
 def g_extension(w: complex) -> complex:
-    """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1)."""
-    w, r, add = _root_term(w)
-    if add:
-        return _g_add(w, r)
-    return _g_sub(w, r)
+    """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1):
+    the mirror 1 - conj f(-conj w), whose root term is conj R(w)."""
+    w, r = _root_term(w)
+    return 1.0 - _f(-w.conjugate(), r.conjugate()).conjugate()
 
 
-def _root_terms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array counterpart of _root_term without the validation: (R, add)."""
+def _root_terms_array(w: np.ndarray) -> np.ndarray:
+    """Array counterpart of _root_term without the validation: R."""
     d = 3.0 + w * w
     # principal_sqrt's rule: -0.0 would select the lower limit on the cut.
     # Adding 3.0 already turns -0.0 into +0.0; this keeps the rule explicit.
     d.imag[d.imag == 0.0] = 0.0
-    r = np.sqrt(d)
-    a = w + 3.0
-    return r, a.real * r.real + a.imag * r.imag >= 0.0
+    return np.sqrt(d)
+
+
+def _f_array(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """_f elementwise: each point in the form _adds picks."""
+    add = _adds(w, r)
+    sub = ~add
+    f = np.empty_like(w)
+    f[add] = _f_add(w[add], r[add])
+    f[sub] = _f_sub(w[sub], r[sub])
+    return f
 
 
 def closed_forms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,16 +176,8 @@ def closed_forms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rather than bit for bit.
     """
     w = np.asarray(w, dtype=complex)
-    r, add = _root_terms_array(w)
-    sub = ~add
-    wa, ra, ws, rs = w[add], r[add], w[sub], r[sub]
-    f = np.empty_like(w)
-    g = np.empty_like(w)
-    f[add] = _f_add(wa, ra)
-    f[sub] = _f_sub(ws, rs)
-    g[add] = _g_add(wa, ra)
-    g[sub] = _g_sub(ws, rs)
-    return f, g
+    r = _root_terms_array(w)
+    return _f_array(w, r), 1.0 - _f_array(-w.conj(), r.conj()).conj()
 
 
 def _ray_terms(t):

@@ -135,6 +135,22 @@ def test_sweep_memory_flat_in_resolution():
     assert large < 1.25 * small, (small, large)
 
 
+def test_trace_memory_flat_in_steps():
+    # only the t grid (8 B per row) grows with steps; each block's sigma
+    # values are computed with the block
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            for _ in trace_boundary(2.0, 100.0, steps):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5000), peak(50000)  # 10 000 and 100 000 rows
+    assert large - small < 24 * 90000, (small, large)
+
+
 def test_reachability_rule():
     assert is_reachable(0.5)
     assert is_reachable(2j)

@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import mpmath
 import numpy as np
@@ -26,9 +27,11 @@ from ratiolab import (
     order_roots,
     ratios_direct,
     ratios_via_w,
+    sample_ordered_cubics,
 )
+from ratiolab.cubic import order_roots_array
 from ratiolab.kernel import _on_rays
-from ratiolab.ratios import _root_term, _root_terms_array
+from ratiolab.ratios import _adds, _root_term, _root_terms_array, ratios_direct_array
 
 INV_SQRT3 = 1.0 / SQRT3
 EQUILATERAL_SIGMA = complex(0.5, -SQRT3 / 6.0)
@@ -72,11 +75,12 @@ def test_g_extension_values():
 
 
 def test_extensions_reject_open_rays():
-    for w in (2j, -2j, 5j, complex(1e-12, 3.0)):
-        with pytest.raises(OutsideDomainError):
-            f_extension(w)
-        with pytest.raises(OutsideDomainError):
-            g_extension(w)
+    # the message names the caller's w, also for g, which evaluates f at
+    # the mirror point -conj w
+    for w in (2j, -2j, 5j, complex(1e-12, 3.0), complex(1e-10, 10.0)):
+        for extension in (f_extension, g_extension):
+            with pytest.raises(OutsideDomainError, match=re.escape(f"w={w!r} ")):
+                extension(w)
 
 
 def test_extensions_use_the_ray_band():
@@ -363,15 +367,73 @@ def _agreement_points() -> np.ndarray:
 def test_closed_forms_array_match_scalar_forms():
     # the array forms choose the same quotient as f_extension/g_extension at
     # every point and agree to a relative 4 eps (np.sqrt and numpy's complex
-    # arithmetic round differently from cmath)
+    # arithmetic round differently from cmath); on every 7th point both
+    # forms of f and g are within 1e-15 relative of 50-digit arithmetic
     w = _agreement_points()
-    _, add = _root_terms_array(w)
+    add = _adds(w, _root_terms_array(w))
     f, g = closed_forms_array(w)
     rel = 4.0 * np.finfo(float).eps
     for i, x in enumerate(w.tolist()):
-        assert add[i] == _root_term(x)[2], x
+        assert add[i] == _adds(*_root_term(x)), x
         fs, gs = f_extension(x), g_extension(x)
         assert abs(f[i] - fs) <= rel * abs(fs), x
         assert abs(g[i] - gs) <= rel * abs(gs), x
+        if i % 7 == 0:
+            mp_f, mp_g = _mp_closed_forms(x)
+            for got, want in ((fs, mp_f), (f[i], mp_f), (gs, mp_g), (g[i], mp_g)):
+                assert abs(got - want) <= 1e-15 * abs(want), x
     f, g = closed_forms_array(np.array([-1.0 + 0j, 1.0 + 0j]))
     assert f[0] == 0.5 and g[1] == 0.5
+
+
+def _mirror_triples() -> np.ndarray:
+    """(n, 3) root triples: 20 000 sampler draws, then hand-placed triples
+    with |w -+ 1| from 1e-6 to 1e-3, rotated, scaled and translated."""
+    drawn = [(c.w1, c.w2, c.w3) for c in sample_ordered_cubics(20000, np.random.default_rng(17))]
+    placed = []
+    for center in (-1.0, 1.0):
+        for eps in (1e-6, 1e-5, 1e-4, 1e-3):
+            for ang in (0.3, 1.3, 2.0, 2.9, 4.0, 5.5):
+                w = center + eps * cmath.exp(1j * ang)
+                for w3n, shift in ((1.0, 0j), (cmath.exp(0.4j), 2 - 3j), (7 * cmath.exp(-0.7j), -5j)):
+                    placed.append((shift - w3n, shift + w * w3n, shift + w3n))
+    return np.array(drawn + placed, dtype=complex)
+
+
+def test_mirror_swaps_the_ratios():
+    # reflecting the roots in a vertical line (w -> -conj w) reverses their
+    # order by real part: sigma1' = 1 - conj sigma2, sigma2' = 1 - conj sigma1,
+    # on the direct route through the scalar and the array gate alike (bit
+    # for bit), and on the closed forms (every mirrored pair here is
+    # admissible). Near w = -+1 the direct route loses about eps / |w -+ 1|
+    # (ray formulas and closed forms do not), so its band widens there to
+    # 8 eps / |w -+ 1|
+    roots = _mirror_triples()
+    mirrored = -roots.conj()
+    table, reasons = order_roots_array(mirrored)
+    assert not reasons.any()
+    s1_arr, s2_arr = ratios_direct_array(table)
+
+    def swapped(rv):
+        return 1.0 - rv.sigma2.conjugate(), 1.0 - rv.sigma1.conjugate()
+
+    def close(rv, want, tol):
+        return abs(rv.sigma1 - want[0]) <= tol and abs(rv.sigma2 - want[1]) <= tol
+
+    for i, (triple, image) in enumerate(zip(roots.tolist(), mirrored.tolist())):
+        c = order_roots(*image)
+        mv = ratios_direct(c)
+        *fields, coincident = table[i].tolist()
+        scalar = np.array([c.w1, c.w2, c.w3, c.z1, c.z2, mv.sigma1, mv.sigma2])
+        array = np.array([*fields, s1_arr[i], s2_arr[i]])
+        assert np.array_equal(scalar.view(np.uint64), array.view(np.uint64)), image
+        assert c.coincident == coincident, image
+        n = normalize(c)
+        tol = max(1e-12, 8 * np.finfo(float).eps / min(abs(n.w - 1), abs(n.w + 1)))
+        want = swapped(ratios_direct(order_roots(*triple)))
+        assert close(mv, want, tol), triple
+        report = assess_admissibility(n.w2n, n.w3n)
+        assert report.admissible, image
+        wv = ratios_via_w(n, report)
+        assert close(wv, want, tol), triple
+        assert close(wv, swapped(via_w(*triple)), 1e-12), triple
