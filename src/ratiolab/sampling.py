@@ -1,10 +1,14 @@
 """Deterministic random configuration generators.
 
 All generators draw from a caller-supplied numpy Generator, so identical
-seeds give identical samples.
+seeds give identical samples. Each draws its candidates as numpy arrays,
+one block of 1024 at a time, with bounds and gap filters as masks. The
+whole block goes through the array gate order_roots_array, which decides
+each row as the scalar order_roots would, and the sampler yields an
+OrderedCubic per kept row until there are n; n <= 0 draws nothing. Blocks
+do not depend on n, so a shorter run is a prefix of a longer one.
 
-sample_ordered_cubics draws its candidates as numpy arrays, one block of
-1024 at a time. Per candidate it draws a mix flag (a ray sample with
+sample_ordered_cubics draws per candidate a mix flag (a ray sample with
 probability 0.2), a log-uniform positive scale factor in [1e-3, 1e3]
 (ratios are invariant under positive scaling), an offset proportional to
 that scale, and Re w3 in [0, 10) with density proportional to Re w3.
@@ -17,23 +21,12 @@ sign, and |Im w3| is uniform on [1e-3 b, b) with b = (Re w3 - 1e-4) / |t|.
 Below b the roots stay ordered (|Re w2| = |t Im w3| < Re w3 - 1e-4); the
 floor keeps apart the critical points' real parts, which meet at
 Im w3 = 0. There is no rejection loop and no fixed floor on the components
-of w3, so ray samples reach |t| = 1e3.
-
-The cheap filters (real-part ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4
-at pair scale, |w -+ 1| >= 1e-6) run as array masks. The surviving
-candidates are scaled and translated, and the whole block goes through the
-array gate (order_roots_array, normalize_array, admissibility_mask), which
-decides each row as the scalar order_roots and assess_admissibility would;
-a row is kept when it is admissible, on the rays exactly when it was drawn
-as a ray sample. The T1-T3 pass reads these gate tables directly, and
-sample_ordered_cubics yields an OrderedCubic per row. Blocks do not depend
-on n, so a shorter run is a prefix of a longer one with the same seed.
-
-The four scalar samplers (hyperbolic, collinear, equilateral and
-near-equilateral) each draw root triples one at a time from a private
-candidate generator, the two equilateral ones from the same generator, and
-pass them through _gated: it yields order_roots of each triple and skips
-the triples order_roots rejects. n <= 0 yields nothing and draws nothing.
+of w3, so ray samples reach |t| = 1e3. Its cheap filters (real-part
+ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4 at pair scale,
+|w -+ 1| >= 1e-6) run before scaling and translation, and its gate table
+also goes through normalize_array and admissibility_mask: a row is kept
+when it is admissible, on the rays exactly when it was drawn as a ray
+sample. The T1-T3 pass reads these gate tables directly.
 
 The margins keep every accepted configuration far enough from the
 degenerate sets that the documented comparison tolerances hold with
@@ -43,19 +36,11 @@ headroom.
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .cubic import (
-    OrderedCubic,
-    admissibility_mask,
-    normalize_array,
-    order_roots,
-    order_roots_array,
-)
-from .errors import UndefinedRatioError
+from .cubic import OrderedCubic, admissibility_mask, normalize_array, order_roots_array
 from .kernel import SQRT3
 
 __all__ = [
@@ -74,6 +59,7 @@ _BOUNDARY_FRACTION = 0.2    # share of ray samples in sample_ordered_cubics
 _T_MAX = 1e3                # largest |t| of a ray sample
 _SCALE_SPAN = (1e-3, 1e3)   # range of the log-uniform positive scale factor
 _DELTA_SPAN = (1e-4, 1e-1)  # range of the log-uniform near-equilateral shift
+_REAL_GAP = 1e-3            # least gap of the sorted reals in a hyperbolic or collinear draw
 
 
 def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -118,62 +104,74 @@ def _candidate_block(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return roots, on_ray[keep]
 
 
-def _admissible_blocks(n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """GATE_TABLE blocks of admissible configurations, n rows in all: the
-    rows of each candidate block that pass the array gate, on the rays
-    exactly when drawn as ray samples."""
+def _gate(roots: np.ndarray) -> np.ndarray:
+    """The GATE_TABLE rows of the (k, 3) root triples that order_roots accepts."""
+    table, reasons = order_roots_array(roots)
+    return table[reasons == 0]
+
+
+def _blocks(n: int, rng: np.random.Generator,
+            draw: Callable[[np.random.Generator], np.ndarray]) -> Iterator[np.ndarray]:
+    """GATE_TABLE blocks of draw(rng), n rows in all: the last block is cut
+    short, and n <= 0 draws nothing."""
     produced = 0
     while produced < n:
-        roots, ray = _candidate_block(rng)
-        table, reasons = order_roots_array(roots)
-        table, ray = table[reasons == 0], ray[reasons == 0]
-        tags, on_boundary = admissibility_mask(*normalize_array(table))
-        block = table[(tags == 0) & (on_boundary == ray)][: n - produced]
+        block = draw(rng)[: n - produced]
         produced += len(block)
         yield block
 
 
-def sample_ordered_cubics(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
-    """Yield n admissible configurations, mixing interior and ray samples."""
-    for block in _admissible_blocks(n, rng):
+def _cubics(n: int, rng: np.random.Generator,
+            draw: Callable[[np.random.Generator], np.ndarray]) -> Iterator[OrderedCubic]:
+    for block in _blocks(n, rng, draw):
         for row in block.tolist():
             yield OrderedCubic(*row)
 
 
-def _gated(candidates: Iterator[tuple]) -> Iterator[OrderedCubic]:
-    """order_roots of each candidate root triple; triples it rejects are skipped."""
-    for roots in candidates:
-        try:
-            c = order_roots(*roots)
-        except UndefinedRatioError:
-            continue
-        yield c
+def _admissible_block(rng: np.random.Generator) -> np.ndarray:
+    """The rows of a candidate block that pass the array gate and are
+    admissible, on the rays exactly when drawn as ray samples."""
+    roots, ray = _candidate_block(rng)
+    table, reasons = order_roots_array(roots)
+    table, ray = table[reasons == 0], ray[reasons == 0]
+    tags, on_boundary = admissibility_mask(*normalize_array(table))
+    return table[(tags == 0) & (on_boundary == ray)]
 
 
-def _hyperbolic_roots(rng: np.random.Generator) -> Iterator[tuple]:
-    while True:
-        xs = np.sort(rng.uniform(-10.0, 10.0, size=3))
-        if xs[1] - xs[0] < 1e-3 or xs[2] - xs[1] < 1e-3:
-            continue
-        s = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
-        off = rng.uniform(-5.0, 5.0) * s
-        yield xs[0] * s + off, xs[1] * s + off, xs[2] * s + off
+def _admissible_blocks(n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """GATE_TABLE blocks of admissible configurations, n rows in all."""
+    return _blocks(n, rng, _admissible_block)
+
+
+def sample_ordered_cubics(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
+    """Yield n admissible configurations, mixing interior and ray samples."""
+    yield from _cubics(n, rng, _admissible_block)
+
+
+def _sorted_reals(rng: np.random.Generator, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """(_BLOCK, 3) rows of sorted uniform reals on [-half, half), and the
+    mask of the rows whose neighbours lie at least _REAL_GAP apart."""
+    xs = np.sort(rng.uniform(-half, half, (_BLOCK, 3)), axis=1)
+    return xs, (np.diff(xs, axis=1) >= _REAL_GAP).all(axis=1)
+
+
+def _hyperbolic_roots(rng: np.random.Generator) -> np.ndarray:
+    xs, keep = _sorted_reals(rng, 10.0)
+    s = np.exp(rng.uniform(math.log(_SCALE_SPAN[0]), math.log(_SCALE_SPAN[1]), _BLOCK))
+    off = rng.uniform(-5.0, 5.0, _BLOCK) * s
+    return (xs * s[:, None] + off[:, None])[keep].astype(complex)
 
 
 def sample_hyperbolic(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n all-real-root configurations with comfortably distinct roots."""
-    yield from islice(_gated(_hyperbolic_roots(rng)), max(n, 0))
+    yield from _cubics(n, rng, lambda g: _gate(_hyperbolic_roots(g)))
 
 
-def _collinear_roots(rng: np.random.Generator) -> Iterator[tuple]:
-    while True:
-        xs = np.sort(rng.uniform(-5.0, 5.0, size=3))
-        if xs[1] - xs[0] < 1e-3 or xs[2] - xs[1] < 1e-3:
-            continue
-        ang = rng.uniform(-1.2, 1.2)  # |angle| < pi/2 - margin
-        d = complex(math.cos(ang), math.sin(ang))
-        off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
-        yield off + d * xs[0], off + d * xs[1], off + d * xs[2]
+def _collinear_roots(rng: np.random.Generator) -> np.ndarray:
+    xs, keep = _sorted_reals(rng, 5.0)
+    d = np.exp(1j * rng.uniform(-1.2, 1.2, _BLOCK))  # |angle| < pi/2 - margin
+    off = rng.uniform(-5.0, 5.0, _BLOCK) + 1j * rng.uniform(-5.0, 5.0, _BLOCK)
+    return (off[:, None] + d[:, None] * xs)[keep]
 
 
 def sample_collinear(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
@@ -182,31 +180,28 @@ def sample_collinear(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]
     Roots are c + d * x_k for sorted reals x_k and a direction d kept away
     from vertical so the real parts stay distinct.
     """
-    yield from islice(_gated(_collinear_roots(rng)), max(n, 0))
+    yield from _cubics(n, rng, lambda g: _gate(_collinear_roots(g)))
 
 
-def _equilateral_roots(rng: np.random.Generator, near: bool) -> Iterator[tuple]:
+def _equilateral_roots(rng: np.random.Generator, near: bool) -> np.ndarray:
     """Equilateral triples (w = +-i sqrt(3)); when near, w2 moves by a
     log-uniform delta * w3, which shifts w parallel to the real axis."""
-    while True:
-        re3 = rng.uniform(0.5, 5.0)
-        im3 = rng.uniform(-1.0, 1.0) * re3 / (2.0 * SQRT3)
-        w3 = complex(re3, im3)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        w2 = sign * SQRT3 * 1j * w3
-        if near:
-            delta = math.exp(rng.uniform(math.log(_DELTA_SPAN[0]), math.log(_DELTA_SPAN[1])))
-            w2 = w2 + delta * w3
-        off = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
-        yield -w3 + off, w2 + off, w3 + off
+    re3 = rng.uniform(0.5, 5.0, _BLOCK)
+    w3 = re3 + 1j * (rng.uniform(-1.0, 1.0, _BLOCK) * re3 / (2.0 * SQRT3))
+    w2 = _signs(rng, _BLOCK) * SQRT3 * 1j * w3
+    if near:
+        delta = np.exp(rng.uniform(math.log(_DELTA_SPAN[0]), math.log(_DELTA_SPAN[1]), _BLOCK))
+        w2 = w2 + delta * w3
+    off = rng.uniform(-5.0, 5.0, _BLOCK) + 1j * rng.uniform(-5.0, 5.0, _BLOCK)
+    return np.stack((-w3 + off, w2 + off, w3 + off), axis=1)
 
 
 def sample_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n equilateral configurations (w = +-i sqrt(3), no vertical side)."""
-    yield from islice(_gated(_equilateral_roots(rng, near=False)), max(n, 0))
+    yield from _cubics(n, rng, lambda g: _gate(_equilateral_roots(g, near=False)))
 
 
 def sample_near_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n slightly perturbed equilateral configurations (never exactly
     equilateral: w moves off +-i sqrt(3) parallel to the real axis)."""
-    yield from islice(_gated(_equilateral_roots(rng, near=True)), max(n, 0))
+    yield from _cubics(n, rng, lambda g: _gate(_equilateral_roots(g, near=True)))
