@@ -22,11 +22,11 @@ Below b the roots stay ordered (|Re w2| = |t Im w3| < Re w3 - 1e-4); the
 floor keeps apart the critical points' real parts, which meet at
 Im w3 = 0. There is no rejection loop and no fixed floor on the components
 of w3, so ray samples reach |t| = 1e3. Its cheap filters (real-part
-ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4 at pair scale,
-|w -+ 1| >= 1e-6) run before scaling and translation, and its gate table
-also goes through normalize_array and admissibility_mask: a row is kept
-when it is admissible, on the rays exactly when it was drawn as a ray
-sample. The T1-T3 pass reads these gate tables directly.
+ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4 at pair scale, which
+keeps w over 7e-6 from +-1) run before scaling and translation, and its
+gate table also goes through normalize_array and admissibility_mask: a
+row is kept when it is admissible, on the rays exactly when it was drawn
+as a ray sample. The T1-T3 pass reads these gate tables directly.
 
 The margins keep every accepted configuration far enough from the
 degenerate sets that the documented comparison tolerances hold with
@@ -53,7 +53,6 @@ __all__ = [
 
 _BLOCK = 1024               # candidates per block; a block stays live while it is consumed
 _GAP = 1e-4                 # real-part and |w2 +- w3| margin at pair scale
-_W_MARGIN = 1e-6            # keep-away band around w = +-1
 _RAY_FLOOR = 1e-3           # least |Im w3| of a ray sample, as a share of its band
 _BOUNDARY_FRACTION = 0.2    # share of ray samples in sample_ordered_cubics
 _T_MAX = 1e3                # largest |t| of a ray sample
@@ -93,11 +92,9 @@ def _candidate_block(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     w2[on_ray] = 1j * t * w3[on_ray]
 
     re2 = w2.real
-    w = w2 / w3
     keep = (
         (-re3 + _GAP < re2) & (re2 < re3 - _GAP)
         & (np.abs(w2 + w3) >= _GAP) & (np.abs(w3 - w2) >= _GAP)
-        & (np.abs(w + 1.0) >= _W_MARGIN) & (np.abs(w - 1.0) >= _W_MARGIN)
     )
     s, off, w2, w3 = s[keep], off[keep], w2[keep], w3[keep]
     roots = np.stack((-w3 * s + off, w2 * s + off, w3 * s + off), axis=1)

@@ -5,7 +5,8 @@ Claim identifiers (CLI selector `verify` accepts the prefixes):
     L1A, L1B   the derivative numerators 4t sqrt(t^2-3) -+ (5t^2 - 3) of the
                ray functions u1, u2 never vanish for |t| >= sqrt(3)
     L2A, L2B   t^3 - 7t -+ 2(t^2-1) sqrt(t^2-3) has exactly one real zero,
-               at t = -2 (A) resp. t = +2 (B)
+               at t = -2 (A) resp. t = +2 (B); L1A/L1B and L2A/L2B are
+               mirror pairs under t -> -t
     T1A-T1E    sigma1: 0 < Re < 2/3 (sharp), |Im| <= 1/3, Im = +-1/3 exactly
                on the +-i z0 / 2 z0 family, |sigma1| <= 2/3
     T2A-T2E    sigma2: 1/3 < Re < 1 (sharp), |Im| <= 1/3, Im = +-1/3 exactly
@@ -19,14 +20,17 @@ Claim identifiers (CLI selector `verify` accepts the prefixes):
 
 Every claim is checked numerically: Monte Carlo over admissible
 configurations, dense grid scans with sign-change detection and root
-refinement, and the explicit extremal families. Reports carry a margin
-(signed distance to the bound) and a witness record for the extremal or
-violating configuration. The Monte Carlo pass of T1-T3 keeps its samples
-in one complex table (80 B per sample); each bound's margin is the minimum
-over the table, its witness the first sample at that minimum, and its
-verdict the bound's open or closed threshold applied to that minimum.
-T4, T5 and HYP check one report per configuration; the claim fails when
-any report fails, and its witness is the last failing configuration.
+refinement, and the explicit extremal families. t -> -t maps each lemma
+and ray envelope expression onto its partner bit for bit, so the lemma
+scans and the ray envelopes of T1E, T3 and T5 walk t >= sqrt(3) only.
+Reports carry a margin (signed distance to the bound) and a witness
+record for the extremal or violating configuration. The Monte Carlo pass
+of T1-T3 keeps its samples in one complex table (80 B per sample); each
+bound's margin is the minimum over the table, its witness the first
+sample at that minimum, and its verdict the bound's open or closed
+threshold applied to that minimum. T4, T5 and HYP check one report per
+configuration; the claim fails when any report fails, and its witness is
+the last failing configuration.
 """
 
 from __future__ import annotations
@@ -241,32 +245,25 @@ def _cube(t):
     return np.copysign(np.abs(t) ** 3, t)
 
 
-def _positive_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
-    """[t_min, t_max] densely plus a logarithmic asymptotic tail out to 1e9."""
+@functools.lru_cache(maxsize=2)
+def _scan_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
+    """The branch t >= t_min of the rays, read-only: [t_min, t_max] densely
+    plus a logarithmic tail out to 1e9. The last two grids are kept: the
+    lemma grid and the ray grid."""
     if not (SQRT3 - EQ_TOL <= t_min < t_max):
         raise BadRangeError(f"need sqrt(3) <= t_min < t_max, got [{t_min}, {t_max}]")
     if steps < 1000:
         raise BadRangeError("steps must be at least 1000")
     main = np.linspace(t_min, t_max, steps)
     tail = np.logspace(math.log10(t_max), 9.0, 1000)[1:]
-    return np.concatenate([main, tail])
-
-
-@functools.lru_cache(maxsize=1)
-def _scan_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
-    """Both signs of the positive grid, read-only; the two ray branches are
-    disjoint. The last grid is kept, so L1 and L2 share one build."""
-    pos = _positive_grid(t_min, t_max, steps)
-    grid = np.concatenate([-pos[::-1], pos])
+    grid = np.concatenate([main, tail])
     grid.flags.writeable = False
     return grid
 
 
-@functools.cache
 def _ray_grid() -> np.ndarray:
-    """The read-only grid of the ray envelope scans in T1E, T3 and T5, built
-    past _scan_grid's one-entry cache so that it keeps the lemma grid."""
-    return _scan_grid.__wrapped__(SQRT3, 1e3, 200000)
+    """The grid of the ray envelope scans in T1E, T3 and T5."""
+    return _scan_grid(SQRT3, 1e3, 200000)
 
 
 #: Points per block of the lemma scans: each temporary of a block (256 KiB)
@@ -284,11 +281,14 @@ def scan_lemma1(
 ) -> tuple[TheoremReport, TheoremReport]:
     """Grid minima of |A| and |B|; zero anywhere fails the claim.
 
+    L1A and L1B are a mirror pair, A(-t) = -B(t) bit for bit: both take
+    the least of |A| and |B| over t >= t_min, the only branch scanned.
+
     Cross-check: squaring the radical equation collapses to
     16 t^2 (t^2 - 3) - (5 t^2 - 3)^2 = -9 (t^2 + 1)^2 identically, which the
     grid verifies to 1e-6 relative accuracy.
     """
-    min_a = min_b = np.inf
+    low = np.inf
     max_resid = -np.inf
     for t in _blocks(_scan_grid(t_min, t_max, steps)):
         a, b = lemma1_expressions(t)
@@ -296,15 +296,14 @@ def scan_lemma1(
         rhs = 9.0 * (t2 + 1.0) ** 2
         resid = np.abs(16.0 * t2 * (t2 - 3.0) - (5.0 * t2 - 3.0) ** 2 + rhs) / rhs
         # np.minimum/np.maximum keep a NaN, as np.min/np.max over the grid do
-        min_a = np.minimum(min_a, np.min(np.abs(a)))
-        min_b = np.minimum(min_b, np.min(np.abs(b)))
+        low = np.minimum(low, np.minimum(np.min(np.abs(a)), np.min(np.abs(b))))
         max_resid = np.maximum(max_resid, np.max(resid))
-    identity_ok = bool(max_resid <= 1e-6)
+    low = float(low)
+    ok = low > 0.0 and bool(max_resid <= 1e-6)
     note = f"identity max rel resid {max_resid:.3e}"
-    min_a, min_b = float(min_a), float(min_b)
     return (
-        TheoremReport("L1A", min_a > 0.0 and identity_ok, None, min_a, note),
-        TheoremReport("L1B", min_b > 0.0 and identity_ok, None, min_b, note),
+        TheoremReport("L1A", ok, None, low, note),
+        TheoremReport("L1B", ok, None, low, note),
     )
 
 
@@ -337,23 +336,26 @@ def scan_lemma2(
 ) -> tuple[TheoremReport, TheoremReport]:
     """Locate all sign changes; branch A must root only at -2, branch B at +2.
 
+    L2A and L2B are a mirror pair, A(-t) = -B(t) bit for bit: the scan
+    walks t >= t_min only, and A's zeros on t <= -t_min are B's negated.
+
     Cross-check: (t^3 - 7t)^2 - 4 (t^2 - 1)^2 (t^2 - 3) factors as
     -3 (t - 2)(t + 2)(t^2 + 1)^2, verified on the grid to 1e-6 relative.
     """
     grid = _scan_grid(t_min, t_max, steps)
-    # bracket on each branch separately (the domain is two disjoint rays);
-    # a coarse sub-grid suffices, refinement is exact
-    half = len(grid) // 2
-    stride = max(1, half // 10000)
-    branches = (grid[:half][::stride], grid[half:][::stride])
-    roots_a = [r for br in branches for r in _sign_change_roots(lambda t: lemma2_expressions(t)[0], br)]
-    roots_b = [r for br in branches for r in _sign_change_roots(lambda t: lemma2_expressions(t)[1], br)]
+    # a coarse sub-grid brackets each sign change, refinement is exact
+    coarse = grid[::max(1, len(grid) // 10000)]
+    pos_a = _sign_change_roots(lambda t: lemma2_expressions(t)[0], coarse)
+    pos_b = _sign_change_roots(lambda t: lemma2_expressions(t)[1], coarse)
+    roots_a = [-r for r in reversed(pos_b)] + pos_a
+    roots_b = [-r for r in reversed(pos_a)] + pos_b
 
     max_resid = -np.inf
     for t in _blocks(grid):
         t2 = t * t
         lhs = (_cube(t) - 7.0 * t) ** 2 - 4.0 * (t2 - 1.0) ** 2 * (t2 - 3.0)
-        rhs = -3.0 * (t - 2.0) * (t + 2.0) * (t2 + 1.0) ** 2
+        # (t - 2)(t + 2) first: the product is then even bit for bit
+        rhs = -3.0 * ((t - 2.0) * (t + 2.0)) * (t2 + 1.0) ** 2
         scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1.0))
         max_resid = np.maximum(max_resid, np.max(np.abs(lhs - rhs) / scale))
     identity_ok = bool(max_resid <= 1e-6)

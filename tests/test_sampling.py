@@ -87,6 +87,17 @@ def test_ray_samples_cover_t_range(batch):
     assert min(ts) < 1.8
 
 
+def test_pair_gap_keeps_w_off_plus_minus_one():
+    # |w2 +- w3| >= 1e-4 with |w3| < 10 sqrt(2) keeps w = w2 / w3 over 7e-6
+    # from +-1, and ray draws have |w -+ 1| >= 2: no separate band is needed
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        roots, _ = _candidate_block(rng)
+        r1, r2, r3 = roots.T
+        w = (2.0 * r2 - r1 - r3) / (r3 - r1)
+        assert np.all(np.abs(w - 1.0) >= 1e-6) and np.all(np.abs(w + 1.0) >= 1e-6)
+
+
 def _reference_ordered_cubics(n, rng):
     """sample_ordered_cubics as a scalar loop: each candidate of a block
     through order_roots, normalize and assess_admissibility, stopping as

@@ -36,7 +36,7 @@ from ratiolab import (
 from ratiolab import theorems
 from ratiolab.cubic import GATE_TABLE
 from ratiolab.errors import BadRangeError
-from ratiolab.ratios import boundary_uv
+from ratiolab.ratios import boundary_modulus_sq, boundary_sigma_diff, boundary_uv
 from ratiolab.kernel import EQ_TOL
 from ratiolab.theorems import CLOSED_BOUND_SLACK, lemma1_expressions, lemma2_expressions
 
@@ -90,9 +90,16 @@ def test_scan_range_validation():
         scan_lemma2(50.0, 2.0, 2000)
 
 
+def _both_branches(t_min=SQRT3, t_max=1e3, steps=10**6):
+    """The ascending grid of both rays: the scanned branch t >= t_min and
+    its mirror image."""
+    g = theorems._scan_grid(t_min, t_max, steps)
+    return np.concatenate([-g[::-1], g])
+
+
 def _reference_scan_lemma1(t_min=SQRT3, t_max=1e3, steps=10**6):
-    """scan_lemma1 over the whole grid at once, without blocks."""
-    grid = theorems._scan_grid(t_min, t_max, steps)
+    """scan_lemma1 over both branches at once, without blocks."""
+    grid = _both_branches(t_min, t_max, steps)
     a, b = lemma1_expressions(grid)
     t2 = grid * grid
     rhs = 9.0 * (t2 + 1.0) ** 2
@@ -108,9 +115,10 @@ def _reference_scan_lemma1(t_min=SQRT3, t_max=1e3, steps=10**6):
 
 
 def _reference_scan_lemma2(t_min=SQRT3, t_max=1e3, steps=10**6):
-    """scan_lemma2 over the whole grid at once, without blocks; the same
-    _cube, so only the blocking differs."""
-    grid = theorems._scan_grid(t_min, t_max, steps)
+    """scan_lemma2 over both branches at once, without blocks, bracketing
+    each branch on its own coarse sub-grid; the same _cube, so only the
+    mirror and the blocking differ."""
+    grid = _both_branches(t_min, t_max, steps)
     half = len(grid) // 2
     stride = max(1, half // 10000)
     branches = (grid[:half][::stride], grid[half:][::stride])
@@ -119,7 +127,7 @@ def _reference_scan_lemma2(t_min=SQRT3, t_max=1e3, steps=10**6):
 
     t2 = grid * grid
     lhs = (theorems._cube(grid) - 7.0 * grid) ** 2 - 4.0 * (t2 - 1.0) ** 2 * (t2 - 3.0)
-    rhs = -3.0 * (grid - 2.0) * (grid + 2.0) * (t2 + 1.0) ** 2
+    rhs = -3.0 * ((grid - 2.0) * (grid + 2.0)) * (t2 + 1.0) ** 2
     scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1.0))
     resid = np.abs(lhs - rhs) / scale
     identity_ok = bool(np.max(resid) <= 1e-6)
@@ -140,24 +148,27 @@ def _assert_same_reports(got, want):
     assert [r.margin.hex() for r in got] == [r.margin.hex() for r in want]
 
 
-# grid lengths 2 (steps + 999): 3 998 (under one block), 32 768 (exactly
-# one block of 2^15), 32 770 (one block plus two points)
+# the scanned branch has steps + 999 points: 1 999 (under one block of
+# 2^15), 32 768 (exactly one block), 32 769 and 32 770 (one block plus one
+# or two points); over both branches, as the references walk them,
+# 15 385 and 15 386 steps give one block and one block plus two points
 @pytest.mark.parametrize(
     "args",
     [(), (SQRT3, 50.0, 2000), (SQRT3, 1e3, 10**6), (2.5, 40.0, 5000),
-     (SQRT3, 5.0, 1000), (SQRT3, 5.0, 15385), (SQRT3, 5.0, 15386)],
+     (SQRT3, 5.0, 1000), (SQRT3, 5.0, 15385), (SQRT3, 5.0, 15386),
+     (SQRT3, 5.0, 31769), (SQRT3, 5.0, 31770), (SQRT3, 5.0, 31771)],
 )
 def test_blocked_scans_match_the_unblocked_scans(args):
     _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
     _assert_same_reports(scan_lemma2(*args), _reference_scan_lemma2(*args))
 
 
-# the grid of (SQRT3, 50.0, 2000) has 5 998 points: one block plus one
+# the branch of (SQRT3, 50.0, 4999) has 5 998 points: one block plus one
 # point, and five blocks plus a short sixth one
 @pytest.mark.parametrize("block", [5997, 1000])
 def test_blocked_scans_match_across_planted_seams(monkeypatch, block):
-    assert len(theorems._scan_grid(SQRT3, 5.0, 15385)) == theorems._SCAN_BLOCK
-    args = (SQRT3, 50.0, 2000)
+    assert len(theorems._scan_grid(SQRT3, 5.0, 31769)) == theorems._SCAN_BLOCK
+    args = (SQRT3, 50.0, 4999)
     assert len(theorems._scan_grid(*args)) == 5998
     monkeypatch.setattr(theorems, "_SCAN_BLOCK", block)
     _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
@@ -175,12 +186,30 @@ def test_blocks_cover_the_grid_in_order(extra):
 
 
 def test_cube_is_odd_and_within_one_ulp_of_pow():
-    grid = theorems._scan_grid(SQRT3, 1e3, 10**6)
+    grid = _both_branches()
     cube, pow3 = theorems._cube(grid), grid**3
     assert np.array_equal(theorems._cube(-grid), -cube)
     assert np.array_equal(np.signbit(cube), np.signbit(grid))
     assert np.all(np.abs(cube - pow3) <= np.spacing(np.abs(pow3)))
     assert theorems._cube(-2.0) == -8.0 and theorems._cube(3.0) == 27.0
+
+
+@pytest.mark.parametrize("args", [(SQRT3, 1e3, 10**6), (SQRT3, 1e3, 200000)], ids=["lemma", "ray"])
+def test_mirror_maps_each_scanned_expression_onto_its_partner(args):
+    # the premise of scanning t >= sqrt(3) only: on both branches, each
+    # expression at -t is its partner at t, bit for bit
+    t = _both_branches(*args)
+    for expressions in (lemma1_expressions, lemma2_expressions):
+        a, b = expressions(t)
+        mirror_a, mirror_b = expressions(-t)
+        assert np.array_equal(mirror_a, -b) and np.array_equal(mirror_b, -a)
+    u1, u2, v1, v2 = boundary_uv(t)
+    for got, want in zip(boundary_uv(-t), (u2, u1, -v2, -v1)):
+        assert np.array_equal(got, want)
+    a, b = boundary_modulus_sq(t)
+    mirror_a, mirror_b = boundary_modulus_sq(-t)
+    assert np.array_equal(mirror_a, b) and np.array_equal(mirror_b, a)
+    assert np.array_equal(boundary_sigma_diff(-t), boundary_sigma_diff(t))
 
 
 @pytest.mark.parametrize("scan", [scan_lemma1, scan_lemma2])
