@@ -13,10 +13,11 @@ every other cell is what the scalar functions give.
 The midpoint inellipse of a noncollinear root triangle is fitted purely
 geometrically: six homogeneous linear constraints (the conic passes through
 each side midpoint and its gradient there is parallel to the side normal)
-determine the conic coefficients up to scale; center, axes, and foci come
-from the 3x3 conic matrix. The foci independently reproduce the critical
-points, which is what makes this an oracle for the ratio machinery rather
-than a restatement of it.
+determine the conic coefficients up to scale, as the null vector of one SVD;
+center, axes, and foci then come from the 2x2 quadratic part in closed form
+on Python floats. The foci independently reproduce the critical points,
+which is what makes this an oracle for the ratio machinery rather than a
+restatement of it.
 
 Naming note: the excluded vertical rays {Re w = 0, |Im w| >= sqrt(3)} in the
 w-plane and the inellipse of a root triangle are unrelated objects; code and
@@ -186,9 +187,12 @@ def _rows(*columns) -> list[tuple]:
 def steiner_inellipse(c: OrderedCubic) -> InEllipse:
     """Fit the midpoint inellipse of the root triangle (geometric route).
 
+    The conic is the SVD null vector of the six constraint rows, the only
+    LAPACK call; center, axes and foci follow in closed form with math.
     Raises DegenerateTriangleError when classify_configuration calls the
-    triangle collinear. The returned foci are sorted by real part (then
-    imaginary part) to match the critical point labeling convention.
+    triangle collinear or the fitted conic is not a centered ellipse. The
+    returned foci are sorted by real part (then imaginary part) to match
+    the critical point labeling convention.
     """
     if classify_configuration(c) is Configuration.COLLINEAR:
         raise DegenerateTriangleError("triangle is numerically collinear")
@@ -211,26 +215,33 @@ def steiner_inellipse(c: OrderedCubic) -> InEllipse:
         rows.append([x * x, x * y, y * y, x, y, 1.0])
         rows.append([2.0 * x * dx, y * dx + x * dy, 2.0 * y * dy, dx, dy, 0.0])
     _, _, vt = np.linalg.svd(np.array(rows))
-    A, B, C, D, E, F = vt[-1]
+    A, B, C, D, E, F = vt[-1].tolist()
 
-    q2 = np.array([[A, B / 2.0], [B / 2.0, C]])
-    try:
-        cen = np.linalg.solve(q2, [-D / 2.0, -E / 2.0])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateTriangleError("conic has no center") from exc
-    k0 = F + (D / 2.0) * cen[0] + (E / 2.0) * cen[1]
-    evals, evecs = np.linalg.eigh(q2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ax2 = -k0 / evals
-    if not np.all(np.isfinite(ax2)) or np.any(ax2 <= 0.0):
+    # The quadratic part [[A, B/2], [B/2, C]] in closed form: the center by
+    # Cramer's rule, the eigenvalues mean +- h and the squared axes
+    # -k0/lambda. The major axis belongs to the eigenvalue of smaller
+    # magnitude; its eigenvector is at theta for mean + h, theta + pi/2 for
+    # mean - h. A zero eigenvalue (a parabola) counts as an infinite axis.
+    det = A * C - B * B / 4.0
+    if det == 0.0:
+        raise DegenerateTriangleError("conic has no center")
+    cx = (B * E / 4.0 - C * D / 2.0) / det
+    cy = (B * D / 4.0 - A * E / 2.0) / det
+    k0 = F + (D / 2.0) * cx + (E / 2.0) * cy
+    mean = (A + C) / 2.0
+    h = math.hypot((A - C) / 2.0, B / 2.0)
+    lam_major, lam_minor = (mean - h, mean + h) if mean > 0.0 else (mean + h, mean - h)
+    ax2_major = -k0 / lam_major if lam_major else math.inf
+    ax2_minor = -k0 / lam_minor
+    if not (0.0 < ax2_major < math.inf and 0.0 < ax2_minor < math.inf):
         raise DegenerateTriangleError("fitted conic is not an ellipse")
-    order = np.argsort(ax2)[::-1]
-    semi_major = math.sqrt(float(ax2[order[0]]))
-    semi_minor = math.sqrt(float(ax2[order[1]]))
-    major_dir = complex(evecs[0, order[0]], evecs[1, order[0]])
+    semi_major = math.sqrt(ax2_major)
+    semi_minor = math.sqrt(ax2_minor)
+    theta = 0.5 * math.atan2(B, A - C) + (math.pi / 2.0 if mean > 0.0 else 0.0)
+    major_dir = complex(math.cos(theta), math.sin(theta))
     focal = math.sqrt(max(semi_major**2 - semi_minor**2, 0.0))
 
-    center = ctr + scale * complex(cen[0], cen[1])
+    center = ctr + scale * complex(cx, cy)
     fa = center + scale * focal * major_dir
     fb = center - scale * focal * major_dir
     f1, f2 = sorted((fa, fb), key=lambda z: (z.real, z.imag))

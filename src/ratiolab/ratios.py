@@ -46,7 +46,7 @@ import numpy as np
 
 from .cubic import AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import EQ_TOL, SQRT3, _cquot, _on_rays, principal_sqrt, require_finite
+from .kernel import EQ_TOL, SQRT3, _complex, _cquot, _on_rays, principal_sqrt, require_finite
 
 __all__ = [
     "RatioPath",
@@ -183,23 +183,37 @@ def closed_forms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ray_terms(t):
     """Validated t with |t|, r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r.
 
-    t is a scalar or an array; the tip rounding residue of t^2 - 3 is
+    A scalar t becomes a Python float and goes through math only; anything
+    else becomes a float array. The tip rounding residue of t^2 - 3 is
     clamped to 0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    if np.isscalar(t):
+        t = float(t)
+        at, sqrt, clamp = abs(t), math.sqrt, max
+        finite, below = math.isfinite(t), at < SQRT3 - EQ_TOL
+    else:
+        t = np.asarray(t, dtype=float)
+        at, sqrt, clamp = np.abs(t), np.sqrt, np.maximum
+        finite, below = np.all(np.isfinite(t)), np.any(at < SQRT3 - EQ_TOL)
+    if not finite:
         raise BadParameterError("boundary parameter must be finite")
-    if np.any(np.abs(t_arr) < SQRT3 - EQ_TOL):
+    if below:
         raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
-    if not np.isscalar(t):
-        t = t_arr
-    at = np.abs(t)
-    r = np.sqrt(np.maximum(at * at - 3.0, 0.0))
+    r = sqrt(clamp(at * at - 3.0, 0.0))
     return t, at, r, at * at + 3.0 + at * r
 
 
+def _by_sign(t, pos, neg):
+    """The tuple pos where t >= 0 and neg elsewhere: one branch for a scalar
+    t from _ray_terms, np.where per entry for an array."""
+    if isinstance(t, float):
+        return pos if t >= 0 else neg
+    return tuple(np.where(t >= 0, p, n) for p, n in zip(pos, neg))
+
+
 def boundary_uv(t):
-    """(u1, u2, v1, v2) on the rays; accepts scalars or arrays.
+    """(u1, u2, v1, v2) on the rays; Python floats for a scalar t (computed
+    with math only), arrays for an array.
 
     Cancellation-free arrangements are used so the asymptotic tails stay
     accurate (the textbook quotients lose all digits past |t| ~ 1e8):
@@ -216,14 +230,7 @@ def boundary_uv(t):
     u_small = 3.0 / heavy
     v_neg = (2.0 * at + r) / (3.0 * (at * at + 1.0))
     v_pos = -1.0 / (r + 2.0 * at)
-    pos = np.asarray(t) >= 0
-    u1 = np.where(pos, u_big, u_small)
-    u2 = np.where(pos, u_small, u_big)
-    v1 = np.where(pos, v_pos, v_neg)
-    v2 = np.where(pos, -v_neg, -v_pos)
-    if np.isscalar(t):
-        return (float(u1), float(u2), float(v1), float(v2))
-    return (u1, u2, v1, v2)
+    return _by_sign(t, (u_big, u_small, v_pos, -v_neg), (u_small, u_big, v_neg, -v_pos))
 
 
 def boundary_sigma1(t) -> complex:
@@ -234,7 +241,7 @@ def boundary_sigma1(t) -> complex:
     u1, _, v1, _ = boundary_uv(t)
     if isinstance(u1, float):
         return complex(u1, v1)
-    return u1 + 1j * v1
+    return _complex(u1, v1)
 
 
 def boundary_modulus_sq(t):
@@ -242,12 +249,7 @@ def boundary_modulus_sq(t):
     t, at, _, heavy = _ray_terms(t)
     big = 2.0 * heavy / (at * at + 1.0)
     small = 18.0 / heavy
-    pos = np.asarray(t) >= 0
-    a = np.where(pos, big, small)
-    b = np.where(pos, small, big)
-    if np.isscalar(t):
-        return (float(a), float(b))
-    return (a, b)
+    return _by_sign(t, (big, small), (small, big))
 
 
 def boundary_sigma_diff(t) -> complex:
@@ -257,9 +259,9 @@ def boundary_sigma_diff(t) -> complex:
     den = 3.0 * (at * at + 1.0)
     re = (at * at - 3.0) / den
     im = -2.0 * r / den
-    if np.isscalar(t):
+    if isinstance(t, float):
         return complex(re, im)
-    return re + 1j * im
+    return _complex(re, im)
 
 
 def identity_residual(r: RatioVector) -> float:

@@ -1,5 +1,7 @@
 import cmath
+import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ratiolab import (
+    EQ_TOL,
     BadParameterError,
     NotAdmissibleError,
     OutsideDomainError,
@@ -185,6 +188,56 @@ def test_boundary_sigma1_is_u1_plus_iv1():
     assert np.max(np.abs(boundary_sigma1(ts) - literal)) < 1e-12
     u1, _, v1, _ = boundary_uv(ts)
     assert np.max(np.abs((u1 + 1j * v1) - literal)) < 1e-12
+
+
+def _ray_parameters() -> np.ndarray:
+    """t from the tips (down to EQ_TOL below sqrt(3)) to 1e308, both signs."""
+    tips = SQRT3 - EQ_TOL * np.array([0.0, 1e-6, 0.25, 0.5, 0.999])
+    near = np.linspace(SQRT3, 4.0, 2001)
+    far = np.logspace(np.log10(4.0), 308.0, 8001)
+    ts = np.concatenate([tips, np.nextafter(SQRT3, 0.0) - np.arange(4) * 2e-16, near, far])
+    return np.concatenate([ts, -ts])
+
+
+@pytest.mark.parametrize(
+    "fn", [boundary_uv, boundary_modulus_sq, boundary_sigma_diff, boundary_sigma1]
+)
+def test_ray_formulas_scalar_equals_array(fn):
+    # the scalar path (math only) against the array path, bit for bit; it
+    # raises no RuntimeWarning, ZeroDivisionError or OverflowError even at
+    # 1e308, where the array path overflows and warns
+    ts = _ray_parameters()
+    with np.errstate(all="ignore"):
+        want = fn(ts)
+    want = list(zip(*want)) if isinstance(want, tuple) else list(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [fn(t) for t in ts.tolist()]
+    for t, g, w in zip(ts.tolist(), got, want):
+        if isinstance(g, tuple):
+            assert all(type(x) is float for x in g)
+            parts = [(x, float(y)) for x, y in zip(g, w)]
+        else:
+            assert type(g) is complex
+            parts = [(g.real, w.real), (g.imag, w.imag)]
+        assert [x.hex() for x, _ in parts] == [float(y).hex() for _, y in parts], t
+
+
+@pytest.mark.parametrize(
+    "fn", [boundary_uv, boundary_modulus_sq, boundary_sigma_diff, boundary_sigma1]
+)
+def test_ray_formulas_reject_bad_parameters(fn):
+    for bad, message in (
+        (math.nan, "must be finite"),
+        (math.inf, "must be finite"),
+        (-math.inf, "must be finite"),
+        (0.5, r"needs \|t\| >= sqrt\(3\)"),
+        (-(SQRT3 - 2.0 * EQ_TOL), r"needs \|t\| >= sqrt\(3\)"),
+    ):
+        for t in (bad, np.float64(bad), np.array([2.0, bad])):
+            with pytest.raises(BadParameterError, match=message):
+                fn(t)
+    assert fn(np.float64(2.0)) == fn(2) == fn(2.0)
 
 
 def test_boundary_modulus_values():
