@@ -414,6 +414,25 @@ def admissibility_mask(w2n, w3n) -> tuple[np.ndarray, np.ndarray]:
     return reasons, on_boundary
 
 
+def _diameter(w1, w2, w3, modulus, maximum):
+    """The largest pairwise distance of the roots: complex scalars (modulus =
+    abs, maximum = max) or complex arrays (kernel._cabs, np.maximum), with
+    the same bits."""
+    return maximum(maximum(modulus(w1 - w2), modulus(w1 - w3)), modulus(w2 - w3))
+
+
+def _collinear(w1, w2, w3, modulus, maximum):
+    """Whether the root triangle's area is at most EQ_TOL * diameter^2; on
+    scalars or arrays as _diameter. The area |Im((w2 - w1) conj(w3 - w1))| / 2
+    is spelled on real and imaginary parts, as CPython's complex product
+    forms that imaginary part, so arrays get the scalar bits."""
+    ax, ay = w2.real - w1.real, w2.imag - w1.imag
+    bx, by = w3.real - w1.real, w3.imag - w1.imag
+    area = abs(ay * bx - ax * by) / 2.0
+    diam = _diameter(w1, w2, w3, modulus, maximum)
+    return area <= EQ_TOL * diam * diam
+
+
 def classify_configuration(c: OrderedCubic) -> Configuration:
     """Equilateral, collinear, or generic root triangle.
 
@@ -423,8 +442,6 @@ def classify_configuration(c: OrderedCubic) -> Configuration:
     """
     if c.coincident:
         return Configuration.EQUILATERAL
-    diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
-    area = abs(((c.w2 - c.w1) * (c.w3 - c.w1).conjugate()).imag) / 2.0
-    if area <= EQ_TOL * diam * diam:
+    if _collinear(c.w1, c.w2, c.w3, abs, max):
         return Configuration.COLLINEAR
     return Configuration.GENERIC

@@ -22,29 +22,39 @@ Every claim is checked numerically: Monte Carlo over admissible
 configurations, dense grid scans with sign-change detection and root
 refinement, and the explicit extremal families. t -> -t maps each lemma
 and ray envelope expression onto its partner bit for bit, so the lemma
-scans and the ray envelopes of T1E, T3 and T5 walk t >= sqrt(3) only.
-Reports carry a margin (signed distance to the bound) and a witness
-record for the extremal or violating configuration. The Monte Carlo pass
-of T1-T3 keeps its samples in one complex table (80 B per sample); each
-bound's margin is the minimum over the table, its witness the first
-sample at that minimum, and its verdict the bound's open or closed
-threshold applied to that minimum. T4, T5 and HYP check one report per
-configuration; the claim fails when any report fails, and its witness is
-the last failing configuration.
+scans and the ray envelopes of T1E, T3 and T5 walk t >= sqrt(3) only, in
+blocks of _SCAN_BLOCK points whose temporaries stay in cache; a scan's
+minimum is folded block by block, which gives the bits of the whole-grid
+minimum. Reports carry a margin (signed distance to the bound) and a
+witness record for the extremal or violating configuration. The Monte
+Carlo pass of T1-T3 keeps its samples in one complex table (80 B per
+sample); each bound's margin is the minimum over the table, its witness
+the first sample at that minimum, and its verdict the bound's open or
+closed threshold applied to that minimum. T4, T5 and HYP put the
+configurations the public samplers yield into one GATE_TABLE array per
+claim and decide all rows at once. Each verdict is one body written with
+operators only, which check_equivalence_t4, check_equivalence_t5 and
+check_hyperbolic run on complex scalars and the claim runs on the table's
+columns, with the same bits. The claim fails when any row fails, and its
+witness is the last failing row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .cubic import (
+    GATE_TABLE,
     Configuration,
     OrderedCubic,
+    _collinear,
+    _diameter,
     classify_configuration,
     normalize,
     order_roots,
@@ -167,32 +177,58 @@ def bounds_mask(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(_bound_verdicts(margins))
 
 
+# T4, T5 and HYP decide each configuration in one body, written with
+# operators only like _bound_margins: on complex scalars for the check_*
+# functions, on the complex columns of a GATE_TABLE array for the claim runs.
+
+
+def _t4_verdict(s1, s2, equilateral, modulus):
+    """T4's (passed, margin): |sigma1 - sigma2| <= IDENTITY_TOL exactly on
+    the equilateral configurations. modulus is abs or kernel._cabs."""
+    margin = modulus(s1 - s2)
+    return (margin <= IDENTITY_TOL) == equilateral, margin
+
+
+def _t5_verdict(s1, s2, collinear, minimum):
+    """T5's (passed, margin): a ratio within EQ_TOL of real exactly on the
+    collinear configurations; the margin is the smaller |Im sigma|."""
+    im1, im2 = abs(s1.imag), abs(s2.imag)
+    return ((im1 <= EQ_TOL) | (im2 <= EQ_TOL)) == collinear, minimum(im1, im2)
+
+
+def _hyp_verdict(s1, s2, minimum, maximum):
+    """HYP's (passed, margin): 1/3 < Re sigma1 < 1/2 < Re sigma2 < 2/3 and
+    both ratios within EQ_TOL of real; the margin is the least distance to
+    the four thresholds."""
+    margin = minimum(
+        minimum(s1.real - 1.0 / 3.0, 0.5 - s1.real),
+        minimum(s2.real - 0.5, 2.0 / 3.0 - s2.real),
+    )
+    real_enough = maximum(abs(s1.imag), abs(s2.imag)) <= EQ_TOL
+    return (margin > 0.0) & real_enough, margin
+
+
+def _off_real_axis(w1, w2, w3, modulus, maximum):
+    """Whether a root lies more than EQ_TOL times the diameter of the root
+    triangle off the real axis (HYP's realness test)."""
+    far = maximum(maximum(abs(w1.imag), abs(w2.imag)), abs(w3.imag))
+    return far > EQ_TOL * _diameter(w1, w2, w3, modulus, maximum)
+
+
 def check_equivalence_t4(c: OrderedCubic) -> TheoremReport:
     """sigma1 == sigma2 (within IDENTITY_TOL) iff the triangle is equilateral."""
     rv = ratios_direct(c)
-    equal = abs(rv.sigma1 - rv.sigma2) <= IDENTITY_TOL
     equilateral = classify_configuration(c) is Configuration.EQUILATERAL
-    passed = equal == equilateral
-    return TheoremReport(
-        "T4",
-        passed,
-        None if passed else _witness(c, rv),
-        abs(rv.sigma1 - rv.sigma2),
-    )
+    passed, margin = _t4_verdict(rv.sigma1, rv.sigma2, equilateral, abs)
+    return TheoremReport("T4", passed, None if passed else _witness(c, rv), margin)
 
 
 def check_equivalence_t5(c: OrderedCubic) -> TheoremReport:
     """a ratio is real (within EQ_TOL) iff the roots are collinear."""
     rv = ratios_direct(c)
-    some_real = abs(rv.sigma1.imag) <= EQ_TOL or abs(rv.sigma2.imag) <= EQ_TOL
     collinear = classify_configuration(c) is Configuration.COLLINEAR
-    passed = some_real == collinear
-    return TheoremReport(
-        "T5",
-        passed,
-        None if passed else _witness(c, rv),
-        min(abs(rv.sigma1.imag), abs(rv.sigma2.imag)),
-    )
+    passed, margin = _t5_verdict(rv.sigma1, rv.sigma2, collinear, min)
+    return TheoremReport("T5", passed, None if passed else _witness(c, rv), margin)
 
 
 def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
@@ -201,19 +237,10 @@ def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
     A root counts as real when its imaginary part is at most EQ_TOL times
     the diameter of the root triangle.
     """
-    diam = max(abs(c.w1 - c.w2), abs(c.w1 - c.w3), abs(c.w2 - c.w3))
-    if max(abs(c.w1.imag), abs(c.w2.imag), abs(c.w3.imag)) > EQ_TOL * diam:
+    if _off_real_axis(c.w1, c.w2, c.w3, abs, max):
         raise NotHyperbolicError("roots must all be real")
     rv = ratios_direct(c)
-    s1, s2 = rv.sigma1, rv.sigma2
-    margin = min(
-        s1.real - 1.0 / 3.0,
-        0.5 - s1.real,
-        s2.real - 0.5,
-        2.0 / 3.0 - s2.real,
-    )
-    real_enough = max(abs(s1.imag), abs(s2.imag)) <= EQ_TOL
-    passed = margin > 0.0 and real_enough
+    passed, margin = _hyp_verdict(rv.sigma1, rv.sigma2, min, max)
     return TheoremReport("HYP", passed, None if passed else _witness(c, rv), margin)
 
 
@@ -266,14 +293,45 @@ def _ray_grid() -> np.ndarray:
     return _scan_grid(SQRT3, 1e3, 200000)
 
 
-#: Points per block of the lemma scans: each temporary of a block (256 KiB)
-#: stays in cache, and the scans' peak memory stays near 2 MiB.
+#: Points per block of the lemma scans and the ray envelopes: each temporary
+#: of a block (256 KiB) stays in cache, and a scan's peak memory stays
+#: under 4 MiB.
 _SCAN_BLOCK = 2**15
 
 
 def _blocks(grid: np.ndarray):
     """Consecutive views of at most _SCAN_BLOCK points covering grid."""
     return (grid[i:i + _SCAN_BLOCK] for i in range(0, len(grid), _SCAN_BLOCK))
+
+
+def _ray_envelope(expression: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The least value of expression over the ray grid, one block at a time
+    (np.minimum keeps a NaN, as np.min over the grid does)."""
+    low = np.inf
+    for t in _blocks(_ray_grid()):
+        low = np.minimum(low, np.min(expression(t)))
+    return float(low)
+
+
+# The ray envelope expressions of T1E, T3 and T5, on t >= sqrt(3).
+
+
+def _t1e_ray(t: np.ndarray) -> np.ndarray:
+    """4 - a and 4 - b, the lesser per t: |sigma_k| <= 2/3 resp. 1 on the rays."""
+    a, b = boundary_modulus_sq(t)
+    return np.minimum(4.0 - a, 4.0 - b)
+
+
+def _t3_ray(t: np.ndarray) -> np.ndarray:
+    """Re(sigma2 - sigma1) on the rays."""
+    return boundary_sigma_diff(t).real
+
+
+def _t5_ray(t: np.ndarray) -> np.ndarray:
+    """The lesser of |v1| and |v2|, the imaginary parts of sigma1 on the two
+    sides of the rays."""
+    _, _, v1, v2 = boundary_uv(t)
+    return np.minimum(np.abs(v1), np.abs(v2))
 
 
 def scan_lemma1(
@@ -449,12 +507,6 @@ def sigma2_extremal_family(
 # aggregated claim runners
 
 
-def _verdict(reports: list[TheoremReport]) -> tuple[bool, Optional[SampleRecord]]:
-    """Whether every report passed, and the witness of the last failing one."""
-    failed = [rep for rep in reports if not rep.passed]
-    return not failed, failed[-1].witness if failed else None
-
-
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
@@ -462,6 +514,48 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
 def _row_witness(row: np.ndarray) -> SampleRecord:
     """The witness record of a bounds-table row (w1, w2, w3, ...)."""
     c = order_roots(*row[:3].tolist())
+    return _witness(c, ratios_direct(c))
+
+
+#: The fields of an OrderedCubic in GATE_TABLE order.
+_GATE_FIELDS = operator.attrgetter(*GATE_TABLE.names)
+
+
+def _gate_table(cubics: Iterable[OrderedCubic]) -> np.ndarray:
+    """A GATE_TABLE row per cubic, in order; the iterable is consumed here."""
+    return np.array(list(map(_GATE_FIELDS, cubics)), dtype=GATE_TABLE)
+
+
+def _t4_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_t4_verdict on each row of a GATE_TABLE array."""
+    s1, s2 = ratios_direct_array(table)
+    return _t4_verdict(s1, s2, table["coincident"], _cabs)
+
+
+def _t5_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_t5_verdict on each row of a GATE_TABLE array; collinear as
+    classify_configuration decides it (unless equilateral)."""
+    s1, s2 = ratios_direct_array(table)
+    w1, w2, w3 = table["w1"], table["w2"], table["w3"]
+    collinear = ~table["coincident"] & _collinear(w1, w2, w3, _cabs, np.maximum)
+    return _t5_verdict(s1, s2, collinear, np.minimum)
+
+
+def _hyp_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_hyp_verdict on each row of a GATE_TABLE array; NotHyperbolicError
+    if a row has a root off the real axis."""
+    if _off_real_axis(table["w1"], table["w2"], table["w3"], _cabs, np.maximum).any():
+        raise NotHyperbolicError("roots must all be real")
+    s1, s2 = ratios_direct_array(table)
+    return _hyp_verdict(s1, s2, np.minimum, np.maximum)
+
+
+def _last_failing(table: np.ndarray, passed: np.ndarray) -> Optional[SampleRecord]:
+    """The witness of the last table row that fails, None if none does."""
+    failed = np.flatnonzero(~passed)
+    if not len(failed):
+        return None
+    c = OrderedCubic(*table[failed[-1]].tolist())
     return _witness(c, ratios_direct(c))
 
 
@@ -564,8 +658,7 @@ def _claims_t1(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
 
     # T1E: Monte Carlo margin plus the ray modulus envelope a, b < 4
     base = shared["T1E"]
-    a, b = boundary_modulus_sq(_ray_grid())
-    env = float(min(np.min(4.0 - a), np.min(4.0 - b)))
+    env = _ray_envelope(_t1e_ray)
     # on the asymptotic tail the envelope rounds onto its unattained limit 4
     ok = base.passed and env > -CLOSED_BOUND_SLACK
     reports.append(
@@ -590,8 +683,7 @@ def _claims_t2(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
 
 def _claims_t3(shared: dict) -> list[TheoremReport]:
     base = shared["T3"]
-    diff = boundary_sigma_diff(_ray_grid())
-    ray_min = float(np.min(np.real(diff)))
+    ray_min = _ray_envelope(_t3_ray)
     ok = base.passed and ray_min >= -CLOSED_BOUND_SLACK
     return [
         TheoremReport(
@@ -604,47 +696,51 @@ def _claims_t3(shared: dict) -> list[TheoremReport]:
 def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 4)
     n = max(1000, samples // 10)
-    sampled = list(map(check_equivalence_t4, sample_ordered_cubics(n, rng)))
-    equilateral = list(map(check_equivalence_t4, sample_equilateral(200, rng)))
-    near = list(map(check_equivalence_t4, sample_near_equilateral(200, rng)))
-    # the proof witnesses w = +-i sqrt(3)
-    proof = [check_equivalence_t4(order_roots(-1.0, w2, 1.0)) for w2 in (SQRT3 * 1j, -SQRT3 * 1j)]
-    passed, witness = _verdict(sampled + equilateral + near + proof)
-    # constructed equilateral cases must show exact equality (1e-10); the
-    # T4 margin is |sigma1 - sigma2|
-    eq_worst = max(rep.margin for rep in equilateral + proof)
-    ok = passed and eq_worst <= 1e-10
+    table = np.concatenate([
+        _gate_table(sample_ordered_cubics(n, rng)),
+        _gate_table(sample_equilateral(200, rng)),
+        _gate_table(sample_near_equilateral(200, rng)),
+        # the proof witnesses w = +-i sqrt(3)
+        _gate_table(order_roots(-1.0, w2, 1.0) for w2 in (SQRT3 * 1j, -SQRT3 * 1j)),
+    ])
+    passed, margin = _t4_rows(table)
+    # the equilateral draws and the proof witnesses must show exact
+    # equality (1e-10); the T4 margin is |sigma1 - sigma2|
+    eq_worst = float(max(margin[n:n + 200].max(), margin[-2:].max()))
+    ok = bool(passed.all()) and eq_worst <= 1e-10
     note = f"{n} random + 400 constructed; max |sigma1 - sigma2| on equilateral = {eq_worst:.3e}"
-    return [TheoremReport("T4", ok, witness, eq_worst, note)]
+    return [TheoremReport("T4", ok, _last_failing(table, passed), eq_worst, note)]
 
 
 def _claims_t5(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 5)
     n = max(1000, samples // 10)
-    reports = list(map(check_equivalence_t5, sample_ordered_cubics(n, rng)))
-    collinear = list(sample_collinear(400, rng))
-    passed, witness = _verdict(reports + list(map(check_equivalence_t5, collinear)))
-    col_worst = max(max(abs(rv.sigma1.imag), abs(rv.sigma2.imag)) for rv in map(ratios_direct, collinear))
+    table = np.concatenate([
+        _gate_table(sample_ordered_cubics(n, rng)),
+        _gate_table(sample_collinear(400, rng)),
+    ])
+    passed, _ = _t5_rows(table)
+    s1, s2 = ratios_direct_array(table[n:])
+    col_worst = float(np.max(np.maximum(np.abs(s1.imag), np.abs(s2.imag))))
     # on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never vanish,
     # so ray configurations never have a real ratio
-    _, _, v1, v2 = boundary_uv(_ray_grid())
-    ray_min = float(min(np.min(np.abs(v1)), np.min(np.abs(v2))))
-    ok = passed and col_worst <= 1e-10 and ray_min > 0.0
+    ray_min = _ray_envelope(_t5_ray)
+    ok = bool(passed.all()) and col_worst <= 1e-10 and ray_min > 0.0
     note = (
         f"{n} random + 400 collinear; max |Im sigma| on collinear = {col_worst:.3e}; "
         f"ray min |Im sigma1| = {ray_min:.3e}"
     )
-    return [TheoremReport("T5", ok, witness, col_worst, note)]
+    return [TheoremReport("T5", ok, _last_failing(table, passed), col_worst, note)]
 
 
 def _claims_hyp(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 6)
     n = max(1000, samples // 10)
-    reports = list(map(check_hyperbolic, sample_hyperbolic(n, rng)))
-    passed, witness = _verdict(reports)
-    margin = min(rep.margin for rep in reports)
-    ok = passed and margin > 0.0
-    return [TheoremReport("HYP", ok, witness, margin, f"{n} samples")]
+    table = _gate_table(sample_hyperbolic(n, rng))
+    passed, margins = _hyp_rows(table)
+    margin = float(margins.min())
+    ok = bool(passed.all()) and margin > 0.0
+    return [TheoremReport("HYP", ok, _last_failing(table, passed), margin, f"{n} samples")]
 
 
 def run_claims(

@@ -27,6 +27,10 @@ from ratiolab import (
     order_roots,
     ratios_direct,
     run_claims,
+    sample_collinear,
+    sample_equilateral,
+    sample_hyperbolic,
+    sample_near_equilateral,
     sample_ordered_cubics,
     scan_lemma1,
     scan_lemma2,
@@ -34,10 +38,10 @@ from ratiolab import (
     sigma2_extremal_family,
 )
 from ratiolab import theorems
-from ratiolab.cubic import GATE_TABLE
+from ratiolab.cubic import GATE_TABLE, OrderedCubic, _collinear, order_roots_array
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import boundary_modulus_sq, boundary_sigma_diff, boundary_uv
-from ratiolab.kernel import EQ_TOL
+from ratiolab.kernel import EQ_TOL, IDENTITY_TOL, _cabs
 from ratiolab.theorems import CLOSED_BOUND_SLACK, lemma1_expressions, lemma2_expressions
 
 
@@ -584,3 +588,228 @@ def test_t4_witness_is_the_last_failing_configuration(monkeypatch):
     assert rep.witness == theorems._witness(second, ratios_direct(second))
     assert rep.witness.w == normalize(second).w != normalize(first).w
     assert rep.witness.classification == "equilateral"
+
+
+# ---------------------------------------------------------------------------
+# T4, T5 and HYP: the scalar checks and the array masks of the claim runs
+
+_SAMPLERS = (
+    sample_ordered_cubics,
+    sample_equilateral,
+    sample_near_equilateral,
+    sample_collinear,
+    sample_hyperbolic,
+)
+
+#: claim id -> (scalar check, array verdict over a GATE_TABLE array)
+_ROW_CHECKS = {
+    "T4": (check_equivalence_t4, theorems._t4_rows),
+    "T5": (check_equivalence_t5, theorems._t5_rows),
+    "HYP": (check_hyperbolic, theorems._hyp_rows),
+}
+
+
+def _assert_rows_match_checks(cid, cubics, table):
+    """The array verdict on table and the scalar check on each cubic give
+    the same passed and the same (==) margin; returns the failing rows."""
+    check, rows = _ROW_CHECKS[cid]
+    passed, margin = rows(table)
+    assert passed.dtype == bool and margin.dtype == float
+    reports = [check(c) for c in cubics]
+    assert passed.tolist() == [rep.passed for rep in reports], cid
+    assert margin.tolist() == [rep.margin for rep in reports], cid
+    return np.flatnonzero(~passed).tolist()
+
+
+@pytest.mark.parametrize("seed", [3, 2027])
+@pytest.mark.parametrize("sampler", _SAMPLERS, ids=lambda s: s.__name__)
+def test_array_verdicts_match_scalar_checks_on_sampler_rows(sampler, seed):
+    cubics = list(sampler(3000, np.random.default_rng([seed, 9])))
+    table = theorems._gate_table(cubics)
+    assert [OrderedCubic(*row) for row in table.tolist()] == cubics
+    for cid in ("T4", "T5"):
+        _assert_rows_match_checks(cid, cubics, table)
+    if sampler is sample_hyperbolic:
+        assert _assert_rows_match_checks("HYP", cubics, table) == []
+    else:
+        with pytest.raises(NotHyperbolicError):
+            theorems._hyp_rows(table)
+
+
+def _ulps_around(x, k=3):
+    """x and the k floats on either side of it."""
+    out = [x]
+    for d in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, d)
+            out.append(y)
+    return sorted(out)
+
+
+def _verdict_edge_pairs():
+    """claim id -> (cubics, (sigma1, sigma2) pairs): pairs that put a margin
+    or the EQ_TOL realness band at IDENTITY_TOL, at EQ_TOL or at one of the
+    four HYP thresholds, a few ulps either way, each with a cubic of either
+    class the claim tells apart."""
+    equilateral = order_roots(-1, SQRT3 * 1j, 1)
+    collinear = order_roots(-1, 0, 1)
+    generic = order_roots(-1, 1j, 1)
+    t4 = []
+    for d in _ulps_around(IDENTITY_TOL):
+        for step in (1, 1j, 0.6 + 0.8j):
+            t4 += [(0.4 + 0.1j, 0.4 + 0.1j + d * step), (0.4 + 0.1j - d * step, 0.4 + 0.1j)]
+    t5 = []
+    for y in _ulps_around(EQ_TOL) + _ulps_around(-EQ_TOL):
+        t5 += [(complex(0.4, y), 0.6 + 0.2j), (0.4 - 0.2j, complex(0.6, y))]
+    hyp = []
+    for edge in (0.0, 5e-324, 1e-16):
+        for x in _ulps_around(edge) + _ulps_around(-edge):
+            hyp += [
+                (complex(1.0 / 3.0 + x, 0.0), 0.6 + 0j),
+                (complex(0.5 - x, 0.0), 0.6 + 0j),
+                (0.4 + 0j, complex(0.5 + x, 0.0)),
+                (0.4 + 0j, complex(2.0 / 3.0 - x, 0.0)),
+            ]
+    for y in _ulps_around(EQ_TOL) + _ulps_around(-EQ_TOL):
+        hyp += [(complex(0.4, y), 0.6 + 0j), (0.4 + 0j, complex(0.6, y))]
+    return {
+        "T4": ((equilateral, collinear), t4),
+        "T5": ((collinear, generic, equilateral), t5),
+        "HYP": ((collinear,), hyp),
+    }
+
+
+@pytest.mark.parametrize("cid", ["T4", "T5", "HYP"])
+def test_array_verdicts_match_scalar_checks_at_the_thresholds(monkeypatch, cid):
+    cubics, pairs = _verdict_edge_pairs()[cid]
+    check, rows = _ROW_CHECKS[cid]
+    s1 = np.array([p[0] for p in pairs])
+    s2 = np.array([p[1] for p in pairs])
+    for c in cubics:
+        expected = []
+        for a, b in pairs:
+            monkeypatch.setattr(theorems, "ratios_direct", lambda _c, a=a, b=b: RatioVector(a, b, RatioPath.DIRECT))
+            rep = check(c)
+            expected.append((rep.passed, rep.margin))
+        monkeypatch.setattr(theorems, "ratios_direct_array", lambda _table: (s1, s2))
+        passed, margin = rows(theorems._gate_table([c] * len(pairs)))
+        assert list(zip(passed.tolist(), margin.tolist())) == expected, (cid, c)
+        assert any(p for p, _ in expected) and not all(p for p, _ in expected), (cid, c)
+
+
+def _near_collinear_triangles(seed=2, n=20000):
+    """Three points on a random line (direction within 1.2 rad of the real
+    axis), then the middle one moved by 10^[-12, -4] in a random direction:
+    the gate table of the triangles the gate accepts."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-5.0, 5.0, (n, 3)), axis=1)
+    direction = np.exp(1j * rng.uniform(-1.2, 1.2, n))
+    offset = rng.uniform(-5.0, 5.0, n) + 1j * rng.uniform(-5.0, 5.0, n)
+    roots = offset[:, None] + direction[:, None] * xs
+    roots[:, 1] += 10.0 ** rng.uniform(-12.0, -4.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    table, reasons = order_roots_array(roots)
+    return table[reasons == 0]
+
+
+def test_array_verdicts_match_scalar_checks_on_near_collinear_triangles():
+    # the two T5 bands disagree here (relative area against |Im sigma|):
+    # both paths must fail the same rows
+    table = _near_collinear_triangles()
+    cubics = [OrderedCubic(*row) for row in table.tolist()]
+    assert [classify_configuration(c) is Configuration.COLLINEAR for c in cubics] == (
+        ~table["coincident"] & _collinear(table["w1"], table["w2"], table["w3"], _cabs, np.maximum)
+    ).tolist()
+    failing = _assert_rows_match_checks("T5", cubics, table)
+    assert 500 < len(failing) < 3000, len(failing)
+    _assert_rows_match_checks("T4", cubics, table)
+
+
+def test_t5_witness_is_the_last_failing_configuration(monkeypatch):
+    # two near-collinear triangles between the T5 bands: relative area
+    # above EQ_TOL (generic), yet |Im sigma1| below it
+    good = list(sample_ordered_cubics(1000, np.random.default_rng([7, 5])))
+    first, second = order_roots(-1, 6e-9j, 1), order_roots(-1, 7e-9j, 1)
+    cubics = good[:300] + [first] + good[300:600] + [second] + good[600:]
+    assert not check_equivalence_t5(first).passed and not check_equivalence_t5(second).passed
+    monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
+    (rep,) = theorems._claims_t5(1000, 7)
+    assert not rep.passed
+    assert rep.witness == theorems._witness(second, ratios_direct(second))
+    assert rep.witness.w == normalize(second).w != normalize(first).w
+    assert rep.witness.classification == "generic"
+
+
+def test_hyp_witness_is_the_last_failing_configuration(monkeypatch):
+    # two sampled all-real triangles with planted critical points: the
+    # first with z1 and z2 swapped (sigma1 > 1), the second with z1 moved
+    # off the real axis (|Im sigma1| = 1e-6 > EQ_TOL, margin still > 0)
+    good = list(sample_hyperbolic(1000, np.random.default_rng([7, 6])))
+    first = dataclasses.replace(good[0], z1=good[0].z2, z2=good[0].z1)
+    c = good[1]
+    second = dataclasses.replace(c, z1=c.z1 + 1e-6j * (c.w2 - c.w1))
+    cubics = good[2:300] + [first] + good[300:600] + [second] + good[600:]
+    for planted in (first, second):
+        assert not check_hyperbolic(planted).passed
+    assert check_hyperbolic(second).margin > 0.0
+    monkeypatch.setattr(theorems, "sample_hyperbolic", lambda n, rng: iter(cubics[:n]))
+    (rep,) = theorems._claims_hyp(1000, 7)
+    assert not rep.passed
+    assert rep.witness == theorems._witness(second, ratios_direct(second))
+    assert rep.witness.sigma1 != ratios_direct(first).sigma1
+
+
+def test_hyp_claim_raises_on_a_row_off_the_real_axis(monkeypatch):
+    good = list(sample_hyperbolic(1000, np.random.default_rng([7, 6])))
+    cubics = good[:500] + [order_roots(-1, 1j, 1)] + good[500:]
+    monkeypatch.setattr(theorems, "sample_hyperbolic", lambda n, rng: iter(cubics[:n]))
+    with pytest.raises(NotHyperbolicError, match="roots must all be real"):
+        theorems._claims_hyp(1000, 7)
+
+
+# ---------------------------------------------------------------------------
+# the ray envelopes of T1E, T3 and T5, block by block
+
+
+def _whole_grid_envelopes():
+    """The three envelopes on the whole ray grid at once, as np.min."""
+    grid = theorems._ray_grid()
+    a, b = boundary_modulus_sq(grid)
+    _, _, v1, v2 = boundary_uv(grid)
+    return {
+        theorems._t1e_ray: float(min(np.min(4.0 - a), np.min(4.0 - b))),
+        theorems._t3_ray: float(np.min(np.real(boundary_sigma_diff(grid)))),
+        theorems._t5_ray: float(min(np.min(np.abs(v1)), np.min(np.abs(v2)))),
+    }
+
+
+def test_blocked_ray_envelopes_match_the_whole_grid(monkeypatch):
+    grid = theorems._ray_grid()
+    expected = _whole_grid_envelopes()
+    for expression, want in expected.items():
+        assert theorems._ray_envelope(expression).hex() == want.hex(), expression.__name__
+    # seams at each minimum: the block size that makes it the first point
+    # of a block and the one that makes it the last (index 0 is the first
+    # point of the first block for every size)
+    seams = {1000, 1001}
+    for expression in expected:
+        i = int(np.argmin(expression(grid)))
+        seams |= {i, i + 1} if i >= 1000 else set()
+    assert len(seams) > 2
+    for block in sorted(seams):
+        monkeypatch.setattr(theorems, "_SCAN_BLOCK", block)
+        for expression, want in expected.items():
+            assert theorems._ray_envelope(expression).hex() == want.hex(), (expression.__name__, block)
+
+
+@pytest.mark.parametrize("cid", ["T1E", "T3", "T5"])
+def test_ray_envelope_memory_bounded(cid):
+    expression = {"T1E": theorems._t1e_ray, "T3": theorems._t3_ray, "T5": theorems._t5_ray}[cid]
+    theorems._ray_grid()  # the cached grid, built untraced
+    tracemalloc.start()
+    try:
+        theorems._ray_envelope(expression)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
