@@ -29,17 +29,17 @@ separation below 1e-12 of the largest magnitude (a small triangle far from
 the origin, whose shape the input's rounding has already blurred).
 
 order_roots_array, normalize_array and admissibility_mask are the same gate
-on whole blocks of configurations, for the sampler: each mirrors the body of
-its scalar form with kernel's bit-faithful complex helpers, so every row gets
-the scalar decision and the scalar values to the last bit. The scalar forms
-keep their own bodies, because a numpy call on one row costs about twenty
-times the scalar arithmetic.
+on whole blocks of configurations, for the sampler: each gate step is one
+body that runs on Python complex values or on numpy arrays through kernel's
+ops record, so every row gets the scalar decision and the scalar values to
+the last bit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -48,18 +48,9 @@ from .errors import (
     RootRealPartsEqualError,
     RootsNotDistinctError,
     ScaleGuardError,
+    UndefinedRatioError,
 )
-from .kernel import (
-    EQ_TOL,
-    MACHINE_EPS,
-    _cabs,
-    _cmul,
-    _cquot,
-    _csqrt,
-    _on_rays,
-    principal_sqrt,
-    require_finite,
-)
+from .kernel import _ARRAY, _SCALAR, EQ_TOL, MACHINE_EPS, _finite, _on_rays
 
 __all__ = [
     "Configuration",
@@ -159,7 +150,11 @@ GATE_REASONS = (
     "boundary-real-w3",
     "branch-incoherent",
 )
-_BIT = {tag: 1 << k for k, tag in enumerate(GATE_REASONS)}
+_ORDER_CHECKS = 6  # order_roots's checks at the head of GATE_REASONS
+_TAGS = GATE_REASONS[_ORDER_CHECKS:]
+
+#: Real operands as the complex numbers CPython before 3.14 turns them into.
+_ONE, _TWO, _THREE = complex(1.0, 0.0), complex(2.0, 0.0), complex(3.0, 0.0)
 
 #: Row type of order_roots_array's table: the fields of OrderedCubic.
 GATE_TABLE = np.dtype(
@@ -168,14 +163,25 @@ GATE_TABLE = np.dtype(
 )
 
 
-def _radicand(w1: complex, w2: complex, w3: complex) -> tuple[complex, complex, complex]:
-    """Root sum s, centroid m and the radicand q of the critical points
-    (s -+ sqrt(q)) / 3; q is formed on the centred roots u = w - m, where a
-    far-off centroid cannot cancel the triangle's shape away."""
+def _critical_points(ops, w1, w2, w3):
+    """The centroid m, the radicand q and the critical points
+    (s -+ sqrt(q)) / 3 of the roots, s their sum. q is formed on the centred
+    roots u = w - m, where a far-off centroid cannot cancel the triangle's
+    shape away, with its products spelled out on parts as CPython forms
+    them."""
     s = w1 + w2 + w3
-    m = s / 3.0
+    m = ops.quot(s, _THREE)
     u1, u2, u3 = w1 - m, w2 - m, w3 - m
-    return s, m, u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
+    a1, b1, a2, b2, a3, b3 = u1.real, u1.imag, u2.real, u2.imag, u3.real, u3.imag
+    q = ops.complex(
+        (a1 * a1 - b1 * b1) + (a2 * a2 - b2 * b2) + (a3 * a3 - b3 * b3)
+        - (a1 * a2 - b1 * b2) - (a1 * a3 - b1 * b3) - (a2 * a3 - b2 * b3),
+        # + 0.0 turns a -0.0 into +0.0, so that the root is principal_sqrt's
+        0.0 + ((a1 * b1 + b1 * a1) + (a2 * b2 + b2 * a2) + (a3 * b3 + b3 * a3)
+               - (a1 * b2 + b1 * a2) - (a1 * b3 + b1 * a3) - (a2 * b3 + b2 * a3)),
+    )
+    r = ops.sqrt(q)
+    return m, q, ops.quot(s - r, _THREE), ops.quot(s + r, _THREE)
 
 
 def critical_points_direct(
@@ -186,12 +192,9 @@ def critical_points_direct(
     Returned as (minus-branch, plus-branch); each satisfies
     p'(z) = 3 z^2 - 2 (w1+w2+w3) z + (w1w2 + w1w3 + w2w3) = 0.
     """
-    w1 = require_finite(w1, "w1")
-    w2 = require_finite(w2, "w2")
-    w3 = require_finite(w3, "w3")
-    s, _, q = _radicand(w1, w2, w3)
-    r = principal_sqrt(q)
-    return ((s - r) / 3.0, (s + r) / 3.0)
+    roots = _finite("roots", complex(w1), complex(w2), complex(w3))
+    _, _, z1, z2 = _critical_points(_SCALAR, *roots)
+    return z1, z2
 
 
 def critical_points_bruteforce(
@@ -203,9 +206,7 @@ def critical_points_bruteforce(
     formed and sorted, so the branch choice inside the radical cancels.
     Kept separate from critical_points_direct as a cross-check route.
     """
-    w1 = require_finite(w1, "w1")
-    w2 = require_finite(w2, "w2")
-    w3 = require_finite(w3, "w3")
+    w1, w2, w3 = _finite("roots", complex(w1), complex(w2), complex(w3))
     e1 = w1 + w2 + w3
     e2 = w1 * w2 + w1 * w3 + w2 * w3
     disc = e1 * e1 - 3.0 * e2
@@ -217,6 +218,45 @@ def critical_points_bruteforce(
     return (zb, za)
 
 
+def _order(ops, w1, w2, w3):
+    """order_roots on roots sorted by real part: the bands (mag, sep, diam),
+    the outcome of each of its checks in GATE_REASONS order, and the
+    critical points z1, z2 with whether they coincide (then both are the
+    centroid). Every step runs, also past a failing check, and none raises:
+    mag, the one divisor that can be 0, is 0 only where roots-not-distinct
+    holds, and there 1 stands in for it."""
+    mod = ops.modulus
+    mag = ops.maximum(mod(w1), mod(w2), mod(w3))
+    d12, d13, d23 = mod(w1 - w2), mod(w1 - w3), mod(w2 - w3)
+    sep, diam = ops.minimum(d12, d13, d23), ops.maximum(d12, d13, d23)
+    band = EQ_TOL * diam
+    m, q, z1, z2 = _critical_points(ops, w1, w2, w3)
+    coincident = mod(q) <= _COINCIDENCE * diam * diam
+    failed = (
+        mag > MAX_ROOT_MAGNITUDE,
+        sep <= band,
+        diam < MIN_ROOT_DIAMETER,
+        sep / (mag + (mag == 0.0)) < MIN_SEPARATION_RATIO,
+        (w2.real - w1.real <= band) | (w3.real - w2.real <= band),
+        ops.where(coincident, False, z2.real - z1.real <= band),
+    )
+    z1, z2 = ops.select(coincident, (m, m), (z1, z2))
+    return (mag, sep, diam), failed, z1, z2, coincident
+
+
+def _order_error(k: int, mag: float, sep: float, diam: float) -> UndefinedRatioError:
+    """The error order_roots raises when its check k fails."""
+    return (
+        lambda: ScaleGuardError(f"root magnitude {mag:.3g} exceeds {MAX_ROOT_MAGNITUDE:.0e}"),
+        lambda: RootsNotDistinctError("two roots coincide"),
+        lambda: ScaleGuardError(f"root diameter {diam:.3g} below {MIN_ROOT_DIAMETER:.0e}"),
+        lambda: ScaleGuardError(
+            f"root separation ratio {sep / mag:.3g} below {MIN_SEPARATION_RATIO:.0e}"),
+        lambda: RootRealPartsEqualError("two roots have equal real parts"),
+        lambda: CriticalRealPartsEqualError("critical points have equal real parts"),
+    )[k]()
+
+
 def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     """Sort roots by real part and attach labeled critical points.
 
@@ -225,39 +265,12 @@ def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     is undefined for the input. Every band is EQ_TOL times the diameter of
     the root triangle.
     """
-    ws = sorted(
-        (require_finite(r1, "root"), require_finite(r2, "root"), require_finite(r3, "root")),
-        key=lambda z: z.real,
-    )
-    w1, w2, w3 = ws
-
-    mag = max(abs(w1), abs(w2), abs(w3))
-    if mag > MAX_ROOT_MAGNITUDE:
-        raise ScaleGuardError(f"root magnitude {mag:.3g} exceeds {MAX_ROOT_MAGNITUDE:.0e}")
-    dists = (abs(w1 - w2), abs(w1 - w3), abs(w2 - w3))
-    sep, diam = min(dists), max(dists)
-    band = EQ_TOL * diam
-    if sep <= band:
-        raise RootsNotDistinctError("two roots coincide")
-    if diam < MIN_ROOT_DIAMETER:
-        raise ScaleGuardError(f"root diameter {diam:.3g} below {MIN_ROOT_DIAMETER:.0e}")
-    if sep / mag < MIN_SEPARATION_RATIO:
-        raise ScaleGuardError(
-            f"root separation ratio {sep / mag:.3g} below {MIN_SEPARATION_RATIO:.0e}"
-        )
-    if w2.real - w1.real <= band or w3.real - w2.real <= band:
-        raise RootRealPartsEqualError("two roots have equal real parts")
-
-    s, m, q = _radicand(w1, w2, w3)
-    if abs(q) <= _COINCIDENCE * diam * diam:
-        return OrderedCubic(w1, w2, w3, m, m, True)
-
-    r = principal_sqrt(q)
-    z1 = (s - r) / 3.0
-    z2 = (s + r) / 3.0
-    if z2.real - z1.real <= band:
-        raise CriticalRealPartsEqualError("critical points have equal real parts")
-    return OrderedCubic(w1, w2, w3, z1, z2, False)
+    roots = _finite("roots", complex(r1), complex(r2), complex(r3))
+    w1, w2, w3 = sorted(roots, key=lambda z: z.real)
+    bands, failed, z1, z2, coincident = _order(_SCALAR, w1, w2, w3)
+    if True in failed:
+        raise _order_error(failed.index(True), *bands)
+    return OrderedCubic(w1, w2, w3, z1, z2, coincident)
 
 
 def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
@@ -273,55 +286,63 @@ def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(roots).all():
         raise ValueError("roots must have finite components")
     ws = np.take_along_axis(roots, np.argsort(roots.real, axis=1, kind="stable"), axis=1)
-    w1, w2, w3 = ws.T
     # rejected rows may overflow or divide by zero; their values are unused
     with np.errstate(all="ignore"):
-        mag = np.maximum(np.maximum(_cabs(w1), _cabs(w2)), _cabs(w3))
-        d12, d13, d23 = _cabs(w1 - w2), _cabs(w1 - w3), _cabs(w2 - w3)
-        sep = np.minimum(np.minimum(d12, d13), d23)
-        diam = np.maximum(np.maximum(d12, d13), d23)
-        band = EQ_TOL * diam
-
-        s = w1 + w2 + w3
-        m = _cquot(s, 3.0)
-        u1, u2, u3 = w1 - m, w2 - m, w3 - m
-        q = (_cmul(u1, u1) + _cmul(u2, u2) + _cmul(u3, u3)
-             - _cmul(u1, u2) - _cmul(u1, u3) - _cmul(u2, u3))
-        coincident = _cabs(q) <= _COINCIDENCE * diam * diam
-        r = _csqrt(q)
-        z1 = np.where(coincident, m, _cquot(s - r, 3.0))
-        z2 = np.where(coincident, m, _cquot(s + r, 3.0))
-
-        failed = (  # in order_roots's order, one per GATE_REASONS bit
-            mag > MAX_ROOT_MAGNITUDE,
-            sep <= band,
-            diam < MIN_ROOT_DIAMETER,
-            sep / mag < MIN_SEPARATION_RATIO,
-            (w2.real - w1.real <= band) | (w3.real - w2.real <= band),
-            ~coincident & (z2.real - z1.real <= band),
-        )
+        _, failed, z1, z2, coincident = _order(_ARRAY, *ws.T)
     reasons = np.zeros(len(ws), dtype=np.uint16)
     for k in reversed(range(len(failed))):  # the first failing check wins
         reasons[failed[k]] = 1 << k
     table = np.empty(len(ws), dtype=GATE_TABLE)
-    for name, column in zip(GATE_TABLE.names, (w1, w2, w3, z1, z2, coincident)):
+    for name, column in zip(GATE_TABLE.names, (*ws.T, z1, z2, coincident)):
         table[name] = column
     return table, reasons
 
 
+def _translated(ops, w1, w2, w3):
+    """The offset (w1 + w3) / 2 and the translated roots w2n, w3n."""
+    offset = ops.quot(w1 + w3, _TWO)
+    return offset, w2 - offset, w3 - offset
+
+
 def normalize(c: OrderedCubic) -> NormalizedCubic:
     """Translate so that w1 + w3 = 0; the ratio vector is unchanged."""
-    offset = (c.w1 + c.w3) / 2.0
-    w2n = c.w2 - offset
-    w3n = c.w3 - offset
+    offset, w2n, w3n = _translated(_SCALAR, c.w1, c.w2, c.w3)
     return NormalizedCubic(w2n=w2n, w3n=w3n, offset=offset, w=w2n / w3n)
 
 
 def normalize_array(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w2n, w3n) of normalize on each row of an order_roots_array table,
     bit for bit."""
-    offset = _cquot(table["w1"] + table["w3"], 2.0)
-    return table["w2"] - offset, table["w3"] - offset
+    _, w2n, w3n = _translated(_ARRAY, table["w1"], table["w2"], table["w3"])
+    return w2n, w3n
+
+
+def _admissibility(ops, w2n, w3n):
+    """assess_admissibility on complex scalars or arrays: the outcome of
+    each of its tags in GATE_REASONS order, and whether w lies on the rays.
+    Where w3n == 0, w cannot be formed: the division is by 1 instead, and
+    only the first four tags can hold."""
+    x3, y3 = w3n.real, w3n.imag
+    band = EQ_TOL * ops.modulus(w3n)
+    formed = w3n != 0
+    w = ops.quot(w2n, ops.where(formed, w3n, _ONE))
+    wx, wy = w.real, w.imag
+    d = ops.complex(3.0 + (wx * wx - wy * wy), 0.0 + (wx * wy + wy * wx))
+    on_rays = formed & _on_rays(w)
+    # w3n R(w) is a square root of q = 3 w3n^2 + w2n^2; the pair is coherent
+    # when it is the principal one
+    r = ops.sqrt(d)
+    px, py = x3 * r.real - y3 * r.imag, x3 * r.imag + y3 * r.real
+    tags = (
+        x3 <= band,
+        x3 - w2n.real <= band,
+        w2n.real + x3 <= band,
+        ops.modulus(w2n + w3n) <= band,
+        # real w3 on the open rays: critical points get equal real parts
+        on_rays & (ops.modulus(d) > EQ_TOL) & (abs(y3) <= band),
+        formed & ops.where(on_rays, False, (px < 0.0) | ((px == 0.0) & (py < 0.0))),
+    )
+    return tags, on_rays
 
 
 def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
@@ -332,8 +353,9 @@ def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
       * Re w2n < Re w3n                       (ordering-w2-w3)
       * -Re w3n < Re w2n                      (ordering-w1-w2)
       * w2n + w3n != 0                        (w2-plus-w3-zero)
-      * off the rays: principal_sqrt(3 w3n^2 + w2n^2)
-          == w3n * principal_sqrt(3 + w^2)    (branch-incoherent)
+      * off the rays: w3n * principal_sqrt(3 + w^2), a square root of
+          3 w3n^2 + w2n^2, is its principal root: Re > 0, or Re = 0 and
+          Im >= 0                             (branch-incoherent)
       * on the open rays: Im w3n != 0         (boundary-real-w3)
 
     On the rays (on_boundary = True, the kernel._on_rays band) the ratio
@@ -341,40 +363,10 @@ def assess_admissibility(w2n: complex, w3n: complex) -> AdmissibilityReport:
     Im w3n. Off that band 3 + w^2 stays off the branch cut, so no cut
     condition is needed there. Bands on w2n and w3n are EQ_TOL * |w3n|.
     """
-    w2n = require_finite(w2n, "w2n")
-    w3n = require_finite(w3n, "w3n")
-    reasons: list[str] = []
-    band = EQ_TOL * abs(w3n)
-
-    if w3n.real <= band:
-        reasons.append("w3-real-part-not-positive")
-    if w3n.real - w2n.real <= band:
-        reasons.append("ordering-w2-w3")
-    if w2n.real + w3n.real <= band:
-        reasons.append("ordering-w1-w2")
-    if abs(w2n + w3n) <= band:
-        reasons.append("w2-plus-w3-zero")
-    if w3n == 0:
-        # w cannot even be formed; the first reason already fired.
-        return AdmissibilityReport(False, False, tuple(reasons))
-
-    w = w2n / w3n
-    d = 3.0 + w * w
-    on_boundary = _on_rays(w)
-
-    if on_boundary:
-        if abs(d) > EQ_TOL and abs(w3n.imag) <= band:
-            # real w3 on the open rays: critical points get equal real parts
-            reasons.append("boundary-real-w3")
-    else:
-        q = 3.0 * w3n * w3n + w2n * w2n
-        big = max(abs(w2n), abs(w3n))
-        if abs(q) > _COINCIDENCE * big * big:
-            rq = principal_sqrt(q)
-            if abs(rq - w3n * principal_sqrt(d)) >= abs(rq):
-                reasons.append("branch-incoherent")
-
-    return AdmissibilityReport(not reasons, on_boundary, tuple(reasons))
+    w2n, w3n = _finite("w2n and w3n", complex(w2n), complex(w3n))
+    tags, on_boundary = _admissibility(_SCALAR, w2n, w3n)
+    reasons = tuple(compress(_TAGS, tags)) if True in tags else ()
+    return AdmissibilityReport(not reasons, on_boundary, reasons)
 
 
 def admissibility_mask(w2n, w3n) -> tuple[np.ndarray, np.ndarray]:
@@ -390,46 +382,28 @@ def admissibility_mask(w2n, w3n) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("w2n and w3n must have finite components")
     # rows with w3n == 0 divide by zero; they keep only the first four tags
     with np.errstate(all="ignore"):
-        band = EQ_TOL * _cabs(w3n)
-        formed = w3n != 0
-        w = _cquot(w2n, w3n)
-        d = 3.0 + _cmul(w, w)
-        on_boundary = formed & _on_rays(w)
-        q = _cmul(_cmul(3.0, w3n), w3n) + _cmul(w2n, w2n)
-        big = np.maximum(_cabs(w2n), _cabs(w3n))
-        rq = _csqrt(q)
-        wraps = (_cabs(q) > _COINCIDENCE * big * big) & (
-            _cabs(rq - _cmul(w3n, _csqrt(d))) >= _cabs(rq))
-        tags = {
-            "w3-real-part-not-positive": w3n.real <= band,
-            "ordering-w2-w3": w3n.real - w2n.real <= band,
-            "ordering-w1-w2": w2n.real + w3n.real <= band,
-            "w2-plus-w3-zero": _cabs(w2n + w3n) <= band,
-            "boundary-real-w3": on_boundary & (_cabs(d) > EQ_TOL) & (np.abs(w3n.imag) <= band),
-            "branch-incoherent": formed & ~on_boundary & wraps,
-        }
+        tags, on_boundary = _admissibility(_ARRAY, w2n, w3n)
     reasons = np.zeros(w3n.shape, dtype=np.uint16)
-    for tag, hit in tags.items():
-        reasons[hit] |= _BIT[tag]
+    for k, hit in enumerate(tags, _ORDER_CHECKS):
+        reasons[hit] |= 1 << k
     return reasons, on_boundary
 
 
-def _diameter(w1, w2, w3, modulus, maximum):
-    """The largest pairwise distance of the roots: complex scalars (modulus =
-    abs, maximum = max) or complex arrays (kernel._cabs, np.maximum), with
-    the same bits."""
-    return maximum(maximum(modulus(w1 - w2), modulus(w1 - w3)), modulus(w2 - w3))
+def _diameter(ops, w1, w2, w3):
+    """The largest pairwise distance of the roots: complex scalars with
+    kernel._SCALAR or complex arrays with kernel._ARRAY, with the same bits."""
+    return ops.maximum(ops.modulus(w1 - w2), ops.modulus(w1 - w3), ops.modulus(w2 - w3))
 
 
-def _collinear(w1, w2, w3, modulus, maximum):
+def _collinear(ops, w1, w2, w3):
     """Whether the root triangle's area is at most EQ_TOL * diameter^2; on
     scalars or arrays as _diameter. The area |Im((w2 - w1) conj(w3 - w1))| / 2
     is spelled on real and imaginary parts, as CPython's complex product
-    forms that imaginary part, so arrays get the scalar bits."""
+    forms that imaginary part."""
     ax, ay = w2.real - w1.real, w2.imag - w1.imag
     bx, by = w3.real - w1.real, w3.imag - w1.imag
     area = abs(ay * bx - ax * by) / 2.0
-    diam = _diameter(w1, w2, w3, modulus, maximum)
+    diam = _diameter(ops, w1, w2, w3)
     return area <= EQ_TOL * diam * diam
 
 
@@ -442,6 +416,6 @@ def classify_configuration(c: OrderedCubic) -> Configuration:
     """
     if c.coincident:
         return Configuration.EQUILATERAL
-    if _collinear(c.w1, c.w2, c.w3, abs, max):
+    if _collinear(_SCALAR, c.w1, c.w2, c.w3):
         return Configuration.COLLINEAR
     return Configuration.GENERIC

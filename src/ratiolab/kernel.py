@@ -13,27 +13,24 @@ scale-free configuration (lengths relative to the root triangle's diameter),
 so its decisions do not change when the roots are translated or scaled by a
 positive factor; w and the ratios are dimensionless already.
 
-The array gate (cubic.order_roots_array) must decide every row as the
-scalar gate does and return the same bits, so it cannot use numpy's complex
-operations. numpy divides by multiplying with a reciprocal, so many of its
-quotients, by 3.0 as well, differ from CPython's in the last bit
-(tests/test_kernel.py checks this on a fixed seed); its products depend
-on the SIMD loop it picks for the CPU (with numpy 2.4 on an AVX-512 CPU
-about one random product in ten differs), and its abs is not libm's hypot.
-The private helpers _cmul, _cquot, _cabs and _csqrt instead spell
-out, on the real and imaginary parts of complex arrays, CPython's
-_Py_c_prod, _Py_c_quot (Smith's two-branch division), abs (libm hypot) and
-principal_sqrt (cmath.sqrt's algorithm, with its scaled path for subnormal
-inputs); numpy's complex add and subtract are component-wise and exact
-already. A real operand counts as a complex with a +0.0 imaginary part, as
-CPython before 3.14 coerces it; the mixed-mode rules of 3.14 differ from
-that only in the sign of a zero part.
+Each gate step (cubic, ratios.ratios_direct) and verdict body (theorems) is
+written once and runs on Python complex values with the ops record _SCALAR
+or on numpy complex arrays with _ARRAY, with the same bits: + and - act on
+each part alike in both, products and real operands are spelled out on the
+parts in correctly rounded IEEE arithmetic (a real operand as a complex
+with a +0.0 imaginary part, as CPython before 3.14 coerces it), and the
+record supplies the modulus (libm hypot in both), CPython's complex
+division and cmath.sqrt, which _ARRAY spells out on the parts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+from dataclasses import dataclass
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +63,14 @@ def require_finite(z: complex, name: str = "value") -> complex:
     return z
 
 
+def _finite(name: str, *zs: complex) -> tuple[complex, ...]:
+    """zs, complex numbers, rejecting NaN/inf components in any of them."""
+    for z in zs:
+        if not cmath.isfinite(z):
+            raise ValueError(f"{name} must have finite components, got {zs!r}")
+    return zs
+
+
 def principal_sqrt(z: complex) -> complex:
     """Principal square root: Re >= 0, and i*sqrt(|z|) on the cut.
 
@@ -78,6 +83,13 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
+def _modulus_scalar(z: complex) -> float:
+    try:
+        return abs(z)
+    except OverflowError:  # abs refuses the inf that hypot rounds to
+        return math.inf
+
+
 def _complex(re, im) -> np.ndarray:
     """The complex array with parts re and im, bit for bit (re + 1j*im
     would turn a -0.0 real part into +0.0)."""
@@ -87,30 +99,19 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b as CPython's _Py_c_prod forms it; either operand may be a real
-    scalar (a complex with imaginary part +0.0)."""
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
 def _cquot(a, b) -> np.ndarray:
-    """a / b as CPython's _Py_c_quot forms it: Smith's division by the part
-    of b with the larger magnitude (the real part on a tie). b may be a real
-    scalar; rows with b == 0 hold NaN where CPython raises."""
-    by_imag = np.abs(b.real) < np.abs(b.imag)
-    big = np.where(by_imag, b.imag, b.real)
-    small = np.where(by_imag, b.real, b.imag)
+    """a / b on complex arrays as CPython's _Py_c_quot forms it: Smith's
+    division by the part of b with the larger magnitude (the real part on a
+    tie). Rows with b == 0 hold NaN where CPython raises."""
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    by_imag = np.abs(bx) < np.abs(by)
+    big = np.where(by_imag, by, bx)
+    small = np.where(by_imag, bx, by)
     ratio = small / big
     denom = big + small * ratio
-    re = np.where(by_imag, a.real * ratio + a.imag, a.real + a.imag * ratio)
-    im = np.where(by_imag, a.imag * ratio - a.real, a.imag - a.real * ratio)
+    re = np.where(by_imag, ax * ratio + ay, ax + ay * ratio)
+    im = np.where(by_imag, ay * ratio - ax, ay - ax * ratio)
     return _complex(re / denom, im / denom)
-
-
-def _cabs(a) -> np.ndarray:
-    """abs(a): libm hypot, as CPython's abs(complex) (np.abs rounds
-    differently in about a third of cases)."""
-    return np.hypot(a.real, a.imag)
 
 
 #: cmath.sqrt's scaling of subnormal inputs: 2**53 up, 2**-27 down.
@@ -119,10 +120,10 @@ _DBL_MIN = 2.2250738585072014e-308
 
 
 def _csqrt(z) -> np.ndarray:
-    """principal_sqrt(z) for a finite complex array, bit for bit: a -0.0
-    imaginary part becomes +0.0, then cmath.sqrt's algorithm."""
-    im = z.imag + 0.0
-    ax, ay = np.abs(z.real), np.abs(im)
+    """cmath.sqrt on a finite complex array, bit for bit: its algorithm on
+    the parts, with its scaled path for subnormal inputs."""
+    x, y = z.real, z.imag
+    ax, ay = np.abs(x), np.abs(y)
     tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
     axu = np.ldexp(ax, _SCALE_UP)
     scaled = np.ldexp(np.sqrt(axu + np.hypot(axu, np.ldexp(ay, _SCALE_UP))), _SCALE_DOWN)
@@ -130,11 +131,40 @@ def _csqrt(z) -> np.ndarray:
     s = np.where(tiny, scaled, 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0)))
     with np.errstate(invalid="ignore"):  # 0/0 at z == 0, replaced below
         d = ay / (2.0 * s)
-    right = z.real >= 0.0
-    re = np.where(right, s, d)
-    im_out = np.copysign(np.where(right, d, s), im)
-    zero = (z.real == 0.0) & (im == 0.0)
-    return _complex(np.where(zero, 0.0, re), np.where(zero, im, im_out))
+    right = x >= 0.0
+    zero = (x == 0.0) & (y == 0.0)
+    re = np.where(zero, 0.0, np.where(right, s, d))
+    return _complex(re, np.where(zero, y, np.copysign(np.where(right, d, s), y)))
+
+
+@dataclass(frozen=True, slots=True)  # slots: the fastest attribute reads
+class _Ops:
+    """The operations that Python complex values and numpy complex arrays
+    do not share; a body takes them from the record of its operands."""
+
+    modulus: Callable    # |z| as libm hypot forms it (inf where it overflows)
+    maximum: Callable    # of two or more values
+    minimum: Callable
+    where: Callable      # where(c, a, b): a where c holds, else b
+    select: Callable     # where on each entry of two tuples
+    sqrt: Callable       # cmath.sqrt (principal_sqrt where Im z is not -0.0)
+    quot: Callable       # a / b as CPython divides complex numbers
+    complex: Callable    # (x, y) -> x + iy
+    floats: Callable     # a real value as a float or a float array
+    every: Callable      # whether every entry of a truth value holds
+    real_sqrt: Callable
+
+
+_SCALAR = _Ops(
+    _modulus_scalar, max, min, lambda c, a, b: a if c else b, lambda c, a, b: a if c else b,
+    cmath.sqrt, operator.truediv, complex, float, bool, math.sqrt,
+)
+_ARRAY = _Ops(
+    lambda z: np.hypot(z.real, z.imag),
+    lambda *xs: reduce(np.maximum, xs), lambda *xs: reduce(np.minimum, xs), np.where,
+    lambda c, a, b: tuple(np.where(c, x, y) for x, y in zip(a, b)),
+    _csqrt, _cquot, _complex, lambda t: np.asarray(t, dtype=float), np.all, np.sqrt,
+)
 
 
 def _on_rays(w):

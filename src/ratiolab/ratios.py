@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import AdmissibilityReport, NormalizedCubic, OrderedCubic
+from .cubic import GATE_TABLE, AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import EQ_TOL, SQRT3, _complex, _cquot, _on_rays, principal_sqrt, require_finite
+from .kernel import _ARRAY, _SCALAR, EQ_TOL, SQRT3, _on_rays, principal_sqrt, require_finite
 
 __all__ = [
     "RatioPath",
@@ -81,18 +81,23 @@ class RatioVector:
     path: RatioPath
 
 
+def _sigmas(ops, w1, w2, w3, z1, z2):
+    """sigma1 = (z1 - w1) / (w2 - w1) and sigma2 = (z2 - w2) / (w3 - w2):
+    complex scalars with kernel._SCALAR or complex arrays with
+    kernel._ARRAY, with the same bits."""
+    return ops.quot(z1 - w1, w2 - w1), ops.quot(z2 - w2, w3 - w2)
+
+
 def ratios_direct(c: OrderedCubic) -> RatioVector:
     """Ratio vector straight from the definition on the labeled critical points."""
-    s1 = (c.z1 - c.w1) / (c.w2 - c.w1)
-    s2 = (c.z2 - c.w2) / (c.w3 - c.w2)
+    s1, s2 = _sigmas(_SCALAR, c.w1, c.w2, c.w3, c.z1, c.z2)
     return RatioVector(s1, s2, RatioPath.COINCIDENT if c.coincident else RatioPath.DIRECT)
 
 
 def ratios_direct_array(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigma1, sigma2) of ratios_direct on each row of a
     cubic.order_roots_array table, bit for bit."""
-    w1, w2, w3 = table["w1"], table["w2"], table["w3"]
-    return _cquot(table["z1"] - w1, w2 - w1), _cquot(table["z2"] - w2, w3 - w2)
+    return _sigmas(_ARRAY, *(table[name] for name in GATE_TABLE.names[:5]))
 
 
 def _root_term(w: complex) -> tuple[complex, complex]:
@@ -180,35 +185,45 @@ def closed_forms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _f_array(w, r), 1.0 - _f_array(-w.conj(), r.conj()).conj()
 
 
+#: Above this |t|, t^2 would overflow; the ray terms scale |t| out.
+_T_SCALED = 2.0**500
+
+
 def _ray_terms(t):
-    """Validated t with |t|, r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r.
+    """The ops record for t, the validated t, and the ray terms with |t|
+    scaled out: k = |t| above _T_SCALED (else 1), a = |t|/k, c = 1/k^2,
+    r = sqrt(t^2 - 3)/k and heavy = (t^2 + 3 + |t| sqrt(t^2 - 3))/k^2. A
+    constant term n of a sum becomes n c, and a quotient is divided by k
+    once per degree its numerator falls short of its denominator. Below
+    _T_SCALED these operations are exact, so the bits are those of the
+    unscaled formulas.
 
     A scalar t becomes a Python float and goes through math only; anything
     else becomes a float array. The tip rounding residue of t^2 - 3 is
     clamped to 0.
     """
-    if np.isscalar(t):
-        t = float(t)
-        at, sqrt, clamp = abs(t), math.sqrt, max
-        finite, below = math.isfinite(t), at < SQRT3 - EQ_TOL
-    else:
-        t = np.asarray(t, dtype=float)
-        at, sqrt, clamp = np.abs(t), np.sqrt, np.maximum
-        finite, below = np.all(np.isfinite(t)), np.any(at < SQRT3 - EQ_TOL)
-    if not finite:
+    ops = _SCALAR if np.isscalar(t) else _ARRAY
+    t = ops.floats(t)
+    at = abs(t)
+    if not ops.every(at < math.inf):
         raise BadParameterError("boundary parameter must be finite")
-    if below:
+    if not ops.every(at >= SQRT3 - EQ_TOL):
         raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
-    r = sqrt(clamp(at * at - 3.0, 0.0))
-    return t, at, r, at * at + 3.0 + at * r
+    k = ops.where(at > _T_SCALED, at, 1.0)
+    a, c = at / k, 1.0 / k / k
+    r = ops.real_sqrt(ops.maximum(a * a - 3.0 * c, 0.0))
+    return ops, t, k, a, c, r, a * a + 3.0 * c + a * r
 
 
-def _by_sign(t, pos, neg):
-    """The tuple pos where t >= 0 and neg elsewhere: one branch for a scalar
-    t from _ray_terms, np.where per entry for an array."""
-    if isinstance(t, float):
-        return pos if t >= 0 else neg
-    return tuple(np.where(t >= 0, p, n) for p, n in zip(pos, neg))
+def _uv(t):
+    """The ops record for t and boundary_uv(t)."""
+    ops, t, k, a, c, r, heavy = _ray_terms(t)
+    u_big = heavy / (3.0 * (a * a + c))
+    u_small = 3.0 / heavy / k / k
+    v_neg = (2.0 * a + r) / (3.0 * (a * a + c)) / k
+    v_pos = -1.0 / (r + 2.0 * a) / k
+    pos, neg = (u_big, u_small, v_pos, -v_neg), (u_small, u_big, v_neg, -v_pos)
+    return ops, ops.select(t >= 0, pos, neg)
 
 
 def boundary_uv(t):
@@ -224,13 +239,9 @@ def boundary_uv(t):
         v_pos(|t|)   = -1 / (r + 2 |t|)
 
     with u1 = u_big, v1 = v_pos for t > 0 and the mirror images for t < 0.
+    Every finite |t| >= sqrt(3) is served, up to the largest double.
     """
-    t, at, r, heavy = _ray_terms(t)
-    u_big = heavy / (3.0 * (at * at + 1.0))
-    u_small = 3.0 / heavy
-    v_neg = (2.0 * at + r) / (3.0 * (at * at + 1.0))
-    v_pos = -1.0 / (r + 2.0 * at)
-    return _by_sign(t, (u_big, u_small, v_pos, -v_neg), (u_small, u_big, v_neg, -v_pos))
+    return _uv(t)[1]
 
 
 def boundary_sigma1(t) -> complex:
@@ -238,30 +249,24 @@ def boundary_sigma1(t) -> complex:
 
     For a configuration with Im w3 < 0 the value is conj(boundary_sigma1(-t)).
     """
-    u1, _, v1, _ = boundary_uv(t)
-    if isinstance(u1, float):
-        return complex(u1, v1)
-    return _complex(u1, v1)
+    ops, (u1, _, v1, _) = _uv(t)
+    return ops.complex(u1, v1)
 
 
 def boundary_modulus_sq(t):
     """(a, b) with a = 9(u1^2 + v1^2), b = 9(u2^2 + v2^2); both stay below 4."""
-    t, at, _, heavy = _ray_terms(t)
-    big = 2.0 * heavy / (at * at + 1.0)
-    small = 18.0 / heavy
-    return _by_sign(t, (big, small), (small, big))
+    ops, t, k, a, c, _, heavy = _ray_terms(t)
+    big = 2.0 * heavy / (a * a + c)
+    small = 18.0 / heavy / k / k
+    return ops.select(t >= 0, (big, small), (small, big))
 
 
 def boundary_sigma_diff(t) -> complex:
     """sigma2 - sigma1 on the rays (upper side):
     ((t^2 - 3) - 2 i sqrt(t^2 - 3)) / (3 (t^2 + 1)); real part >= 0."""
-    t, at, r, _ = _ray_terms(t)
-    den = 3.0 * (at * at + 1.0)
-    re = (at * at - 3.0) / den
-    im = -2.0 * r / den
-    if isinstance(t, float):
-        return complex(re, im)
-    return _complex(re, im)
+    ops, _, k, a, c, r, _ = _ray_terms(t)
+    den = 3.0 * (a * a + c)
+    return ops.complex((a * a - 3.0 * c) / den, -2.0 * r / den / k)
 
 
 def identity_residual(r: RatioVector) -> float:

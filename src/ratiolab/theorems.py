@@ -33,9 +33,9 @@ the first sample at that minimum, and its verdict the bound's open or
 closed threshold applied to that minimum. T4, T5 and HYP put the
 configurations the public samplers yield into one GATE_TABLE array per
 claim and decide all rows at once. Each verdict is one body written with
-operators only, which check_equivalence_t4, check_equivalence_t5 and
-check_hyperbolic run on complex scalars and the claim runs on the table's
-columns, with the same bits. The claim fails when any row fails, and its
+operators and kernel's ops record, which check_equivalence_t4,
+check_equivalence_t5 and check_hyperbolic run on complex scalars and the
+claim runs on the table's columns, with the same bits. The claim fails when any row fails, and its
 witness is the last failing row.
 """
 
@@ -60,7 +60,7 @@ from .cubic import (
     order_roots,
 )
 from .errors import BadParameterError, BadRangeError, ConstraintViolatedError, NotHyperbolicError
-from .kernel import EQ_TOL, IDENTITY_TOL, SQRT3, _cabs
+from .kernel import _ARRAY, _SCALAR, EQ_TOL, IDENTITY_TOL, SQRT3
 from .ratios import (
     RatioVector,
     boundary_modulus_sq,
@@ -137,18 +137,17 @@ _BOUND_IDS = ("T1A", "T1B", "T1E", "T2A", "T2B", "T2E", "T3")
 _NO_WITNESS = (None,) * len(_BOUND_IDS)
 
 
-def _bound_margins(s1, s2, minimum, modulus):
+def _bound_margins(ops, s1, s2):
     """The signed margins of _BOUND_IDS. s1 and s2 are complex scalars
-    (minimum = min, modulus = abs) or complex arrays (np.minimum,
-    kernel._cabs)."""
+    (ops = kernel._SCALAR) or complex arrays (kernel._ARRAY)."""
     two_thirds = 2.0 / 3.0
     return (
-        minimum(s1.real, two_thirds - s1.real),
+        ops.minimum(s1.real, two_thirds - s1.real),
         1.0 / 3.0 - abs(s1.imag),
-        two_thirds - modulus(s1),
-        minimum(s2.real - 1.0 / 3.0, 1.0 - s2.real),
+        two_thirds - ops.modulus(s1),
+        ops.minimum(s2.real - 1.0 / 3.0, 1.0 - s2.real),
         1.0 / 3.0 - abs(s2.imag),
-        1.0 - modulus(s2),
+        1.0 - ops.modulus(s2),
         s2.real - s1.real,
     )
 
@@ -166,60 +165,61 @@ def check_bounds(r: RatioVector) -> list[TheoremReport]:
     Open bounds (T1A, T2A) must have strictly positive margin; the closed
     ones tolerate CLOSED_BOUND_SLACK since their extremes are attained.
     """
-    margins = _bound_margins(r.sigma1, r.sigma2, min, abs)
+    margins = _bound_margins(_SCALAR, r.sigma1, r.sigma2)
     return list(map(TheoremReport, _BOUND_IDS, _bound_verdicts(margins), _NO_WITNESS, margins))
 
 
 def bounds_mask(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Elementwise all(rep.passed for rep in check_bounds(...)) on complex
     arrays of sigma1 and sigma2."""
-    margins = _bound_margins(s1, s2, np.minimum, _cabs)
+    margins = _bound_margins(_ARRAY, s1, s2)
     return np.logical_and.reduce(_bound_verdicts(margins))
 
 
-# T4, T5 and HYP decide each configuration in one body, written with
-# operators only like _bound_margins: on complex scalars for the check_*
-# functions, on the complex columns of a GATE_TABLE array for the claim runs.
+# T4, T5 and HYP decide each configuration in one body, written like
+# _bound_margins with operators and kernel's ops record: on complex scalars
+# for the check_* functions, on the complex columns of a GATE_TABLE array
+# for the claim runs.
 
 
-def _t4_verdict(s1, s2, equilateral, modulus):
+def _t4_verdict(ops, s1, s2, equilateral):
     """T4's (passed, margin): |sigma1 - sigma2| <= IDENTITY_TOL exactly on
-    the equilateral configurations. modulus is abs or kernel._cabs."""
-    margin = modulus(s1 - s2)
+    the equilateral configurations."""
+    margin = ops.modulus(s1 - s2)
     return (margin <= IDENTITY_TOL) == equilateral, margin
 
 
-def _t5_verdict(s1, s2, collinear, minimum):
+def _t5_verdict(ops, s1, s2, collinear):
     """T5's (passed, margin): a ratio within EQ_TOL of real exactly on the
     collinear configurations; the margin is the smaller |Im sigma|."""
     im1, im2 = abs(s1.imag), abs(s2.imag)
-    return ((im1 <= EQ_TOL) | (im2 <= EQ_TOL)) == collinear, minimum(im1, im2)
+    return ((im1 <= EQ_TOL) | (im2 <= EQ_TOL)) == collinear, ops.minimum(im1, im2)
 
 
-def _hyp_verdict(s1, s2, minimum, maximum):
+def _hyp_verdict(ops, s1, s2):
     """HYP's (passed, margin): 1/3 < Re sigma1 < 1/2 < Re sigma2 < 2/3 and
     both ratios within EQ_TOL of real; the margin is the least distance to
     the four thresholds."""
-    margin = minimum(
-        minimum(s1.real - 1.0 / 3.0, 0.5 - s1.real),
-        minimum(s2.real - 0.5, 2.0 / 3.0 - s2.real),
+    margin = ops.minimum(
+        ops.minimum(s1.real - 1.0 / 3.0, 0.5 - s1.real),
+        ops.minimum(s2.real - 0.5, 2.0 / 3.0 - s2.real),
     )
-    real_enough = maximum(abs(s1.imag), abs(s2.imag)) <= EQ_TOL
+    real_enough = ops.maximum(abs(s1.imag), abs(s2.imag)) <= EQ_TOL
     return (margin > 0.0) & real_enough, margin
 
 
-def _off_real_axis(w1, w2, w3, modulus, maximum):
+def _off_real_axis(ops, w1, w2, w3):
     """Whether a root lies more than EQ_TOL times the diameter of the root
     triangle off the real axis (HYP's realness test)."""
-    far = maximum(maximum(abs(w1.imag), abs(w2.imag)), abs(w3.imag))
-    return far > EQ_TOL * _diameter(w1, w2, w3, modulus, maximum)
+    far = ops.maximum(abs(w1.imag), abs(w2.imag), abs(w3.imag))
+    return far > EQ_TOL * _diameter(ops, w1, w2, w3)
 
 
 def check_equivalence_t4(c: OrderedCubic) -> TheoremReport:
     """sigma1 == sigma2 (within IDENTITY_TOL) iff the triangle is equilateral."""
     rv = ratios_direct(c)
     equilateral = classify_configuration(c) is Configuration.EQUILATERAL
-    passed, margin = _t4_verdict(rv.sigma1, rv.sigma2, equilateral, abs)
+    passed, margin = _t4_verdict(_SCALAR, rv.sigma1, rv.sigma2, equilateral)
     return TheoremReport("T4", passed, None if passed else _witness(c, rv), margin)
 
 
@@ -227,7 +227,7 @@ def check_equivalence_t5(c: OrderedCubic) -> TheoremReport:
     """a ratio is real (within EQ_TOL) iff the roots are collinear."""
     rv = ratios_direct(c)
     collinear = classify_configuration(c) is Configuration.COLLINEAR
-    passed, margin = _t5_verdict(rv.sigma1, rv.sigma2, collinear, min)
+    passed, margin = _t5_verdict(_SCALAR, rv.sigma1, rv.sigma2, collinear)
     return TheoremReport("T5", passed, None if passed else _witness(c, rv), margin)
 
 
@@ -237,10 +237,10 @@ def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
     A root counts as real when its imaginary part is at most EQ_TOL times
     the diameter of the root triangle.
     """
-    if _off_real_axis(c.w1, c.w2, c.w3, abs, max):
+    if _off_real_axis(_SCALAR, c.w1, c.w2, c.w3):
         raise NotHyperbolicError("roots must all be real")
     rv = ratios_direct(c)
-    passed, margin = _hyp_verdict(rv.sigma1, rv.sigma2, min, max)
+    passed, margin = _hyp_verdict(_SCALAR, rv.sigma1, rv.sigma2)
     return TheoremReport("HYP", passed, None if passed else _witness(c, rv), margin)
 
 
@@ -529,7 +529,7 @@ def _gate_table(cubics: Iterable[OrderedCubic]) -> np.ndarray:
 def _t4_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_t4_verdict on each row of a GATE_TABLE array."""
     s1, s2 = ratios_direct_array(table)
-    return _t4_verdict(s1, s2, table["coincident"], _cabs)
+    return _t4_verdict(_ARRAY, s1, s2, table["coincident"])
 
 
 def _t5_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,17 +537,17 @@ def _t5_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     classify_configuration decides it (unless equilateral)."""
     s1, s2 = ratios_direct_array(table)
     w1, w2, w3 = table["w1"], table["w2"], table["w3"]
-    collinear = ~table["coincident"] & _collinear(w1, w2, w3, _cabs, np.maximum)
-    return _t5_verdict(s1, s2, collinear, np.minimum)
+    collinear = ~table["coincident"] & _collinear(_ARRAY, w1, w2, w3)
+    return _t5_verdict(_ARRAY, s1, s2, collinear)
 
 
 def _hyp_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_hyp_verdict on each row of a GATE_TABLE array; NotHyperbolicError
     if a row has a root off the real axis."""
-    if _off_real_axis(table["w1"], table["w2"], table["w3"], _cabs, np.maximum).any():
+    if _off_real_axis(_ARRAY, table["w1"], table["w2"], table["w3"]).any():
         raise NotHyperbolicError("roots must all be real")
     s1, s2 = ratios_direct_array(table)
-    return _hyp_verdict(s1, s2, np.minimum, np.maximum)
+    return _hyp_verdict(_ARRAY, s1, s2)
 
 
 def _last_failing(table: np.ndarray, passed: np.ndarray) -> Optional[SampleRecord]:
@@ -583,7 +583,7 @@ def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], t
     each verdict is a threshold on one margin (a NaN margin is the minimum).
     """
     table = _bounds_table(samples, _rng_for(seed, 1))
-    margins = _bound_margins(table[:, 3], table[:, 4], np.minimum, _cabs)
+    margins = _bound_margins(_ARRAY, table[:, 3], table[:, 4])
     minima = [float(m.min()) for m in margins]
     note = f"{samples} samples"
     reports = {

@@ -1,3 +1,5 @@
+import cmath
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,7 +22,18 @@ from ratiolab import (
     order_roots,
     ratios_direct,
 )
-from ratiolab.cubic import GATE_REASONS, admissibility_mask, normalize_array, order_roots_array
+from ratiolab.cubic import (
+    _COINCIDENCE,
+    GATE_REASONS,
+    MAX_ROOT_MAGNITUDE,
+    MIN_ROOT_DIAMETER,
+    MIN_SEPARATION_RATIO,
+    admissibility_mask,
+    normalize_array,
+    order_roots_array,
+)
+from ratiolab.kernel import EQ_TOL
+from ratiolab.ratios import ratios_direct_array
 from ratiolab.sampling import _candidate_block, sample_ordered_cubics
 
 INV_SQRT3 = 1.0 / SQRT3
@@ -338,8 +351,106 @@ def test_classification_examples():
     assert abs(rv.sigma1 - rv.sigma2) > 1e-6
 
 
-# The array gate against the scalar gate, row by row: the same decision,
-# the reason bit of the same error or tags, and the same bits in every value.
+# A reference copy of the input gate in Python complex arithmetic: the
+# bodies order_roots, normalize, assess_admissibility and ratios_direct had
+# before the gate was written once for scalars and arrays. Both forms of the
+# gate must match it bit for bit. Every real operand of a complex operation
+# is spelled as the complex number CPython before 3.14 turns it into
+# (complex(3.0, 0.0) for 3.0), so the copy means the same on every Python
+# version. Its branch test is the two-root one: principal_sqrt(q) against
+# w3n * principal_sqrt(3 + w^2).
+
+_TWO, _THREE = complex(2.0, 0.0), complex(3.0, 0.0)
+
+
+def _ref_principal_sqrt(z):
+    if z.imag == 0.0:
+        z = complex(z.real, 0.0)
+    return cmath.sqrt(z)
+
+
+def _ref_radicand(w1, w2, w3):
+    s = w1 + w2 + w3
+    m = s / _THREE
+    u1, u2, u3 = w1 - m, w2 - m, w3 - m
+    return s, m, u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
+
+
+def _ref_order_roots(r1, r2, r3):
+    """(reason, values): reason is the GATE_REASONS tag of the check that
+    fails, or None and values = (w1, w2, w3, z1, z2, coincident)."""
+    w1, w2, w3 = sorted((complex(r1), complex(r2), complex(r3)), key=lambda z: z.real)
+    mag = max(abs(w1), abs(w2), abs(w3))
+    if mag > MAX_ROOT_MAGNITUDE:
+        return "root-magnitude", None
+    dists = (abs(w1 - w2), abs(w1 - w3), abs(w2 - w3))
+    sep, diam = min(dists), max(dists)
+    band = EQ_TOL * diam
+    if sep <= band:
+        return "roots-not-distinct", None
+    if diam < MIN_ROOT_DIAMETER:
+        return "root-diameter", None
+    if sep / mag < MIN_SEPARATION_RATIO:
+        return "root-separation", None
+    if w2.real - w1.real <= band or w3.real - w2.real <= band:
+        return "root-real-parts-equal", None
+    s, m, q = _ref_radicand(w1, w2, w3)
+    if abs(q) <= _COINCIDENCE * diam * diam:
+        return None, (w1, w2, w3, m, m, True)
+    r = _ref_principal_sqrt(q)
+    z1 = (s - r) / _THREE
+    z2 = (s + r) / _THREE
+    if z2.real - z1.real <= band:
+        return "critical-real-parts-equal", None
+    return None, (w1, w2, w3, z1, z2, False)
+
+
+def _ref_normalize(w1, w2, w3):
+    """(w2n, w3n, offset, w)."""
+    offset = (w1 + w3) / _TWO
+    w2n = w2 - offset
+    w3n = w3 - offset
+    return w2n, w3n, offset, w2n / w3n
+
+
+def _ref_ratios_direct(w1, w2, w3, z1, z2):
+    return (z1 - w1) / (w2 - w1), (z2 - w2) / (w3 - w2)
+
+
+def _ref_assess_admissibility(w2n, w3n):
+    """(reasons, on_boundary), reasons a tuple of GATE_REASONS tags."""
+    w2n, w3n = complex(w2n), complex(w3n)
+    reasons = []
+    band = EQ_TOL * abs(w3n)
+    if w3n.real <= band:
+        reasons.append("w3-real-part-not-positive")
+    if w3n.real - w2n.real <= band:
+        reasons.append("ordering-w2-w3")
+    if w2n.real + w3n.real <= band:
+        reasons.append("ordering-w1-w2")
+    if abs(w2n + w3n) <= band:
+        reasons.append("w2-plus-w3-zero")
+    if w3n == 0:
+        return tuple(reasons), False
+    w = w2n / w3n
+    d = _THREE + w * w
+    on_boundary = abs(w.real) <= EQ_TOL and abs(w.imag) >= SQRT3 - EQ_TOL
+    if on_boundary:
+        if abs(d) > EQ_TOL and abs(w3n.imag) <= band:
+            reasons.append("boundary-real-w3")
+    else:
+        q = _THREE * w3n * w3n + w2n * w2n
+        big = max(abs(w2n), abs(w3n))
+        if abs(q) > _COINCIDENCE * big * big:
+            rq = _ref_principal_sqrt(q)
+            if abs(rq - w3n * _ref_principal_sqrt(d)) >= abs(rq):
+                reasons.append("branch-incoherent")
+    return tuple(reasons), on_boundary
+
+
+# Both forms of the gate against the reference copy, row by row: the same
+# decision, the reason bit of the same check or tags, and the same bits in
+# every value, signed zeros included.
 
 _ERROR_REASONS = {
     RootsNotDistinctError: "roots-not-distinct",
@@ -364,7 +475,7 @@ def _mask(tags):
 
 
 def _bits(values):
-    return np.array(values, dtype=complex).view(np.uint64)
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
 _BRANCH_W2 = -1.144943420509371 + 8.6203463196231j  # the README's pair
@@ -418,58 +529,82 @@ def _raw_candidates(count):
     return np.concatenate(blocks)
 
 
-def _scalar_gate(roots):
-    """order_roots, normalize and assess_admissibility row by row: the
-    reasons mask of each row, and for the rows order_roots accepts their
-    values, their normalized pairs, admissibility masks and ray flags."""
-    reasons, values, coincident, pairs, adm, on_boundary = [], [], [], [], [], []
+def _gate_outcomes(roots, order, rest):
+    """The reasons mask of each row, and rest(values) for each row that
+    order accepts with those values."""
+    reasons, accepted = [], []
     for row in roots.tolist():
-        try:
-            c = order_roots(*row)
-        except UndefinedRatioError as exc:
-            reasons.append(_mask([_reason_of(exc)]))
-            continue
-        reasons.append(0)
-        values.append((c.w1, c.w2, c.w3, c.z1, c.z2))
-        coincident.append(c.coincident)
-        nc = normalize(c)
-        pairs.append((nc.w2n, nc.w3n))
-        rep = assess_admissibility(nc.w2n, nc.w3n)
-        adm.append(_mask(rep.reasons))
-        on_boundary.append(rep.on_boundary)
-    return reasons, values, coincident, pairs, adm, on_boundary
+        reason, values = order(*row)
+        reasons.append(0 if reason is None else _mask([reason]))
+        if values is not None:
+            accepted.append(rest(values))
+    return reasons, accepted
 
 
-def _assert_gate_matches_scalar(roots):
-    reasons, values, coincident, pairs, adm, on_boundary = _scalar_gate(roots)
+def _reference_rest(values):
+    w1, w2, w3, z1, z2, coincident = values
+    w2n, w3n, offset, w = _ref_normalize(w1, w2, w3)
+    tags, on_boundary = _ref_assess_admissibility(w2n, w3n)
+    s1, s2 = _ref_ratios_direct(w1, w2, w3, z1, z2)
+    return (w1, w2, w3, z1, z2, w2n, w3n, offset, w, s1, s2), coincident, _mask(tags), on_boundary
+
+
+def _scalar_order(*row):
+    try:
+        c = order_roots(*row)
+    except UndefinedRatioError as exc:
+        return _reason_of(exc), None
+    return None, c
+
+
+def _scalar_rest(c):
+    n = normalize(c)
+    rep = assess_admissibility(n.w2n, n.w3n)
+    assert rep.admissible == (not rep.reasons)
+    rv = ratios_direct(c)
+    values = (c.w1, c.w2, c.w3, c.z1, c.z2, n.w2n, n.w3n, n.offset, n.w, rv.sigma1, rv.sigma2)
+    return values, c.coincident, _mask(rep.reasons), rep.on_boundary
+
+
+def _assert_gate_matches_reference(roots):
+    """Both forms of the gate give the reference's decisions and values on
+    each row; returns the reasons masks of order_roots and of the
+    admissibility of the accepted rows."""
+    reasons, accepted = _gate_outcomes(roots, _ref_order_roots, _reference_rest)
+    values, coincident, adm, on_boundary = (list(col) for col in zip(*accepted))
+    scalar_reasons, scalar = _gate_outcomes(roots, _scalar_order, _scalar_rest)
+    assert scalar_reasons == reasons
+    assert [row[1:] for row in scalar] == list(zip(coincident, adm, on_boundary))
+    assert np.array_equal(_bits([row[0] for row in scalar]), _bits(values))
+
     table, got_reasons = order_roots_array(roots)
     assert got_reasons.tolist() == reasons
-    accepted = table[got_reasons == 0]
-    got_values = np.stack([accepted[f] for f in ("w1", "w2", "w3", "z1", "z2")], axis=1)
-    assert np.array_equal(_bits(got_values), _bits(values).reshape(-1, 10))
-    assert accepted["coincident"].tolist() == coincident
-    got_pairs = np.stack(normalize_array(accepted), axis=1)
-    assert np.array_equal(_bits(got_pairs), _bits(pairs).reshape(-1, 4))
-    got_adm, got_on_boundary = admissibility_mask(*got_pairs.T)
-    assert got_adm.tolist() == adm
-    assert got_on_boundary.tolist() == on_boundary
-    return got_reasons, got_adm
+    table = table[got_reasons == 0]
+    assert table["coincident"].tolist() == coincident
+    w2n, w3n = normalize_array(table)
+    got_adm, got_on_boundary = admissibility_mask(w2n, w3n)
+    assert got_adm.tolist() == adm and got_on_boundary.tolist() == on_boundary
+    s1, s2 = ratios_direct_array(table)
+    got = [table[f] for f in ("w1", "w2", "w3", "z1", "z2")] + [w2n, w3n, s1, s2]
+    want = np.array(values)[:, [0, 1, 2, 3, 4, 5, 6, 9, 10]]
+    assert np.array_equal(_bits(np.stack(got, axis=1)), _bits(want))
+    return np.array(reasons), np.array(adm)
 
 
 def test_array_gate_matches_scalar_gate_on_hand_placed_rows():
     roots = _hand_placed_roots()
-    reasons, adm = _assert_gate_matches_scalar(roots)
+    reasons, adm = _assert_gate_matches_reference(roots)
     # the rows reach every order_roots check
     assert {_mask([tag]) for tag in GATE_REASONS[:6]} <= set(reasons.tolist())
     assert np.count_nonzero(reasons == 0) >= 10
     # translated and scaled copies stay in their bands
-    _assert_gate_matches_scalar(roots * 1e-3 + (2.5 - 7j))
-    _assert_gate_matches_scalar(roots[:, ::-1] * 1e40)
+    _assert_gate_matches_reference(roots * 1e-3 + (2.5 - 7j))
+    _assert_gate_matches_reference(roots[:, ::-1] * 1e40)
 
 
 def test_array_gate_matches_scalar_gate_on_sampler_candidates():
     roots = _raw_candidates(100_000)
-    reasons, adm = _assert_gate_matches_scalar(roots)
+    reasons, adm = _assert_gate_matches_reference(roots)
     # the sampler's array masks pass only well-ordered triples, so the
     # rejects among them are assess_admissibility's branch-incoherent pairs
     assert len(roots) >= 100_000 and (adm == _mask(["branch-incoherent"])).sum() > 100
@@ -484,13 +619,20 @@ def test_admissibility_mask_matches_scalar_on_hand_placed_pairs():
         (complex(0.3, 0.4), complex(1.0, -0.0)), (3.1348651577320052 + 9.238696826921835j,
                                                   4.664688529761268 - 1.789596054354937j),
     ]
+    # just off the ray band near the tips w = +-i sqrt(3), where the two
+    # square roots of q nearly vanish
+    for w in (complex(x, SQRT3 * s + y) for x in (1.01e-9, -1.5e-9, 1e-7)
+              for y in (0.0, 1e-9, -1e-9, 1e-6) for s in (1, -1)):
+        pairs += [(w * w3, w3) for w3 in (1 + 0j, 2 - 1j, 0.5 + 3j)]
     w2n, w3n = (np.array(col, dtype=complex) for col in zip(*pairs))
     adm, on_boundary = admissibility_mask(w2n, w3n)
     seen = set()
     for i, (a, b) in enumerate(pairs):
+        tags, on_rays = _ref_assess_admissibility(a, b)
         rep = assess_admissibility(a, b)
-        assert adm[i] == _mask(rep.reasons) and on_boundary[i] == rep.on_boundary, (a, b)
-        seen.update(rep.reasons)
+        assert rep.reasons == tags and rep.on_boundary == on_rays, (a, b)
+        assert adm[i] == _mask(tags) and on_boundary[i] == on_rays, (a, b)
+        seen.update(tags)
     assert seen == set(GATE_REASONS[6:])
 
 

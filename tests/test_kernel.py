@@ -10,7 +10,7 @@ from ratiolab import (
     SQRT3,
     principal_sqrt,
 )
-from ratiolab.kernel import EQ_TOL, IDENTITY_TOL, _cabs, _cmul, _complex, _cquot, _csqrt
+from ratiolab.kernel import _ARRAY, _SCALAR, EQ_TOL, IDENTITY_TOL, _complex, _cquot, _csqrt
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -102,8 +102,9 @@ def test_sqrt3_constant():
     assert cmath.isclose(SQRT3 * SQRT3, 3.0, rel_tol=1e-15)
 
 
-# The array helpers behind the array gate must reproduce CPython's complex
-# arithmetic bit for bit, signs of zero included.
+# The array operations of the ops record must reproduce CPython's complex
+# arithmetic bit for bit, signs of zero included. A real operand is written
+# as the complex number CPython before 3.14 turns it into, as the gate does.
 
 
 def _bits(z):
@@ -149,14 +150,12 @@ def _cpython(op, a, b):
 
 
 @pytest.mark.parametrize("name, op, helper", [
-    ("mul", lambda x, y: x * y, _cmul),
     ("quot", lambda x, y: x / y, _cquot),
-    ("real-mul", lambda x, y: 3.0 * y, lambda a, b: _cmul(3.0, b)),
-    ("real-quot", lambda x, y: x / 3.0, lambda a, b: _cquot(a, 3.0)),
-    ("real-quot-2", lambda x, y: x / 2.0, lambda a, b: _cquot(a, 2.0)),
+    ("real-quot", lambda x, y: x / complex(3.0, 0.0), lambda a, b: _cquot(a, complex(3.0, 0.0))),
+    ("real-quot-2", lambda x, y: x / complex(2.0, 0.0), lambda a, b: _cquot(a, complex(2.0, 0.0))),
     ("add", lambda x, y: x + y, lambda a, b: a + b),
     ("sub", lambda x, y: x - y, lambda a, b: a - b),
-    ("real-add", lambda x, y: 3.0 + x, lambda a, b: 3.0 + a),
+    ("real-add", lambda x, y: complex(3.0, 0.0) + x, lambda a, b: complex(3.0, 0.0) + a),
 ])
 def test_binary_helpers_match_cpython_bit_for_bit(name, op, helper):
     a, b, expected = _cpython(op, *_operands())
@@ -179,22 +178,38 @@ def test_quotient_takes_both_smith_branches():
 def test_abs_and_sqrt_match_cpython_bit_for_bit():
     a, _ = _operands()
     values = a.tolist()
-    assert np.array_equal(_cabs(a).view(np.uint64),
-                          np.array([abs(z) for z in values]).view(np.uint64))
-    assert np.array_equal(_bits(_csqrt(a)), _bits([principal_sqrt(z) for z in values]))
+    assert _ARRAY.sqrt is _csqrt and _ARRAY.quot is _cquot and _SCALAR.quot(1j, 2) == 0.5j
+    assert np.array_equal(_ARRAY.modulus(a).view(np.uint64),
+                          np.array([_SCALAR.modulus(z) for z in values]).view(np.uint64))
+    assert np.array_equal(_bits(_csqrt(a)), _bits([cmath.sqrt(z) for z in values]))
     # cmath.sqrt's scaled path: both parts below DBL_MIN, zero excepted
     tiny = (np.abs(a.real) < 2.2250738585072014e-308) & (np.abs(a.imag) < 2.2250738585072014e-308)
     assert (tiny & (a != 0)).sum() >= 20
+    # the planted parts against each other: the Smith quotient where CPython
+    # gives a finite quotient, and the root
+    pa, pb, expected = _cpython(lambda x, y: x / y, np.repeat(_PLANTED, len(_PLANTED)),
+                                np.tile(_PLANTED, len(_PLANTED)))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(_cquot(pa, pb)), _bits(expected))
+    roots = [cmath.sqrt(z) for z in _PLANTED.tolist()]
+    assert np.array_equal(_bits(_csqrt(_PLANTED)), _bits(roots))
+    # where hypot overflows, abs raises; the scalar modulus gives inf, as np.hypot
+    big = complex(1.3e308, -1.3e308)
+    with pytest.raises(OverflowError):
+        abs(big)
+    with np.errstate(over="ignore"):
+        assert _SCALAR.modulus(big) == _ARRAY.modulus(np.array([big]))[0] == math.inf
 
 
 def test_numpy_complex_division_is_not_bit_faithful():
     # numpy divides by multiplying with a reciprocal, so its quotients, by a
-    # complex or by 3.0, are not CPython's; that is why _cquot exists. Its
-    # products may differ as well (they do with numpy 2.4's AVX-512 loops),
-    # but that depends on the loops the CPU selects, so it is not asserted
+    # complex or by 3.0, are not CPython's; that is why the array record
+    # divides with _cquot. Its products may differ as well (they do with
+    # numpy 2.4's AVX-512 loops), which is why the gate spells them out on
+    # parts; that depends on the loops the CPU selects, so it is not asserted
     rng = np.random.default_rng(20261018)
     a, b = _random_complex(rng, 10_000), _random_complex(rng, 10_000)
     quotients = [x / y for x, y in zip(a.tolist(), b.tolist())]
-    thirds = [x / 3.0 for x in a.tolist()]
+    thirds = [x / complex(3.0, 0.0) for x in a.tolist()]
     assert (_bits(a / b) != _bits(quotients)).any()
     assert (_bits(a / 3.0) != _bits(thirds)).any()

@@ -205,7 +205,7 @@ def _ray_parameters() -> np.ndarray:
 def test_ray_formulas_scalar_equals_array(fn):
     # the scalar path (math only) against the array path, bit for bit; it
     # raises no RuntimeWarning, ZeroDivisionError or OverflowError even at
-    # 1e308, where the array path overflows and warns
+    # 1e308
     ts = _ray_parameters()
     with np.errstate(all="ignore"):
         want = fn(ts)
@@ -221,6 +221,49 @@ def test_ray_formulas_scalar_equals_array(fn):
             assert type(g) is complex
             parts = [(g.real, w.real), (g.imag, w.imag)]
         assert [x.hex() for x, _ in parts] == [float(y).hex() for _, y in parts], t
+
+
+def _mp_ray_values(t):
+    """The four ray functions at t from their definitions, to 50 digits:
+    sigma1 = (i t + i sqrt(t^2 - 3) + 3) / (3 (i t + 1)), sigma2 =
+    1 / (3 (1 - sigma1)), u1 + i v1 = sigma1, u2 = 1 - Re sigma2,
+    v2 = Im sigma2, a = 9 |sigma1|^2 and b = 9 (u2^2 + v2^2). For t < 0,
+    t + sqrt(t^2 - 3) cancels 2 log10|t| digits, so those are added."""
+    with mpmath.workdps(50 + 2 * int(math.log10(abs(t)))):
+        t = mpmath.mpf(t)
+        s1 = (1j * t + 1j * mpmath.sqrt(t * t - 3) + 3) / (3 * (1j * t + 1))
+        s2 = 1 / (3 * (1 - s1))
+        u2, v2 = 1 - s2.real, s2.imag
+        return {
+            boundary_uv: (s1.real, u2, s1.imag, v2),
+            boundary_modulus_sq: (9 * abs(s1) ** 2, 9 * (u2 * u2 + v2 * v2)),
+            boundary_sigma_diff: (s2 - s1,),
+            boundary_sigma1: (s1,),
+        }
+
+
+@pytest.mark.parametrize(
+    "fn", [boundary_uv, boundary_modulus_sq, boundary_sigma_diff, boundary_sigma1]
+)
+def test_ray_formulas_hold_over_the_whole_double_range(fn):
+    # from 1e150, across the scaled path above 2**500, to the largest
+    # double: within 4 ulps of 50-digit mpmath, or 4 steps of the least
+    # subnormal where the value is that small; scalar and array alike
+    big = np.concatenate([np.logspace(150.0, 308.0, 401), [2.0**500, 1.7976931348623157e308]])
+    big = np.concatenate([big, np.nextafter(2.0**500, [0.0, np.inf])])
+    ts = np.concatenate([big, -big])
+    rows = fn(ts)
+    rows = zip(*rows) if isinstance(rows, tuple) else ((value,) for value in rows)
+    for t, array_row in zip(ts.tolist(), rows):
+        scalar_row = fn(t)
+        scalar_row = scalar_row if isinstance(scalar_row, tuple) else (scalar_row,)
+        want = _mp_ray_values(t)[fn]
+        for got in (scalar_row, array_row):
+            for value, exact in zip(got, want):
+                # a real value has a zero imaginary part on both sides
+                for part, exact_part in ((value.real, exact.real), (value.imag, exact.imag)):
+                    err = abs(mpmath.mpf(float(part)) - exact_part)
+                    assert err <= max(4 * 2.0**-52 * abs(exact_part), 4 * 2.0**-1074), (fn, t)
 
 
 @pytest.mark.parametrize(

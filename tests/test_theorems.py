@@ -41,7 +41,7 @@ from ratiolab import theorems
 from ratiolab.cubic import GATE_TABLE, OrderedCubic, _collinear, order_roots_array
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import boundary_modulus_sq, boundary_sigma_diff, boundary_uv
-from ratiolab.kernel import EQ_TOL, IDENTITY_TOL, _cabs
+from ratiolab.kernel import _ARRAY, EQ_TOL, IDENTITY_TOL
 from ratiolab.theorems import CLOSED_BOUND_SLACK, lemma1_expressions, lemma2_expressions
 
 
@@ -718,7 +718,7 @@ def test_array_verdicts_match_scalar_checks_on_near_collinear_triangles():
     table = _near_collinear_triangles()
     cubics = [OrderedCubic(*row) for row in table.tolist()]
     assert [classify_configuration(c) is Configuration.COLLINEAR for c in cubics] == (
-        ~table["coincident"] & _collinear(table["w1"], table["w2"], table["w3"], _cabs, np.maximum)
+        ~table["coincident"] & _collinear(_ARRAY, table["w1"], table["w2"], table["w3"])
     ).tolist()
     failing = _assert_rows_match_checks("T5", cubics, table)
     assert 500 < len(failing) < 3000, len(failing)
