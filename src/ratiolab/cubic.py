@@ -50,7 +50,9 @@ from .errors import (
     ScaleGuardError,
     UndefinedRatioError,
 )
-from .kernel import _ARRAY, _SCALAR, EQ_TOL, MACHINE_EPS, _finite, _on_rays
+from .kernel import (
+    _ARRAY, _ONE, _SCALAR, _THREE, _TWO, EQ_TOL, MACHINE_EPS, _finite, _on_rays, _radicand,
+)
 
 __all__ = [
     "Configuration",
@@ -152,9 +154,6 @@ GATE_REASONS = (
 )
 _ORDER_CHECKS = 6  # order_roots's checks at the head of GATE_REASONS
 _TAGS = GATE_REASONS[_ORDER_CHECKS:]
-
-#: Real operands as the complex numbers CPython before 3.14 turns them into.
-_ONE, _TWO, _THREE = complex(1.0, 0.0), complex(2.0, 0.0), complex(3.0, 0.0)
 
 #: Row type of order_roots_array's table: the fields of OrderedCubic.
 GATE_TABLE = np.dtype(
@@ -326,8 +325,7 @@ def _admissibility(ops, w2n, w3n):
     band = EQ_TOL * ops.modulus(w3n)
     formed = w3n != 0
     w = ops.quot(w2n, ops.where(formed, w3n, _ONE))
-    wx, wy = w.real, w.imag
-    d = ops.complex(3.0 + (wx * wx - wy * wy), 0.0 + (wx * wy + wy * wx))
+    d = _radicand(ops, w)
     on_rays = formed & _on_rays(w)
     # w3n R(w) is a square root of q = 3 w3n^2 + w2n^2; the pair is coherent
     # when it is the principal one

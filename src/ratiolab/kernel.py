@@ -54,6 +54,9 @@ EQ_TOL = 1e-9
 #: Band on |sigma1 - sigma2| in the T4 equivalence check.
 IDENTITY_TOL = 1e-10
 
+#: Real operands as the complex numbers CPython before 3.14 turns them into.
+_ONE, _TWO, _THREE = complex(1.0, 0.0), complex(2.0, 0.0), complex(3.0, 0.0)
+
 
 def require_finite(z: complex, name: str = "value") -> complex:
     """Coerce to complex and reject NaN/inf components."""
@@ -165,6 +168,14 @@ _ARRAY = _Ops(
     lambda c, a, b: tuple(np.where(c, x, y) for x, y in zip(a, b)),
     _csqrt, _cquot, _complex, lambda t: np.asarray(t, dtype=float), np.all, np.sqrt,
 )
+
+
+def _radicand(ops, w):
+    """3 + w^2, the radicand of R(w) = sqrt(3 + w^2), on the parts as
+    CPython forms _THREE + w * w. Its imaginary part is never -0.0, so
+    ops.sqrt of it is principal_sqrt's root."""
+    wx, wy = w.real, w.imag
+    return ops.complex(3.0 + (wx * wx - wy * wy), 0.0 + (wx * wy + wy * wx))
 
 
 def _on_rays(w):

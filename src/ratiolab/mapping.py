@@ -6,9 +6,7 @@ formula for the ratios, bounds_mask for the bound catalog, and the &/|
 predicates _on_rays, is_reachable and _classify_w that also serve single
 points) and yield each block as a list of row tuples in CSV_COLUMNS order.
 emit_dataset writes block after block, so memory stays flat in the grid
-size. The sigma values match the scalar f_extension/g_extension (and the
-scalar identity for sigma2 on the rays) to a few ulps, not bit for bit;
-every other cell is what the scalar functions give.
+size. Every cell is what the scalar functions give, bit for bit.
 
 The midpoint inellipse of a noncollinear root triangle is fitted purely
 geometrically: six homogeneous linear constraints (the conic passes through
@@ -35,8 +33,8 @@ import numpy as np
 
 from .cubic import MAX_ROOT_MAGNITUDE, Configuration, OrderedCubic, classify_configuration
 from .errors import BadRangeError, DegenerateTriangleError
-from .kernel import EQ_TOL, SQRT3, _on_rays
-from .ratios import boundary_sigma1, closed_forms_array
+from .kernel import _ARRAY, EQ_TOL, SQRT3, _on_rays
+from .ratios import _ray_sigma2, boundary_sigma1, closed_forms_array
 from .records import CSV_COLUMNS, csv_row, jsonl_line
 from .theorems import bounds_mask
 
@@ -91,7 +89,8 @@ def _classify_w(w):
     """Index into _W_CLASSES: 2 at the equilateral points +-i sqrt(3), 1 on
     the real axis, 0 elsewhere (the two bands are disjoint); elementwise for
     a complex array."""
-    equilateral = (abs(w - SQRT3 * 1j) <= EQ_TOL) | (abs(w + SQRT3 * 1j) <= EQ_TOL)
+    mod = _ARRAY.modulus  # libm hypot, as abs forms it on a Python complex
+    equilateral = (mod(w - SQRT3 * 1j) <= EQ_TOL) | (mod(w + SQRT3 * 1j) <= EQ_TOL)
     return 2 * equilateral + (abs(w.imag) <= EQ_TOL)
 
 
@@ -158,7 +157,7 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tupl
     for start in range(0, ts.size, _BLOCK):
         t = ts[start : start + _BLOCK]
         s1 = boundary_sigma1(t)
-        s2 = 1.0 / (3.0 * (1.0 - s1))
+        s2 = _ray_sigma2(_ARRAY, s1)
         yield _rows(
             np.zeros(t.size),
             t,

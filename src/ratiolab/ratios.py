@@ -19,11 +19,11 @@ terms add rather than cancel: the rationalized one where
 Re((w + 3) conj(R)) >= 0, the textbook quotient elsewhere (large |w| with
 Re w < 0, where w + 3 + R cancels). The removable point w = -1 of f (value
 1/2, and so g(1) = 1/2) falls on the rationalized side, whose denominator
-never vanishes on the principal branch, so it needs no special case. The
-two quotients are written once, with operators only: f_extension and
-g_extension apply them to one point (cmath, bit-for-bit stable), and
-closed_forms_array to a numpy array, picking the same form per point with
-a mask (np.sqrt rounds differently, so the two agree to a few ulps).
+never vanishes on the principal branch, so it needs no special case; the
+textbook denominator 3 (w + 1) vanishes only there. R, f, g and the ray
+identity sigma2 = 1 / (3 (1 - sigma1)) are each one body over kernel's ops
+record: f_extension and g_extension run them on a Python complex,
+closed_forms_array and the datasets on numpy arrays, with the same bits.
 
 f and g extend analytically to the whole plane minus the excluded rays
 E = {Re w = 0, |Im w| >= sqrt(3)}, where sqrt(3 + w^2) crosses the branch
@@ -46,7 +46,10 @@ import numpy as np
 
 from .cubic import GATE_TABLE, AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
-from .kernel import _ARRAY, _SCALAR, EQ_TOL, SQRT3, _on_rays, principal_sqrt, require_finite
+from .kernel import (
+    _ARRAY, _ONE, _SCALAR, _THREE, _TWO, EQ_TOL, SQRT3, _on_rays, _radicand, principal_sqrt,
+    require_finite,
+)
 
 __all__ = [
     "RatioPath",
@@ -108,7 +111,7 @@ def _root_term(w: complex) -> tuple[complex, complex]:
     continuous, so they evaluate fine; only the open rays are rejected.
     """
     w = require_finite(w, "w")
-    d = 3.0 + w * w
+    d = _radicand(_SCALAR, w)
     if _on_rays(w) and abs(d) > EQ_TOL:
         raise OutsideDomainError(
             f"w={w!r} lies on the excluded rays; use the boundary formula"
@@ -116,73 +119,53 @@ def _root_term(w: complex) -> tuple[complex, complex]:
     return w, principal_sqrt(d)
 
 
-def _adds(w, r):
-    """Whether w + 3 and R add, Re((w + 3) conj(R)) >= 0; elementwise on
+def _adds(a, r):
+    """Whether a = w + 3 and R add, Re(a conj(R)) >= 0; elementwise on
     arrays."""
-    a = w + 3.0
     return a.real * r.real + a.imag * r.imag >= 0.0
 
 
-# The two closed-form bodies of f, operators only, so that the scalar and
-# the array forms share them: the rationalized ("add") and textbook ("sub")
-# quotients in w and R = sqrt(3 + w^2).
+def _f(ops, w, r):
+    """f(w) from w and R = R(w) in the form whose terms add: 2 / (a + R) or
+    (a - R) / (3 u) with a = w + 3, u = w + 1. 3 u is spelled on the parts;
+    CPython's _THREE * u has the same bits, as no part of u is -0.0."""
+    a = w + _THREE
+    add = _adds(a, r)
+    u = w + _ONE
+    return ops.quot(ops.where(add, _TWO, a - r),
+                    ops.where(add, a + r, ops.complex(3.0 * u.real, 3.0 * u.imag)))
 
 
-def _f_add(w, r):
-    return 2.0 / (w + 3.0 + r)
-
-
-def _f_sub(w, r):
-    return (w + 3.0 - r) / (3.0 * (w + 1.0))
-
-
-def _f(w: complex, r: complex) -> complex:
-    return _f_add(w, r) if _adds(w, r) else _f_sub(w, r)
+def _g(ops, w, r):
+    """g(w) = 1 - conj f(-conj w), whose root term is conj R."""
+    return _ONE - _f(ops, -w.conjugate(), r.conjugate()).conjugate()
 
 
 def f_extension(w: complex) -> complex:
     """Analytic extension of sigma1 as a function of w (value 1/2 at w = -1)."""
-    return _f(*_root_term(w))
+    return _f(_SCALAR, *_root_term(w))
 
 
 def g_extension(w: complex) -> complex:
-    """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1):
-    the mirror 1 - conj f(-conj w), whose root term is conj R(w)."""
-    w, r = _root_term(w)
-    return 1.0 - _f(-w.conjugate(), r.conjugate()).conjugate()
-
-
-def _root_terms_array(w: np.ndarray) -> np.ndarray:
-    """Array counterpart of _root_term without the validation: R."""
-    d = 3.0 + w * w
-    # principal_sqrt's rule: -0.0 would select the lower limit on the cut.
-    # Adding 3.0 already turns -0.0 into +0.0; this keeps the rule explicit.
-    d.imag[d.imag == 0.0] = 0.0
-    return np.sqrt(d)
-
-
-def _f_array(w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """_f elementwise: each point in the form _adds picks."""
-    add = _adds(w, r)
-    sub = ~add
-    f = np.empty_like(w)
-    f[add] = _f_add(w[add], r[add])
-    f[sub] = _f_sub(w[sub], r[sub])
-    return f
+    """Analytic extension of sigma2 as a function of w (value 1/2 at w = +1)."""
+    return _g(_SCALAR, *_root_term(w))
 
 
 def closed_forms_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f(w), g(w)) elementwise on a complex array of finite points off the
-    excluded rays (the caller masks the rays out; nothing is validated).
-
-    Each point takes the same form as f_extension/g_extension, with
-    principal_sqrt's sign-of-zero rule; np.sqrt and numpy's complex
-    arithmetic round differently from cmath, so values agree to a few ulps
-    rather than bit for bit.
-    """
+    """(f(w), g(w)) of f_extension/g_extension elementwise on a complex
+    array of finite points off the excluded rays, bit for bit (the caller
+    masks the rays out; nothing is validated)."""
     w = np.asarray(w, dtype=complex)
-    r = _root_terms_array(w)
-    return _f_array(w, r), 1.0 - _f_array(-w.conj(), r.conj()).conj()
+    r = _ARRAY.sqrt(_radicand(_ARRAY, w))
+    return _f(_ARRAY, w, r), _g(_ARRAY, w, r)
+
+
+def _ray_sigma2(ops, s1):
+    """sigma2 = 1 / (3 (1 - sigma1)) from the identity (1 - sigma1) sigma2
+    = 1/3, with 3 (1 - sigma1) spelled on the parts as in _f (no part of
+    1 - sigma1 is -0.0 either)."""
+    u = _ONE - s1
+    return ops.quot(_ONE, ops.complex(3.0 * u.real, 3.0 * u.imag))
 
 
 #: Above this |t|, t^2 would overflow; the ray terms scale |t| out.
@@ -292,8 +275,7 @@ def ratios_via_w(n: NormalizedCubic, report: AdmissibilityReport) -> RatioVector
             s1 = boundary_sigma1(t)
         else:
             s1 = boundary_sigma1(-t).conjugate()
-        s2 = 1.0 / (3.0 * (1.0 - s1))
-        return RatioVector(s1, s2, RatioPath.BOUNDARY)
+        return RatioVector(s1, _ray_sigma2(_SCALAR, s1), RatioPath.BOUNDARY)
     s1 = f_extension(n.w)
     s2 = g_extension(n.w)
     return RatioVector(s1, s2, RatioPath.INTERIOR)

@@ -33,7 +33,7 @@ from ratiolab.cubic import (
     order_roots_array,
 )
 from ratiolab.kernel import EQ_TOL
-from ratiolab.ratios import ratios_direct_array
+from ratiolab.ratios import _root_term, ratios_direct_array
 from ratiolab.sampling import _candidate_block, sample_ordered_cubics
 
 INV_SQRT3 = 1.0 / SQRT3
@@ -634,6 +634,31 @@ def test_admissibility_mask_matches_scalar_on_hand_placed_pairs():
         assert adm[i] == _mask(tags) and on_boundary[i] == on_rays, (a, b)
         seen.update(tags)
     assert seen == set(GATE_REASONS[6:])
+
+
+# ordered pairs with Re(w3n R(w)) == 0.0 exactly, where the coherence test
+# falls to the sign of Im(w3n R(w)); found by setting
+# Im w3n = Re w3n Re R / Im R and keeping the pairs whose recomputed real
+# part is exactly 0
+@pytest.mark.parametrize(
+    "w2n, w3n, tags",
+    [
+        (1.444756892152817 - 8.285372170491621j, 3.5789234557306924 + 1.1148928530637328j, ()),
+        (1.4220544110579674 - 31.482743147213704j, 1.7861062103966372 + 8.35526530731119j, ()),
+        (-0.7930997004548832 - 11.247830788006706j, 1.7215322203854568 - 1.7272696812567676j,
+         ("branch-incoherent",)),
+        (-4.46998696711856 - 16.67241443751597j, 4.9962925177928215 - 4.972051775104255j,
+         ("branch-incoherent",)),
+    ],
+)
+def test_coherence_on_the_imaginary_axis(w2n, w3n, tags):
+    _, r = _root_term(w2n / w3n)
+    assert w3n.real * r.real - w3n.imag * r.imag == 0.0
+    assert (w3n.real * r.imag + w3n.imag * r.real < 0.0) == bool(tags)
+    rep = assess_admissibility(w2n, w3n)
+    assert rep.reasons == tags and not rep.on_boundary
+    adm, on_boundary = admissibility_mask(np.array([w2n]), np.array([w3n]))
+    assert adm.tolist() == [_mask(tags)] and not on_boundary.any()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])

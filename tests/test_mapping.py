@@ -52,10 +52,6 @@ def sigma1(row):
     return None if row.sigma1_re is None else complex(row.sigma1_re, row.sigma1_im)
 
 
-def sigma2(row):
-    return None if row.sigma2_re is None else complex(row.sigma2_re, row.sigma2_im)
-
-
 def by_w(rows):
     return {(round(r.w_re, 9), round(r.w_im, 9)): r for r in rows}
 
@@ -443,7 +439,12 @@ def test_steiner_inellipse_slivers_raise_only_degenerate():
     assert decided > n // 2
 
 
-# -- the per-point loops the array evaluation replaced, kept as references
+# -- the per-point loops the array evaluation replaced, kept as references;
+# real operands of complex operations are spelled as the complex numbers
+# CPython before 3.14 turns them into, so the loops mean the same on every
+# Python version
+
+_ONE, _THREE = complex(1.0, 0.0), complex(3.0, 0.0)
 
 
 def _reference_classify_w(w: complex) -> str:
@@ -490,7 +491,7 @@ def _reference_trace(t_min, t_max, steps):
     rows = []
     for t in ts:
         s1 = boundary_sigma1(float(t))
-        s2 = 1.0 / (3.0 * (1.0 - s1))
+        s2 = _ONE / (_THREE * (_ONE - s1))
         cls = "equilateral" if abs(abs(t) - SQRT3) <= EQ_TOL else "generic"
         rows.append(_reference_row(complex(0.0, float(t)), s1, s2, "boundary", cls, True,
                                    _reference_bounds_ok(s1, s2)))
@@ -498,19 +499,14 @@ def _reference_trace(t_min, t_max, steps):
 
 
 def _assert_same_rows(got, want):
-    # w, labels and flags exactly, with their Python types; sigma to a
-    # relative 4 eps, because numpy's complex sqrt and division round
-    # differently from cmath's
-    rel = 4.0 * np.finfo(float).eps
+    # every cell equal with its Python type, and every float with the same
+    # sign, so with the same bits: signed zeros included
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a[:2] == b[:2] and a[6:] == b[6:], (a, b)
+        assert a == b, (a, b)
         assert [type(x) for x in a] == [type(x) for x in b], (a, b)
-        for x, y in ((sigma1(a), sigma1(b)), (sigma2(a), sigma2(b))):
-            if y is None:
-                assert x is None
-            else:
-                assert abs(x - y) <= rel * abs(y), (a, b)
+        signs = [[math.copysign(1.0, x) for x in row if type(x) is float] for row in (a, b)]
+        assert signs[0] == signs[1], (a, b)
 
 
 @pytest.mark.parametrize(
@@ -528,6 +524,25 @@ def test_sweep_matches_reference_loop(im_range, classes):
     assert {r.path for r in rows} == {"interior", "skip"}
     assert {r.classification for r in rows} == classes
     assert {r.bounds_ok for r in rows} == {True, None}
+
+
+# points on the EQ_TOL band edge around +-i sqrt(3) where numpy 2's complex
+# abs and libm hypot (Python's abs) fall on different sides of the band: the
+# four corners (+-x, +-y) of a resolution-2 grid, all on the excluded rays
+@pytest.mark.parametrize(
+    "x, y, label",
+    [
+        (3.3564019923055396e-10, 1.7320508085108675, "equilateral"),
+        (7.754516702288148e-10, 1.7320508082002841, "equilateral"),
+        (5.370326731384364e-10, 1.7320508084124386, "generic"),
+        (8.98252371341236e-10, 1.7320508080083572, "generic"),
+    ],
+)
+def test_sweep_classifies_the_tip_band_edge_as_the_scalar_modulus(x, y, label):
+    args = ((-x, x), (-y, y), 2)
+    rows = rows_of(sweep_w_grid(*args))
+    _assert_same_rows(rows, _reference_sweep(*args))
+    assert {(r.path, r.classification) for r in rows} == {("skip", label)}
 
 
 def test_trace_matches_reference_loop():

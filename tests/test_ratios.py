@@ -33,8 +33,8 @@ from ratiolab import (
     sample_ordered_cubics,
 )
 from ratiolab.cubic import order_roots_array
-from ratiolab.kernel import _on_rays
-from ratiolab.ratios import _adds, _root_term, _root_terms_array, ratios_direct_array
+from ratiolab.kernel import _ARRAY, _on_rays, _radicand
+from ratiolab.ratios import _adds, _root_term, ratios_direct_array
 
 INV_SQRT3 = 1.0 / SQRT3
 EQUILATERAL_SIGMA = complex(0.5, -SQRT3 / 6.0)
@@ -460,24 +460,27 @@ def _agreement_points() -> np.ndarray:
     return w[~_on_rays(w)]
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
 def test_closed_forms_array_match_scalar_forms():
     # the array forms choose the same quotient as f_extension/g_extension at
-    # every point and agree to a relative 4 eps (np.sqrt and numpy's complex
-    # arithmetic round differently from cmath); on every 7th point both
-    # forms of f and g are within 1e-15 relative of 50-digit arithmetic
+    # every point, both quotients occur, and the values have the same bits,
+    # signed zeros included; on every 7th point they are within 1e-15
+    # relative of 50-digit arithmetic
     w = _agreement_points()
-    add = _adds(w, _root_terms_array(w))
+    add = _adds(w + 3.0, _ARRAY.sqrt(_radicand(_ARRAY, w)))
+    assert add.any() and not add.all()
     f, g = closed_forms_array(w)
-    rel = 4.0 * np.finfo(float).eps
-    for i, x in enumerate(w.tolist()):
-        assert add[i] == _adds(*_root_term(x)), x
-        fs, gs = f_extension(x), g_extension(x)
-        assert abs(f[i] - fs) <= rel * abs(fs), x
-        assert abs(g[i] - gs) <= rel * abs(gs), x
-        if i % 7 == 0:
-            mp_f, mp_g = _mp_closed_forms(x)
-            for got, want in ((fs, mp_f), (f[i], mp_f), (gs, mp_g), (g[i], mp_g)):
-                assert abs(got - want) <= 1e-15 * abs(want), x
+    points = w.tolist()
+    assert add.tolist() == [_adds(x + 3.0, _root_term(x)[1]) for x in points]
+    assert np.array_equal(_bits(f), _bits([f_extension(x) for x in points]))
+    assert np.array_equal(_bits(g), _bits([g_extension(x) for x in points]))
+    for x, fs, gs in zip(points[::7], f[::7].tolist(), g[::7].tolist()):
+        mp_f, mp_g = _mp_closed_forms(x)
+        assert abs(fs - mp_f) <= 1e-15 * abs(mp_f), x
+        assert abs(gs - mp_g) <= 1e-15 * abs(mp_g), x
     f, g = closed_forms_array(np.array([-1.0 + 0j, 1.0 + 0j]))
     assert f[0] == 0.5 and g[1] == 0.5
 
