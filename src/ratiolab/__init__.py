@@ -73,6 +73,7 @@ from .sampling import (
 )
 from .theorems import (
     CLAIM_GROUPS,
+    CLAIMS,
     DEFAULT_SEED,
     TheoremReport,
     bounds_mask,

@@ -1,22 +1,7 @@
 """Executable claim catalog: bounds, equivalences, scans, extremal families.
 
-Claim identifiers (CLI selector `verify` accepts the prefixes):
-
-    L1A, L1B   the derivative numerators 4t sqrt(t^2-3) -+ (5t^2 - 3) of the
-               ray functions u1, u2 never vanish for |t| >= sqrt(3)
-    L2A, L2B   t^3 - 7t -+ 2(t^2-1) sqrt(t^2-3) has exactly one real zero,
-               at t = -2 (A) resp. t = +2 (B); L1A/L1B and L2A/L2B are
-               mirror pairs under t -> -t
-    T1A-T1E    sigma1: 0 < Re < 2/3 (sharp), |Im| <= 1/3, Im = +-1/3 exactly
-               on the +-i z0 / 2 z0 family, |sigma1| <= 2/3
-    T2A-T2E    sigma2: 1/3 < Re < 1 (sharp), |Im| <= 1/3, Im = +-1/3 exactly
-               on the mirrored family, |sigma2| <= 1; T2A-T2D are T1A-T1D
-               on the mirror w -> -conj w of the roots, which reverses
-               their order: sigma2' = 1 - conj sigma1
-    T3         Re sigma2 >= Re sigma1
-    T4         sigma1 = sigma2 iff the roots form an equilateral triangle
-    T5         a ratio is real iff the roots are collinear
-    HYP        all-real roots: 1/3 < sigma1 < 1/2 < sigma2 < 2/3
+CLAIMS states the catalog: one record per row of README's table, with the
+claim ids, their `verify` group and the statement.
 
 Every claim is checked numerically: Monte Carlo over admissible
 configurations, dense grid scans with sign-change detection and root
@@ -27,16 +12,18 @@ blocks of _SCAN_BLOCK points whose temporaries stay in cache; a scan's
 minimum is folded block by block, which gives the bits of the whole-grid
 minimum. Reports carry a margin (signed distance to the bound) and a
 witness record for the extremal or violating configuration. The Monte
-Carlo pass of T1-T3 keeps its samples in one complex table (80 B per
-sample); each bound's margin is the minimum over the table, its witness
-the first sample at that minimum, and its verdict the bound's open or
-closed threshold applied to that minimum. T4, T5 and HYP put the
-configurations the public samplers yield into one GATE_TABLE array per
-claim and decide all rows at once. Each verdict is one body written with
-operators and kernel's ops record, which check_equivalence_t4,
-check_equivalence_t5 and check_hyperbolic run on complex scalars and the
-claim runs on the table's columns, with the same bits. The claim fails when any row fails, and its
-witness is the last failing row.
+Carlo pass of T1-T3 keeps its samples in one GATE_TABLE array, the row
+format the sampler gates them in (88 B a sample), and their ratios in two
+complex columns (32 B); each bound's margin is the minimum over the
+table, its witness the first sample at that minimum, and its verdict the
+bound's open or closed threshold applied to that minimum. T4, T5 and HYP
+put the configurations the public samplers yield into one GATE_TABLE
+array per claim and decide all rows at once. Each verdict is one body
+written with operators and kernel's ops record, which
+check_equivalence_t4, check_equivalence_t5 and check_hyperbolic run on
+complex scalars and the claim runs on the table's columns, with the same
+bits. The claim fails when any row fails, and its witness is the last
+failing row.
 """
 
 from __future__ import annotations
@@ -44,8 +31,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -82,6 +69,8 @@ from .sampling import (
 __all__ = [
     "TheoremReport",
     "DEFAULT_SEED",
+    "Claim",
+    "CLAIMS",
     "CLAIM_GROUPS",
     "CLOSED_BOUND_SLACK",
     "check_bounds",
@@ -106,7 +95,39 @@ DEFAULT_SEED = 1729
 #: Closed bounds (attained in the limit or on families) may undershoot by this.
 CLOSED_BOUND_SLACK = 1e-12
 
-CLAIM_GROUPS = ("all", "L1", "L2", "T1", "T2", "T3", "T4", "T5", "HYP")
+
+class Claim(NamedTuple):
+    """A row of the claim catalog."""
+
+    ids: tuple[str, ...]
+    group: str
+    statement: str
+
+
+#: The claim catalog in report order; README's table renders it.
+CLAIMS = (
+    Claim(("L1A", "L1B"), "L1", "`4t sqrt(t^2-3) -+ (5t^2-3)` never vanishes for `|t| >= sqrt(3)`"),
+    Claim(("L2A", "L2B"), "L2",
+          "`t^3 - 7t -+ 2(t^2-1) sqrt(t^2-3)` has exactly one real zero, at `t = -2` resp. `+2`"),
+    Claim(("T1A",), "T1", "`0 < Re sigma1 < 2/3`, sharp (probes reach 0.66666 and 1.5e-6)"),
+    Claim(("T1B",), "T1", "`|Im sigma1| <= 1/3`"),
+    Claim(("T1C", "T1D"), "T1", "`Im sigma1 = +-1/3` exactly on the family `+-i z0 + C`, "
+          "`2 z0 + C` with `z0` in the corresponding half-strip"),
+    Claim(("T1E",), "T1", "`|sigma1| <= 2/3` (ray envelope `a(t), b(t) < 4`)"),
+    Claim(("T2A",), "T2", "`1/3 < Re sigma2 < 1`, sharp"),
+    Claim(("T2B",), "T2", "`|Im sigma2| <= 1/3`"),
+    Claim(("T2C", "T2D"), "T2", "`Im sigma2 = +-1/3` exactly on the mirror `z0 -> -conj z0` of the "
+          "T1C, T1D family (`Re z0 < 0`); on the sigma1 strip itself `Im sigma2 = +-1/5`"),
+    Claim(("T2E",), "T2", "`|sigma2| <= 1`"),
+    Claim(("T3",), "T3", "`Re sigma2 >= Re sigma1`"),
+    Claim(("T4",), "T4",
+          "`sigma1 = sigma2` iff the roots form an equilateral triangle (`w = +-i sqrt(3)`)"),
+    Claim(("T5",), "T5", "a ratio is real iff the roots are collinear"),
+    Claim(("HYP",), "HYP", "all-real roots: `1/3 < sigma1 < 1/2 < sigma2 < 2/3`"),
+)
+
+#: The selectors of run_claims: "all", then each group in catalog order.
+CLAIM_GROUPS = ("all", *dict.fromkeys(c.group for c in CLAIMS))
 
 
 @dataclass(frozen=True)
@@ -359,10 +380,7 @@ def scan_lemma1(
     low = float(low)
     ok = low > 0.0 and bool(max_resid <= 1e-6)
     note = f"identity max rel resid {max_resid:.3e}"
-    return (
-        TheoremReport("L1A", ok, None, low, note),
-        TheoremReport("L1B", ok, None, low, note),
-    )
+    return TheoremReport("L1A", ok, None, low, note), TheoremReport("L1B", ok, None, low, note)
 
 
 def _sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> list[float]:
@@ -511,9 +529,9 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _row_witness(row: np.ndarray) -> SampleRecord:
-    """The witness record of a bounds-table row (w1, w2, w3, ...)."""
-    c = order_roots(*row[:3].tolist())
+def _row_witness(row: np.void) -> SampleRecord:
+    """The witness record of a GATE_TABLE row."""
+    c = OrderedCubic(*row.tolist())
     return _witness(c, ratios_direct(c))
 
 
@@ -553,22 +571,16 @@ def _hyp_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _last_failing(table: np.ndarray, passed: np.ndarray) -> Optional[SampleRecord]:
     """The witness of the last table row that fails, None if none does."""
     failed = np.flatnonzero(~passed)
-    if not len(failed):
-        return None
-    c = OrderedCubic(*table[failed[-1]].tolist())
-    return _witness(c, ratios_direct(c))
+    return _row_witness(table[failed[-1]]) if len(failed) else None
 
 
-def _bounds_table(samples: int, rng: np.random.Generator) -> np.ndarray:
-    """A (samples, 5) complex table of rows (w1, w2, w3, sigma1, sigma2),
-    one per configuration sample_ordered_cubics would yield, filled from the
-    sampler's gate tables."""
-    table = np.empty((samples, 5), dtype=complex)
+def _admissible_table(samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The GATE_TABLE rows of the samples configurations that
+    sample_ordered_cubics would yield, in one array."""
+    table = np.empty(samples, dtype=GATE_TABLE)
     start = 0
     for block in _admissible_blocks(samples, rng):
-        rows = table[start:start + len(block)]
-        rows[:, 0], rows[:, 1], rows[:, 2] = block["w1"], block["w2"], block["w3"]
-        rows[:, 3], rows[:, 4] = ratios_direct_array(block)
+        table[start:start + len(block)] = block
         start += len(block)
     return table
 
@@ -577,13 +589,15 @@ def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], t
     """One Monte Carlo pass: the reports of _BOUND_IDS and the witnesses of
     stray attainments of |Im sigma1| and |Im sigma2| = 1/3 (T1C/T1D, T2C/T2D).
 
-    A table row (w1, w2, w3, sigma1, sigma2) per sample, 80 B. A claim's
-    margin is its column minimum, its witness the first sample there, and
-    _bound_verdicts on the minima says whether every sample passes, since
-    each verdict is a threshold on one margin (a NaN margin is the minimum).
+    A GATE_TABLE row (88 B) and the two ratios (32 B) per sample. A claim's
+    margin is its minimum over the samples, its witness the first sample
+    there, and _bound_verdicts on the minima says whether every sample
+    passes, since each verdict is a threshold on one margin (a NaN margin is
+    the minimum).
     """
-    table = _bounds_table(samples, _rng_for(seed, 1))
-    margins = _bound_margins(_ARRAY, table[:, 3], table[:, 4])
+    table = _admissible_table(samples, _rng_for(seed, 1))
+    s1, s2 = ratios_direct_array(table)
+    margins = _bound_margins(_ARRAY, s1, s2)
     minima = [float(m.min()) for m in margins]
     note = f"{samples} samples"
     reports = {
@@ -595,7 +609,7 @@ def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], t
     # Im-band of EQ_TOL admits w within ~sqrt(EQ_TOL / 0.14) of those points
     window = max(EQ_TOL, math.sqrt(40.0 * EQ_TOL))
     strays = ([], [])
-    for sigma, found in zip((table[:, 3], table[:, 4]), strays):
+    for sigma, found in zip((s1, s2), strays):
         for i in np.flatnonzero(1.0 / 3.0 - np.abs(sigma.imag) <= EQ_TOL):
             wit = _row_witness(table[i])
             if abs(wit.w - (-2j if sigma[i].imag > 0 else 2j)) > window:
@@ -613,20 +627,16 @@ def _sharpness(base: TheoremReport, k: int, above: float, below: float) -> Theor
     (_, re_pos), (_, re_neg) = probes
     sharp_ok = re_pos > above and re_neg < below
     note = base.note + "; " + ", ".join(f"Re sigma{k}({t:+g}) = {re:.6g}" for t, re in probes)
-    return TheoremReport(base.claim_id, base.passed and sharp_ok, base.witness, base.margin, note)
-
-
-#: Per ratio k: the sign of Re z0 on the strip of the family attaining
-#: Im sigma_k = +-1/3.
-_IM_RE_SIGN = {1: +1, 2: -1}
+    return replace(base, passed=base.passed and sharp_ok, note=note)
 
 
 def _im_attainment(
-    cid: str, k: int, sign: int, rng: np.random.Generator, strays: list, tail: str
+    cid: str, k: int, sign: int, rng: np.random.Generator, strays: tuple[list, list], tail: str
 ) -> TheoremReport:
     """Im sigma_k = sign/3 to 1e-12 over 64 draws of its extremal family,
-    and no stray attainment in the Monte Carlo pass."""
-    re_sign = _IM_RE_SIGN[k]
+    and no stray attainment of |Im sigma_k| = 1/3 in the Monte Carlo pass."""
+    re_sign = (+1, -1)[k - 1]  # the sign of Re z0 on the family's strip
+    strays = strays[k - 1]
     worst = 0.0
     witness = None
     for _ in range(64):
@@ -646,7 +656,7 @@ def _im_attainment(
     return TheoremReport(cid, ok, witness if not ok else None, worst, note)
 
 
-def _claims_t1(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
+def _claims_t1(seed: int, shared: dict, strays: tuple[list, list]) -> list[TheoremReport]:
     # T1A: bounds plus sharpness at the asymptotic probes
     reports = [_sharpness(shared["T1A"], 1, 0.666, 1e-4), shared["T1B"]]
 
@@ -660,14 +670,12 @@ def _claims_t1(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
     base = shared["T1E"]
     env = _ray_envelope(_t1e_ray)
     # on the asymptotic tail the envelope rounds onto its unattained limit 4
-    ok = base.passed and env > -CLOSED_BOUND_SLACK
-    reports.append(
-        TheoremReport("T1E", ok, base.witness, base.margin, base.note + f"; min(4 - a, 4 - b) = {env:.3e}")
-    )
+    ok = base.passed and env >= -CLOSED_BOUND_SLACK
+    reports.append(replace(base, passed=ok, note=base.note + f"; min(4 - a, 4 - b) = {env:.3e}"))
     return reports
 
 
-def _claims_t2(seed: int, shared: dict, strays: list) -> list[TheoremReport]:
+def _claims_t2(seed: int, shared: dict, strays: tuple[list, list]) -> list[TheoremReport]:
     reports = [_sharpness(shared["T2A"], 2, 0.999, 1.0 / 3.0 + 1e-3), shared["T2B"]]
 
     # T2C / T2D: z0 -> -conj z0 mirrors the T1C / T1D family's roots, and
@@ -685,12 +693,8 @@ def _claims_t3(shared: dict) -> list[TheoremReport]:
     base = shared["T3"]
     ray_min = _ray_envelope(_t3_ray)
     ok = base.passed and ray_min >= -CLOSED_BOUND_SLACK
-    return [
-        TheoremReport(
-            "T3", ok, base.witness, min(base.margin, ray_min),
-            base.note + f"; ray min Re(sigma2 - sigma1) = {ray_min:.3e}",
-        )
-    ]
+    note = base.note + f"; ray min Re(sigma2 - sigma1) = {ray_min:.3e}"
+    return [replace(base, passed=ok, margin=min(base.margin, ray_min), note=note)]
 
 
 def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:
@@ -752,23 +756,17 @@ def run_claims(
         raise BadParameterError(f"unknown selector {selector!r}; choose from {CLAIM_GROUPS}")
     if samples < 1:
         raise BadParameterError(f"samples must be at least 1, got {samples}")
-    reports: list[TheoremReport] = []
-    if sel in ("all", "L1"):
-        reports.extend(scan_lemma1())
-    if sel in ("all", "L2"):
-        reports.extend(scan_lemma2())
-    if sel in ("all", "T1", "T2", "T3"):
-        shared, (strays1, strays2) = _bounds_claims(samples, seed)
-        if sel in ("all", "T1"):
-            reports.extend(_claims_t1(seed, shared, strays1))
-        if sel in ("all", "T2"):
-            reports.extend(_claims_t2(seed, shared, strays2))
-        if sel in ("all", "T3"):
-            reports.extend(_claims_t3(shared))
-    if sel in ("all", "T4"):
-        reports.extend(_claims_t4(samples, seed))
-    if sel in ("all", "T5"):
-        reports.extend(_claims_t5(samples, seed))
-    if sel in ("all", "HYP"):
-        reports.extend(_claims_hyp(samples, seed))
-    return reports
+    # the T1-T3 Monte Carlo pass, drawn at most once and only when asked for
+    bounds = functools.cache(lambda: _bounds_claims(samples, seed))
+    runners = {
+        "L1": scan_lemma1,
+        "L2": scan_lemma2,
+        "T1": lambda: _claims_t1(seed, *bounds()),
+        "T2": lambda: _claims_t2(seed, *bounds()),
+        "T3": lambda: _claims_t3(bounds()[0]),
+        "T4": lambda: _claims_t4(samples, seed),
+        "T5": lambda: _claims_t5(samples, seed),
+        "HYP": lambda: _claims_hyp(samples, seed),
+    }
+    groups = CLAIM_GROUPS[1:] if sel == "all" else (sel,)
+    return [rep for group in groups for rep in runners[group]()]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -13,6 +14,7 @@ from ratiolab import (
     ratios_direct,
     theorems,
 )
+from ratiolab.ratios import ratios_direct_array
 from ratiolab.sampling import (
     _BLOCK,
     _candidate_block,
@@ -130,10 +132,13 @@ def test_ordered_cubics_match_scalar_gate_loop(n, seed):
     expected = list(_reference_ordered_cubics(n, ref_rng))
     assert list(map(repr, sample_ordered_cubics(n, rng))) == list(map(repr, expected))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the T1-T3 table is the scalar ratios_direct fill of these cubics
-    table = theorems._bounds_table(n, np.random.default_rng(seed))
-    ref = [(c.w1, c.w2, c.w3, rv.sigma1, rv.sigma2) for c, rv in zip(expected, map(ratios_direct, expected))]
-    assert np.array_equal(table.view(np.uint64), np.array(ref, dtype=complex).reshape(n, 5).view(np.uint64))
+    # the T1-T3 pass's GATE_TABLE holds these cubics' fields, and its
+    # ratios are their scalar ratios_direct, bit for bit
+    table = theorems._admissible_table(n, np.random.default_rng(seed))
+    assert list(map(repr, table.tolist())) == [repr(dataclasses.astuple(c)) for c in expected]
+    ref = [(rv.sigma1, rv.sigma2) for rv in map(ratios_direct, expected)]
+    sigma = np.stack(ratios_direct_array(table), axis=1)
+    assert np.array_equal(sigma.view(np.uint64), np.array(ref, dtype=complex).reshape(n, 2).view(np.uint64))
 
 
 # The four samplers' candidate blocks through the scalar gate, one row at a

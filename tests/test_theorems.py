@@ -1,13 +1,17 @@
 import ast
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ratiolab import (
+    CLAIM_GROUPS,
+    CLAIMS,
     BadParameterError,
     Configuration,
     ConstraintViolatedError,
@@ -433,6 +437,69 @@ def test_run_claims_deterministic():
     a = run_claims("HYP", samples=500, seed=42)
     b = run_claims("HYP", samples=500, seed=42)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the claim table and its readers
+
+
+def _readme_claim_table():
+    """The table lines under README's "## Claim catalog" heading."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    section = lines[lines.index("## Claim catalog"):]
+    table = itertools.dropwhile(lambda line: not line.startswith("|"), section)
+    return list(itertools.takewhile(lambda line: line.startswith("|"), table))
+
+
+def test_readme_claim_table_renders_claims():
+    rendered = ["| id | statement (verified numerically) |", "|----|----------------------------------|"]
+    rendered += ["| " + ", ".join(c.ids) + " | " + c.statement.replace("|", "\\|") + " |" for c in CLAIMS]
+    assert _readme_claim_table() == rendered
+
+
+@pytest.fixture(scope="module")
+def all_claims():
+    return run_claims("all", 2000, 7)
+
+
+def test_run_claims_reports_the_catalog_in_order(all_claims):
+    assert CLAIM_GROUPS == ("all", "L1", "L2", "T1", "T2", "T3", "T4", "T5", "HYP")
+    assert [r.claim_id for r in all_claims] == [cid for c in CLAIMS for cid in c.ids]
+
+
+@pytest.mark.parametrize("group", CLAIM_GROUPS[1:])
+def test_each_claim_group_alone_is_its_slice_of_all(all_claims, group):
+    ids = {cid for c in CLAIMS if c.group == group for cid in c.ids}
+    assert run_claims(group, 2000, 7) == [r for r in all_claims if r.claim_id in ids]
+
+
+def test_run_claims_draws_the_bounds_pass_only_when_asked_and_once(monkeypatch):
+    calls = []
+    bounds_claims = theorems._bounds_claims
+    monkeypatch.setattr(theorems, "_bounds_claims", lambda *args: calls.append(args) or bounds_claims(*args))
+    run_claims("L2", 500, 7)
+    assert calls == []
+    # the groups that do not read the pass, made cheap
+    for name in ("scan_lemma1", "scan_lemma2"):
+        monkeypatch.setattr(theorems, name, lambda: ())
+    for name in ("_claims_t4", "_claims_t5", "_claims_hyp"):
+        monkeypatch.setattr(theorems, name, lambda samples, seed: [])
+    assert [r.claim_id for r in run_claims("all", 500, 7)] == [
+        "T1A", "T1B", "T1C", "T1D", "T1E", "T2A", "T2B", "T2C", "T2D", "T2E", "T3"]
+    assert calls == [(500, 7)]
+
+
+@pytest.mark.parametrize("envelope, passed", [
+    (-CLOSED_BOUND_SLACK, True),
+    (math.nextafter(-CLOSED_BOUND_SLACK, -math.inf), False),
+])
+def test_t1e_and_t3_ray_envelopes_share_the_closed_bound_threshold(monkeypatch, envelope, passed):
+    # both envelopes are closed bounds: exactly -CLOSED_BOUND_SLACK passes,
+    # one float lower fails
+    monkeypatch.setattr(theorems, "_ray_envelope", lambda expression: envelope)
+    reports = {r.claim_id: r for r in run_claims("T1", 2000, 7) + run_claims("T3", 2000, 7)}
+    assert (reports["T1E"].passed, reports["T3"].passed) == (passed, passed)
+    assert reports["T3"].margin == envelope
 
 
 def _bound_edge_pairs():
