@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,10 +88,10 @@ class Configuration(enum.Enum):
     EQUILATERAL = "equilateral"
 
 
-@dataclass(frozen=True)
-class OrderedCubic:
+class OrderedCubic(NamedTuple):
     """Three distinct roots with Re w1 < Re w2 < Re w3 and labeled critical
-    points (z1 == z2 in the coincident case, else Re z1 < Re z2)."""
+    points (z1 == z2 in the coincident case, else Re z1 < Re z2). A record
+    is a GATE_TABLE row: it equals the plain tuple of its fields."""
 
     w1: complex
     w2: complex

@@ -198,9 +198,13 @@ def _ray_terms(t):
     return ops, t, k, a, c, r, a * a + 3.0 * c + a * r
 
 
-def _uv(t):
-    """The ops record for t and boundary_uv(t)."""
-    ops, t, k, a, c, r, heavy = _ray_terms(t)
+# The ray formulas below are bodies over _ray_terms(t), so that one block's
+# terms can serve several of them.
+
+
+def _uv(terms):
+    """The ops record and boundary_uv(t), from _ray_terms(t)."""
+    ops, t, k, a, c, r, heavy = terms
     u_big = heavy / (3.0 * (a * a + c))
     u_small = 3.0 / heavy / k / k
     v_neg = (2.0 * a + r) / (3.0 * (a * a + c)) / k
@@ -224,7 +228,7 @@ def boundary_uv(t):
     with u1 = u_big, v1 = v_pos for t > 0 and the mirror images for t < 0.
     Every finite |t| >= sqrt(3) is served, up to the largest double.
     """
-    return _uv(t)[1]
+    return _uv(_ray_terms(t))[1]
 
 
 def boundary_sigma1(t) -> complex:
@@ -232,13 +236,18 @@ def boundary_sigma1(t) -> complex:
 
     For a configuration with Im w3 < 0 the value is conj(boundary_sigma1(-t)).
     """
-    ops, (u1, _, v1, _) = _uv(t)
+    ops, (u1, _, v1, _) = _uv(_ray_terms(t))
     return ops.complex(u1, v1)
 
 
 def boundary_modulus_sq(t):
     """(a, b) with a = 9(u1^2 + v1^2), b = 9(u2^2 + v2^2); both stay below 4."""
-    ops, t, k, a, c, _, heavy = _ray_terms(t)
+    return _modulus_sq(_ray_terms(t))
+
+
+def _modulus_sq(terms):
+    """boundary_modulus_sq(t), from _ray_terms(t)."""
+    ops, t, k, a, c, _, heavy = terms
     big = 2.0 * heavy / (a * a + c)
     small = 18.0 / heavy / k / k
     return ops.select(t >= 0, (big, small), (small, big))
@@ -247,7 +256,12 @@ def boundary_modulus_sq(t):
 def boundary_sigma_diff(t) -> complex:
     """sigma2 - sigma1 on the rays (upper side):
     ((t^2 - 3) - 2 i sqrt(t^2 - 3)) / (3 (t^2 + 1)); real part >= 0."""
-    ops, _, k, a, c, r, _ = _ray_terms(t)
+    return _sigma_diff(_ray_terms(t))
+
+
+def _sigma_diff(terms):
+    """boundary_sigma_diff(t), from _ray_terms(t)."""
+    ops, _, k, a, c, r, _ = terms
     den = 3.0 * (a * a + c)
     return ops.complex((a * a - 3.0 * c) / den, -2.0 * r / den / k)
 

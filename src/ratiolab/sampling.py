@@ -4,9 +4,10 @@ All generators draw from a caller-supplied numpy Generator, so identical
 seeds give identical samples. Each draws its candidates as numpy arrays,
 one block of 1024 at a time, with bounds and gap filters as masks. The
 whole block goes through the array gate order_roots_array, which decides
-each row as the scalar order_roots would, and the sampler yields an
-OrderedCubic per kept row until there are n; n <= 0 draws nothing. Blocks
-do not depend on n, so a shorter run is a prefix of a longer one.
+each row as the scalar order_roots would, and the sampler yields the kept
+rows as OrderedCubic records, named tuples of a row's fields, until there
+are n; n <= 0 draws nothing. Blocks do not depend on n, so a shorter run is
+a prefix of a longer one.
 
 sample_ordered_cubics draws per candidate a mix flag (a ray sample with
 probability 0.2), a log-uniform positive scale factor in [1e-3, 1e3]
@@ -26,7 +27,8 @@ ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4 at pair scale, which
 keeps w over 7e-6 from +-1) run before scaling and translation, and its
 gate table also goes through normalize_array and admissibility_mask: a
 row is kept when it is admissible, on the rays exactly when it was drawn
-as a ray sample. The T1-T3 pass reads these gate tables directly.
+as a ray sample. The T1-T3 pass reads these gate tables directly, one
+block at a time.
 
 The margins keep every accepted configuration far enough from the
 degenerate sets that the documented comparison tolerances hold with
@@ -121,8 +123,7 @@ def _blocks(n: int, rng: np.random.Generator,
 def _cubics(n: int, rng: np.random.Generator,
             draw: Callable[[np.random.Generator], np.ndarray]) -> Iterator[OrderedCubic]:
     for block in _blocks(n, rng, draw):
-        for row in block.tolist():
-            yield OrderedCubic(*row)
+        yield from map(OrderedCubic._make, block.tolist())
 
 
 def _admissible_block(rng: np.random.Generator) -> np.ndarray:

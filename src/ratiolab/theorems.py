@@ -5,21 +5,27 @@ claim ids, their `verify` group and the statement.
 
 Every claim is checked numerically: Monte Carlo over admissible
 configurations, dense grid scans with sign-change detection and root
-refinement, and the explicit extremal families. t -> -t maps each lemma
-and ray envelope expression onto its partner bit for bit, so the lemma
-scans and the ray envelopes of T1E, T3 and T5 walk t >= sqrt(3) only, in
-blocks of _SCAN_BLOCK points whose temporaries stay in cache; a scan's
-minimum is folded block by block, which gives the bits of the whole-grid
-minimum. Reports carry a margin (signed distance to the bound) and a
-witness record for the extremal or violating configuration. The Monte
-Carlo pass of T1-T3 keeps its samples in one GATE_TABLE array, the row
-format the sampler gates them in (88 B a sample), and their ratios in two
-complex columns (32 B); each bound's margin is the minimum over the
-table, its witness the first sample at that minimum, and its verdict the
-bound's open or closed threshold applied to that minimum. T4, T5 and HYP
-put the configurations the public samplers yield into one GATE_TABLE
-array per claim and decide all rows at once. Each verdict is one body
-written with operators and kernel's ops record, which
+refinement, and the explicit extremal families. No run keeps a whole grid
+or a whole sample: memory does not grow with either.
+
+t -> -t maps each lemma and ray envelope expression onto its partner bit
+for bit, so the lemma scans and the ray envelopes of T1E, T3 and T5 walk
+t >= sqrt(3) only. A scan grid is a small record (_scan_grid); its points
+are made _SCAN_BLOCK at a time, bit for bit the points np.linspace and
+np.logspace give, and a scan's minimum is folded block by block, which
+gives the bits of the whole-grid minimum. The three ray envelopes share
+one pass, and each block's ray terms serve all three.
+
+Reports carry a margin (signed distance to the bound) and a witness
+record for the extremal or violating configuration. The Monte Carlo pass
+of T1-T3 folds over the GATE_TABLE blocks the sampler gates: per bound it
+keeps the least margin so far and a copy of its row, so a bound's margin
+is the minimum over the samples, its witness the first sample at that
+minimum, and its verdict the bound's open or closed threshold applied to
+that minimum. T4, T5 and HYP fold over chunks of _CHUNK records that the
+public samplers yield, one sampler after another; a chunk is one
+GATE_TABLE array (a record is its row's tuple), decided at once. Each
+verdict is one body written with operators and kernel's ops record, which
 check_equivalence_t4, check_equivalence_t5 and check_hyperbolic run on
 complex scalars and the claim runs on the table's columns, with the same
 bits. The claim fails when any row fails, and its witness is the last
@@ -29,10 +35,10 @@ failing row.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,9 +56,10 @@ from .errors import BadParameterError, BadRangeError, ConstraintViolatedError, N
 from .kernel import _ARRAY, _SCALAR, EQ_TOL, IDENTITY_TOL, SQRT3
 from .ratios import (
     RatioVector,
-    boundary_modulus_sq,
-    boundary_sigma_diff,
-    boundary_uv,
+    _modulus_sq,
+    _ray_terms,
+    _sigma_diff,
+    _uv,
     ratios_direct,
     ratios_direct_array,
 )
@@ -272,10 +279,22 @@ def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
 def lemma1_expressions(t):
     """(A, B) = 4 t sqrt(t^2 - 3) -+ (5 t^2 - 3); vectorized."""
     t = np.asarray(t, dtype=float)
-    r = np.sqrt(np.maximum(t * t - 3.0, 0.0))
-    a = 4.0 * t * r - 5.0 * t * t + 3.0
-    b = 4.0 * t * r + 5.0 * t * t - 3.0
-    return a, b
+    return _lemma1(t, t * t - 3.0)
+
+
+def _lemma1(t, d):
+    """lemma1_expressions(t), given d = t^2 - 3."""
+    r = np.sqrt(np.maximum(d, 0.0))
+    # 4 t r and 5 t t once each, in place where t is an array
+    radical = 4.0 * t
+    radical *= r
+    square = 5.0 * t
+    square *= t
+    a = radical - square
+    a += 3.0
+    radical += square
+    radical -= 3.0
+    return a, radical
 
 
 def lemma2_expressions(t):
@@ -287,71 +306,119 @@ def lemma2_expressions(t):
     return base - core, base + core
 
 
+#: The reductions of the scans: np.min and np.max without their wrapper.
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
+
 def _cube(t):
     """t^3 as an exactly odd function. numpy's `t ** 3` takes a slow scalar
     path for negative bases; this stays within 1 ulp of it."""
     return np.copysign(np.abs(t) ** 3, t)
 
 
-@functools.lru_cache(maxsize=2)
-def _scan_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
-    """The branch t >= t_min of the rays, read-only: [t_min, t_max] densely
-    plus a logarithmic tail out to 1e9. The last two grids are kept: the
-    lemma grid and the ray grid."""
+class _Grid(NamedTuple):
+    """A scan grid on the branch t >= t_min of the rays: steps points from
+    t_min to t_max, spaced as np.linspace spaces them, then the tail of 999
+    points out to 1e9 (np.logspace from t_max, without its first point).
+    Only the tail is stored; _points makes the rest on demand."""
+
+    t_min: float
+    t_max: float
+    steps: int
+    step: float
+    tail: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.steps + len(self.tail)
+
+
+def _scan_grid(t_min: float, t_max: float, steps: int) -> _Grid:
+    """The validated grid of a scan. Nothing is cached: a grid costs its
+    8 KB tail, and each scan makes its points block by block."""
     if not (SQRT3 - EQ_TOL <= t_min < t_max):
         raise BadRangeError(f"need sqrt(3) <= t_min < t_max, got [{t_min}, {t_max}]")
     if steps < 1000:
         raise BadRangeError("steps must be at least 1000")
-    main = np.linspace(t_min, t_max, steps)
+    t_min, t_max = float(t_min), float(t_max)
     tail = np.logspace(math.log10(t_max), 9.0, 1000)[1:]
-    grid = np.concatenate([main, tail])
-    grid.flags.writeable = False
-    return grid
+    return _Grid(t_min, t_max, steps, (t_max - t_min) / (steps - 1), tail)
 
 
-def _ray_grid() -> np.ndarray:
+def _points(grid: _Grid, rows: range, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """The points of grid at the indices rows, bit for bit as np.linspace
+    and np.logspace make them: index times step plus t_min, t_max at index
+    steps - 1, the tail after it. t, when given, holds the indices as
+    floats and is overwritten."""
+    if t is None:
+        t = np.arange(rows.start, rows.stop, rows.step, dtype=float)
+    linear = len(range(rows.start, min(rows.stop, grid.steps), rows.step))
+    head = t[:linear]
+    head *= grid.step
+    head += grid.t_min
+    if grid.steps - 1 in rows:
+        t[rows.index(grid.steps - 1)] = grid.t_max
+    tail = rows[linear:]
+    if tail:
+        t[linear:] = grid.tail[tail.start - grid.steps:tail.stop - grid.steps:tail.step]
+    return t
+
+
+def _ray_grid() -> _Grid:
     """The grid of the ray envelope scans in T1E, T3 and T5."""
     return _scan_grid(SQRT3, 1e3, 200000)
 
 
-#: Points per block of the lemma scans and the ray envelopes: each temporary
-#: of a block (256 KiB) stays in cache, and a scan's peak memory stays
-#: under 4 MiB.
-_SCAN_BLOCK = 2**15
+#: Points per block of the lemma scans and the ray envelopes, chosen by
+#: measured page faults and time. A block's temporaries (32 KiB a float
+#: array, 0.2-0.5 MiB in all) stay in cache and mostly reuse the heap chunks
+#: the block before freed. No grid-sized array is allocated, so glibc keeps
+#: its default 128 KiB trim threshold and top pad: from 2**13 points on, a
+#: block outgrows them, and the heap is trimmed and faulted back in scan
+#: after scan (hundreds to thousands of minor faults a verify round at
+#: 2**13, over 10 000 at 2**15).
+_SCAN_BLOCK = 2**12
 
 
-def _blocks(grid: np.ndarray):
-    """Consecutive views of at most _SCAN_BLOCK points covering grid."""
-    return (grid[i:i + _SCAN_BLOCK] for i in range(0, len(grid), _SCAN_BLOCK))
+def _blocks(grid: _Grid) -> Iterator[np.ndarray]:
+    """The points of grid, in consecutive blocks of at most _SCAN_BLOCK."""
+    block = _SCAN_BLOCK
+    offsets = np.arange(block, dtype=float)
+    for i in range(0, grid.size, block):
+        rows = range(i, min(i + block, grid.size))
+        yield _points(grid, rows, offsets[:len(rows)] + i)
 
 
-def _ray_envelope(expression: Callable[[np.ndarray], np.ndarray]) -> float:
-    """The least value of expression over the ray grid, one block at a time
+def _ray_envelopes(*expressions: Callable[[tuple], np.ndarray]) -> tuple[float, ...]:
+    """The least value of each expression over the ray grid, in one pass:
+    each block's ray terms are made once and handed to every expression
     (np.minimum keeps a NaN, as np.min over the grid does)."""
-    low = np.inf
+    lows = [np.inf] * len(expressions)
     for t in _blocks(_ray_grid()):
-        low = np.minimum(low, np.min(expression(t)))
-    return float(low)
+        terms = _ray_terms(t)
+        lows = [np.minimum(low, _MIN(expression(terms))) for low, expression in zip(lows, expressions)]
+    return tuple(map(float, lows))
 
 
-# The ray envelope expressions of T1E, T3 and T5, on t >= sqrt(3).
+# The ray envelope expressions of T1E, T3 and T5, on the ray terms
+# (ratios._ray_terms) of t >= sqrt(3).
 
 
-def _t1e_ray(t: np.ndarray) -> np.ndarray:
+def _t1e_ray(terms: tuple) -> np.ndarray:
     """4 - a and 4 - b, the lesser per t: |sigma_k| <= 2/3 resp. 1 on the rays."""
-    a, b = boundary_modulus_sq(t)
+    a, b = _modulus_sq(terms)
     return np.minimum(4.0 - a, 4.0 - b)
 
 
-def _t3_ray(t: np.ndarray) -> np.ndarray:
+def _t3_ray(terms: tuple) -> np.ndarray:
     """Re(sigma2 - sigma1) on the rays."""
-    return boundary_sigma_diff(t).real
+    return _sigma_diff(terms).real
 
 
-def _t5_ray(t: np.ndarray) -> np.ndarray:
+def _t5_ray(terms: tuple) -> np.ndarray:
     """The lesser of |v1| and |v2|, the imaginary parts of sigma1 on the two
     sides of the rays."""
-    _, _, v1, v2 = boundary_uv(t)
+    _, (_, _, v1, v2) = _uv(terms)
     return np.minimum(np.abs(v1), np.abs(v2))
 
 
@@ -370,13 +437,26 @@ def scan_lemma1(
     low = np.inf
     max_resid = -np.inf
     for t in _blocks(_scan_grid(t_min, t_max, steps)):
-        a, b = lemma1_expressions(t)
         t2 = t * t
-        rhs = 9.0 * (t2 + 1.0) ** 2
-        resid = np.abs(16.0 * t2 * (t2 - 3.0) - (5.0 * t2 - 3.0) ** 2 + rhs) / rhs
+        d = t2 - 3.0
+        a, b = _lemma1(t, d)
+        # the identity's residual, in place: |16 t2 (t2 - 3) - (5 t2 - 3)^2
+        # + 9 (t2 + 1)^2| / (9 (t2 + 1)^2)
+        rhs = t2 + 1.0
+        rhs *= rhs
+        rhs *= 9.0
+        resid = 16.0 * t2
+        resid *= d
+        t2 *= 5.0
+        t2 -= 3.0
+        t2 *= t2
+        resid -= t2
+        resid += rhs
+        np.abs(resid, out=resid)
+        resid /= rhs
         # np.minimum/np.maximum keep a NaN, as np.min/np.max over the grid do
-        low = np.minimum(low, np.minimum(np.min(np.abs(a)), np.min(np.abs(b))))
-        max_resid = np.maximum(max_resid, np.max(resid))
+        low = np.minimum(low, np.minimum(_MIN(np.abs(a, out=a)), _MIN(np.abs(b, out=b))))
+        max_resid = np.maximum(max_resid, _MAX(resid))
     low = float(low)
     ok = low > 0.0 and bool(max_resid <= 1e-6)
     note = f"identity max rel resid {max_resid:.3e}"
@@ -420,7 +500,7 @@ def scan_lemma2(
     """
     grid = _scan_grid(t_min, t_max, steps)
     # a coarse sub-grid brackets each sign change, refinement is exact
-    coarse = grid[::max(1, len(grid) // 10000)]
+    coarse = _points(grid, range(0, grid.size, max(1, grid.size // 10000)))
     pos_a = _sign_change_roots(lambda t: lemma2_expressions(t)[0], coarse)
     pos_b = _sign_change_roots(lambda t: lemma2_expressions(t)[1], coarse)
     roots_a = [-r for r in reversed(pos_b)] + pos_a
@@ -428,12 +508,31 @@ def scan_lemma2(
 
     max_resid = -np.inf
     for t in _blocks(grid):
+        # lhs = (t^3 - 7t)^2 - 4 (t2 - 1)^2 (t2 - 3), in place
         t2 = t * t
-        lhs = (_cube(t) - 7.0 * t) ** 2 - 4.0 * (t2 - 1.0) ** 2 * (t2 - 3.0)
-        # (t - 2)(t + 2) first: the product is then even bit for bit
-        rhs = -3.0 * ((t - 2.0) * (t + 2.0)) * (t2 + 1.0) ** 2
-        scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1.0))
-        max_resid = np.maximum(max_resid, np.max(np.abs(lhs - rhs) / scale))
+        lhs = _cube(t)
+        lhs -= 7.0 * t
+        lhs *= lhs
+        term = t2 - 1.0
+        term *= term
+        term *= 4.0
+        term *= t2 - 3.0
+        lhs -= term
+        # rhs = -3 ((t - 2)(t + 2)) (t2 + 1)^2: (t - 2)(t + 2) first, so the
+        # product is even bit for bit
+        rhs = t - 2.0
+        rhs *= t + 2.0
+        rhs *= -3.0
+        t2 += 1.0
+        t2 *= t2
+        rhs *= t2
+        scale = np.abs(rhs)
+        np.maximum(scale, 1.0, out=scale)
+        np.maximum(np.abs(lhs), scale, out=scale)
+        lhs -= rhs
+        np.abs(lhs, out=lhs)
+        lhs /= scale
+        max_resid = np.maximum(max_resid, _MAX(lhs))
     identity_ok = bool(max_resid <= 1e-6)
     note = f"identity max rel resid {max_resid:.3e}"
 
@@ -529,19 +628,32 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _row_witness(row: np.void) -> SampleRecord:
-    """The witness record of a GATE_TABLE row."""
-    c = OrderedCubic(*row.tolist())
+def _row_witness(row: Optional[tuple]) -> Optional[SampleRecord]:
+    """The witness record of a GATE_TABLE row, given as its tuple; None for
+    no row."""
+    if row is None:
+        return None
+    c = OrderedCubic._make(row)
     return _witness(c, ratios_direct(c))
 
 
-#: The fields of an OrderedCubic in GATE_TABLE order.
-_GATE_FIELDS = operator.attrgetter(*GATE_TABLE.names)
-
-
 def _gate_table(cubics: Iterable[OrderedCubic]) -> np.ndarray:
-    """A GATE_TABLE row per cubic, in order; the iterable is consumed here."""
-    return np.array(list(map(_GATE_FIELDS, cubics)), dtype=GATE_TABLE)
+    """A GATE_TABLE row per cubic, in order: a record is its row's tuple."""
+    return np.array(list(cubics), dtype=GATE_TABLE)
+
+
+#: Records per GATE_TABLE chunk of the T4, T5 and HYP folds (88 KiB).
+_CHUNK = 1024
+
+
+def _chunks(*parts: tuple[Iterable[OrderedCubic], bool]) -> Iterator[tuple[np.ndarray, bool]]:
+    """(chunk, flag) for consecutive GATE_TABLE chunks of at most _CHUNK
+    records of each (records, flag) part; the parts are consumed one after
+    another, each to its end."""
+    for records, flag in parts:
+        it = iter(records)
+        while len(chunk := _gate_table(itertools.islice(it, _CHUNK))):
+            yield chunk, flag
 
 
 def _t4_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -568,52 +680,49 @@ def _hyp_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _hyp_verdict(_ARRAY, s1, s2)
 
 
-def _last_failing(table: np.ndarray, passed: np.ndarray) -> Optional[SampleRecord]:
-    """The witness of the last table row that fails, None if none does."""
+def _last_failing(table: np.ndarray, passed: np.ndarray, earlier: Optional[tuple]) -> Optional[tuple]:
+    """The last row of table that fails, as a tuple; earlier if none does."""
     failed = np.flatnonzero(~passed)
-    return _row_witness(table[failed[-1]]) if len(failed) else None
-
-
-def _admissible_table(samples: int, rng: np.random.Generator) -> np.ndarray:
-    """The GATE_TABLE rows of the samples configurations that
-    sample_ordered_cubics would yield, in one array."""
-    table = np.empty(samples, dtype=GATE_TABLE)
-    start = 0
-    for block in _admissible_blocks(samples, rng):
-        table[start:start + len(block)] = block
-        start += len(block)
-    return table
+    return table[failed[-1]].tolist() if len(failed) else earlier
 
 
 def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], tuple[list, list]]:
     """One Monte Carlo pass: the reports of _BOUND_IDS and the witnesses of
     stray attainments of |Im sigma1| and |Im sigma2| = 1/3 (T1C/T1D, T2C/T2D).
 
-    A GATE_TABLE row (88 B) and the two ratios (32 B) per sample. A claim's
-    margin is its minimum over the samples, its witness the first sample
-    there, and _bound_verdicts on the minima says whether every sample
-    passes, since each verdict is a threshold on one margin (a NaN margin is
-    the minimum).
+    The pass folds over the sampler's GATE_TABLE blocks, so its memory does
+    not grow with samples. Per claim it keeps the least margin so far and a
+    copy of its row: a block's least margin replaces it only when strictly
+    smaller, so the witness is the first sample at the minimum, and a NaN
+    margin is the minimum from its first row on, as np.argmin over all
+    samples would have it. _bound_verdicts on the minima says whether every
+    sample passes, since each verdict is a threshold on one margin.
     """
-    table = _admissible_table(samples, _rng_for(seed, 1))
-    s1, s2 = ratios_direct_array(table)
-    margins = _bound_margins(_ARRAY, s1, s2)
-    minima = [float(m.min()) for m in margins]
-    note = f"{samples} samples"
-    reports = {
-        cid: TheoremReport(cid, ok, _row_witness(table[np.argmin(m)]), low, note)
-        for cid, m, low, ok in zip(_BOUND_IDS, margins, minima, _bound_verdicts(minima))
-    }
+    lows: list = [None] * len(_BOUND_IDS)
     # |Im sigma| may reach 1/3 only at w = -+2i, and touches it quadratically
     # along the rays (the v-functions have zero slope at t = -+2), so an
     # Im-band of EQ_TOL admits w within ~sqrt(EQ_TOL / 0.14) of those points
     window = max(EQ_TOL, math.sqrt(40.0 * EQ_TOL))
     strays = ([], [])
-    for sigma, found in zip((s1, s2), strays):
-        for i in np.flatnonzero(1.0 / 3.0 - np.abs(sigma.imag) <= EQ_TOL):
-            wit = _row_witness(table[i])
-            if abs(wit.w - (-2j if sigma[i].imag > 0 else 2j)) > window:
-                found.append(wit)
+    for block in filter(len, _admissible_blocks(samples, _rng_for(seed, 1))):
+        s1, s2 = ratios_direct_array(block)
+        for k, m in enumerate(_bound_margins(_ARRAY, s1, s2)):
+            i = int(np.argmin(m))  # the first row at the least margin, or the first NaN
+            low, best = float(m[i]), lows[k]
+            # a NaN stays the least margin; else a strictly smaller one wins
+            if best is None or (not math.isnan(best[0]) and not low >= best[0]):
+                lows[k] = (low, block[i].tolist())
+        for sigma, found in zip((s1, s2), strays):
+            for i in np.flatnonzero(1.0 / 3.0 - np.abs(sigma.imag) <= EQ_TOL):
+                wit = _row_witness(block[i].tolist())
+                if abs(wit.w - (-2j if sigma[i].imag > 0 else 2j)) > window:
+                    found.append(wit)
+    minima = [low for low, _ in lows]
+    note = f"{samples} samples"
+    reports = {
+        cid: TheoremReport(cid, ok, _row_witness(row), low, note)
+        for cid, (low, row), ok in zip(_BOUND_IDS, lows, _bound_verdicts(minima))
+    }
     return reports, strays
 
 
@@ -656,7 +765,7 @@ def _im_attainment(
     return TheoremReport(cid, ok, witness if not ok else None, worst, note)
 
 
-def _claims_t1(seed: int, shared: dict, strays: tuple[list, list]) -> list[TheoremReport]:
+def _claims_t1(seed: int, shared: dict, strays: tuple[list, list], env: float) -> list[TheoremReport]:
     # T1A: bounds plus sharpness at the asymptotic probes
     reports = [_sharpness(shared["T1A"], 1, 0.666, 1e-4), shared["T1B"]]
 
@@ -668,7 +777,6 @@ def _claims_t1(seed: int, shared: dict, strays: tuple[list, list]) -> list[Theor
 
     # T1E: Monte Carlo margin plus the ray modulus envelope a, b < 4
     base = shared["T1E"]
-    env = _ray_envelope(_t1e_ray)
     # on the asymptotic tail the envelope rounds onto its unattained limit 4
     ok = base.passed and env >= -CLOSED_BOUND_SLACK
     reports.append(replace(base, passed=ok, note=base.note + f"; min(4 - a, 4 - b) = {env:.3e}"))
@@ -689,9 +797,8 @@ def _claims_t2(seed: int, shared: dict, strays: tuple[list, list]) -> list[Theor
     return reports
 
 
-def _claims_t3(shared: dict) -> list[TheoremReport]:
+def _claims_t3(shared: dict, ray_min: float) -> list[TheoremReport]:
     base = shared["T3"]
-    ray_min = _ray_envelope(_t3_ray)
     ok = base.passed and ray_min >= -CLOSED_BOUND_SLACK
     note = base.note + f"; ray min Re(sigma2 - sigma1) = {ray_min:.3e}"
     return [replace(base, passed=ok, margin=min(base.margin, ray_min), note=note)]
@@ -700,51 +807,56 @@ def _claims_t3(shared: dict) -> list[TheoremReport]:
 def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 4)
     n = max(1000, samples // 10)
-    table = np.concatenate([
-        _gate_table(sample_ordered_cubics(n, rng)),
-        _gate_table(sample_equilateral(200, rng)),
-        _gate_table(sample_near_equilateral(200, rng)),
-        # the proof witnesses w = +-i sqrt(3)
-        _gate_table(order_roots(-1.0, w2, 1.0) for w2 in (SQRT3 * 1j, -SQRT3 * 1j)),
-    ])
-    passed, margin = _t4_rows(table)
-    # the equilateral draws and the proof witnesses must show exact
-    # equality (1e-10); the T4 margin is |sigma1 - sigma2|
-    eq_worst = float(max(margin[n:n + 200].max(), margin[-2:].max()))
-    ok = bool(passed.all()) and eq_worst <= 1e-10
+    # (records, whether they must show exact equality, 1e-10): the proof
+    # witnesses are w = +-i sqrt(3)
+    witnesses = (order_roots(-1.0, w2, 1.0) for w2 in (SQRT3 * 1j, -SQRT3 * 1j))
+    failing, eq_worst = None, -math.inf
+    for chunk, exact in _chunks(
+        (sample_ordered_cubics(n, rng), False),
+        (sample_equilateral(200, rng), True),
+        (sample_near_equilateral(200, rng), False),
+        (witnesses, True),
+    ):
+        passed, margin = _t4_rows(chunk)  # the T4 margin is |sigma1 - sigma2|
+        failing = _last_failing(chunk, passed, failing)
+        if exact:
+            eq_worst = float(np.maximum(eq_worst, margin.max()))
+    ok = failing is None and eq_worst <= 1e-10
     note = f"{n} random + 400 constructed; max |sigma1 - sigma2| on equilateral = {eq_worst:.3e}"
-    return [TheoremReport("T4", ok, _last_failing(table, passed), eq_worst, note)]
+    return [TheoremReport("T4", ok, _row_witness(failing), eq_worst, note)]
 
 
-def _claims_t5(samples: int, seed: int) -> list[TheoremReport]:
+def _claims_t5(samples: int, seed: int, ray_min: float) -> list[TheoremReport]:
     rng = _rng_for(seed, 5)
     n = max(1000, samples // 10)
-    table = np.concatenate([
-        _gate_table(sample_ordered_cubics(n, rng)),
-        _gate_table(sample_collinear(400, rng)),
-    ])
-    passed, _ = _t5_rows(table)
-    s1, s2 = ratios_direct_array(table[n:])
-    col_worst = float(np.max(np.maximum(np.abs(s1.imag), np.abs(s2.imag))))
-    # on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never vanish,
-    # so ray configurations never have a real ratio
-    ray_min = _ray_envelope(_t5_ray)
-    ok = bool(passed.all()) and col_worst <= 1e-10 and ray_min > 0.0
+    failing, col_worst = None, -math.inf
+    for chunk, collinear in _chunks((sample_ordered_cubics(n, rng), False),
+                                    (sample_collinear(400, rng), True)):
+        passed, _ = _t5_rows(chunk)
+        failing = _last_failing(chunk, passed, failing)
+        if collinear:
+            s1, s2 = ratios_direct_array(chunk)
+            col_worst = float(np.maximum(col_worst, np.max(np.maximum(np.abs(s1.imag), np.abs(s2.imag)))))
+    # ray_min: on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never
+    # vanish, so ray configurations never have a real ratio
+    ok = failing is None and col_worst <= 1e-10 and ray_min > 0.0
     note = (
         f"{n} random + 400 collinear; max |Im sigma| on collinear = {col_worst:.3e}; "
         f"ray min |Im sigma1| = {ray_min:.3e}"
     )
-    return [TheoremReport("T5", ok, _last_failing(table, passed), col_worst, note)]
+    return [TheoremReport("T5", ok, _row_witness(failing), col_worst, note)]
 
 
 def _claims_hyp(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 6)
     n = max(1000, samples // 10)
-    table = _gate_table(sample_hyperbolic(n, rng))
-    passed, margins = _hyp_rows(table)
-    margin = float(margins.min())
-    ok = bool(passed.all()) and margin > 0.0
-    return [TheoremReport("HYP", ok, _last_failing(table, passed), margin, f"{n} samples")]
+    failing, margin = None, math.inf
+    for chunk, _ in _chunks((sample_hyperbolic(n, rng), False)):
+        passed, margins = _hyp_rows(chunk)
+        failing = _last_failing(chunk, passed, failing)
+        margin = float(np.minimum(margin, margins.min()))
+    ok = failing is None and margin > 0.0
+    return [TheoremReport("HYP", ok, _row_witness(failing), margin, f"{n} samples")]
 
 
 def run_claims(
@@ -756,16 +868,18 @@ def run_claims(
         raise BadParameterError(f"unknown selector {selector!r}; choose from {CLAIM_GROUPS}")
     if samples < 1:
         raise BadParameterError(f"samples must be at least 1, got {samples}")
-    # the T1-T3 Monte Carlo pass, drawn at most once and only when asked for
+    # the T1-T3 Monte Carlo pass and the ray envelopes of T1E, T3 and T5,
+    # each made at most once and only when asked for
     bounds = functools.cache(lambda: _bounds_claims(samples, seed))
+    rays = functools.cache(lambda: _ray_envelopes(_t1e_ray, _t3_ray, _t5_ray))
     runners = {
         "L1": scan_lemma1,
         "L2": scan_lemma2,
-        "T1": lambda: _claims_t1(seed, *bounds()),
+        "T1": lambda: _claims_t1(seed, *bounds(), rays()[0]),
         "T2": lambda: _claims_t2(seed, *bounds()),
-        "T3": lambda: _claims_t3(bounds()[0]),
+        "T3": lambda: _claims_t3(bounds()[0], rays()[1]),
         "T4": lambda: _claims_t4(samples, seed),
-        "T5": lambda: _claims_t5(samples, seed),
+        "T5": lambda: _claims_t5(samples, seed, rays()[2]),
         "HYP": lambda: _claims_hyp(samples, seed),
     }
     groups = CLAIM_GROUPS[1:] if sel == "all" else (sel,)

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 
@@ -12,11 +11,12 @@ from ratiolab import (
     normalize,
     order_roots,
     ratios_direct,
-    theorems,
 )
+from ratiolab.cubic import GATE_TABLE
 from ratiolab.ratios import ratios_direct_array
 from ratiolab.sampling import (
     _BLOCK,
+    _admissible_blocks,
     _candidate_block,
     _collinear_roots,
     _equilateral_roots,
@@ -132,10 +132,10 @@ def test_ordered_cubics_match_scalar_gate_loop(n, seed):
     expected = list(_reference_ordered_cubics(n, ref_rng))
     assert list(map(repr, sample_ordered_cubics(n, rng))) == list(map(repr, expected))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the T1-T3 pass's GATE_TABLE holds these cubics' fields, and its
-    # ratios are their scalar ratios_direct, bit for bit
-    table = theorems._admissible_table(n, np.random.default_rng(seed))
-    assert list(map(repr, table.tolist())) == [repr(dataclasses.astuple(c)) for c in expected]
+    # the T1-T3 pass's GATE_TABLE blocks hold these cubics' fields, and
+    # their ratios are the cubics' scalar ratios_direct, bit for bit
+    table = np.concatenate([np.empty(0, GATE_TABLE), *_admissible_blocks(n, np.random.default_rng(seed))])
+    assert list(map(repr, table.tolist())) == [repr(tuple(c)) for c in expected]
     ref = [(rv.sigma1, rv.sigma2) for rv in map(ratios_direct, expected)]
     sigma = np.stack(ratios_direct_array(table), axis=1)
     assert np.array_equal(sigma.view(np.uint64), np.array(ref, dtype=complex).reshape(n, 2).view(np.uint64))

@@ -1,6 +1,5 @@
 import ast
 import cmath
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -44,9 +43,9 @@ from ratiolab import (
 from ratiolab import theorems
 from ratiolab.cubic import GATE_TABLE, OrderedCubic, _collinear, order_roots_array
 from ratiolab.errors import BadRangeError
-from ratiolab.ratios import boundary_modulus_sq, boundary_sigma_diff, boundary_uv
+from ratiolab.ratios import _ray_terms, boundary_modulus_sq, boundary_sigma_diff, boundary_uv
 from ratiolab.kernel import _ARRAY, EQ_TOL, IDENTITY_TOL
-from ratiolab.theorems import CLOSED_BOUND_SLACK, lemma1_expressions, lemma2_expressions
+from ratiolab.theorems import CLOSED_BOUND_SLACK, DEFAULT_SEED, lemma1_expressions, lemma2_expressions
 
 
 def test_lemma1_spot_values():
@@ -98,10 +97,17 @@ def test_scan_range_validation():
         scan_lemma2(50.0, 2.0, 2000)
 
 
+def _grid(t_min=SQRT3, t_max=1e3, steps=10**6):
+    """The scanned branch t >= t_min as one array: np.linspace from t_min
+    to t_max, then the np.logspace tail out to 1e9 without its first
+    point."""
+    return np.concatenate([np.linspace(t_min, t_max, steps), np.logspace(math.log10(t_max), 9.0, 1000)[1:]])
+
+
 def _both_branches(t_min=SQRT3, t_max=1e3, steps=10**6):
     """The ascending grid of both rays: the scanned branch t >= t_min and
     its mirror image."""
-    g = theorems._scan_grid(t_min, t_max, steps)
+    g = _grid(t_min, t_max, steps)
     return np.concatenate([-g[::-1], g])
 
 
@@ -157,14 +163,17 @@ def _assert_same_reports(got, want):
 
 
 # the scanned branch has steps + 999 points: 1 999 (under one block of
-# 2^15), 32 768 (exactly one block), 32 769 and 32 770 (one block plus one
-# or two points); over both branches, as the references walk them,
-# 15 385 and 15 386 steps give one block and one block plus two points
+# 2^12), 4 096 (exactly one block), 4 097 and 4 098 (one block plus one or
+# two points); over both branches, as the references walk them, 1 049 and
+# 1 050 steps give one block and one block plus two points. At 4 096 steps
+# t_max is the last point of the first block and the tail starts the
+# second; at 4 097 steps t_max starts the second block.
 @pytest.mark.parametrize(
     "args",
     [(), (SQRT3, 50.0, 2000), (SQRT3, 1e3, 10**6), (2.5, 40.0, 5000),
-     (SQRT3, 5.0, 1000), (SQRT3, 5.0, 15385), (SQRT3, 5.0, 15386),
-     (SQRT3, 5.0, 31769), (SQRT3, 5.0, 31770), (SQRT3, 5.0, 31771)],
+     (SQRT3, 5.0, 1000), (SQRT3, 5.0, 1049), (SQRT3, 5.0, 1050),
+     (SQRT3, 5.0, 3097), (SQRT3, 5.0, 3098), (SQRT3, 5.0, 3099),
+     (SQRT3, 5.0, 4096), (SQRT3, 5.0, 4097)],
 )
 def test_blocked_scans_match_the_unblocked_scans(args):
     _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
@@ -175,9 +184,9 @@ def test_blocked_scans_match_the_unblocked_scans(args):
 # point, and five blocks plus a short sixth one
 @pytest.mark.parametrize("block", [5997, 1000])
 def test_blocked_scans_match_across_planted_seams(monkeypatch, block):
-    assert len(theorems._scan_grid(SQRT3, 5.0, 31769)) == theorems._SCAN_BLOCK
+    assert theorems._scan_grid(SQRT3, 5.0, 3097).size == theorems._SCAN_BLOCK
     args = (SQRT3, 50.0, 4999)
-    assert len(theorems._scan_grid(*args)) == 5998
+    assert theorems._scan_grid(*args).size == 5998
     monkeypatch.setattr(theorems, "_SCAN_BLOCK", block)
     _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
     _assert_same_reports(scan_lemma2(*args), _reference_scan_lemma2(*args))
@@ -185,12 +194,44 @@ def test_blocked_scans_match_across_planted_seams(monkeypatch, block):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
 def test_blocks_cover_the_grid_in_order(extra):
+    # branches of the least size (1 999 points), and of one and of three
+    # blocks give or take a point or two
     block = theorems._SCAN_BLOCK
-    for n in (1, block + extra, 3 * block + extra):
-        grid = np.arange(float(n))
-        blocks = list(theorems._blocks(grid))
-        assert all(0 < len(b) <= block for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), grid)
+    for size in (1999, block + extra, 3 * block + extra):
+        args = (SQRT3, 5.0, size - 999)
+        blocks = list(theorems._blocks(theorems._scan_grid(*args)))
+        assert all(len(b) == block for b in blocks[:-1]) and 0 < len(blocks[-1]) <= block
+        assert np.array_equal(np.concatenate(blocks).view(np.uint64), _grid(*args).view(np.uint64))
+
+
+# the lemma grid and the ray grid; t_max inside a block, on a block's last
+# point (4 096 steps, where the tail starts the next block) and on a
+# block's first point (4 097 steps); integer bounds; a coarse stride of 2
+# that takes the t_max point (20 001 steps)
+@pytest.mark.parametrize(
+    "args",
+    [(SQRT3, 1e3, 10**6), (SQRT3, 1e3, 200000), (2.5, 40.0, 5000), (SQRT3, 50.0, 4999),
+     (SQRT3, 5.0, 4096), (SQRT3, 5.0, 4097), (2, 7, 1000), (SQRT3, 5.0, 20001)],
+)
+def test_generated_grid_is_linspace_and_logspace_bit_for_bit(args):
+    grid, want = theorems._scan_grid(*args), _grid(*args)
+    assert grid.size == len(want)
+    got = np.concatenate(list(theorems._blocks(grid)))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[grid.steps - 1] == args[1] < got[grid.steps]
+    # scan_lemma2's coarse sub-grid: every stride-th point
+    stride = max(1, grid.size // 10000)
+    coarse = theorems._points(grid, range(0, grid.size, stride))
+    assert np.array_equal(coarse.view(np.uint64), want[::stride].view(np.uint64))
+
+
+def test_generated_grid_ends_its_linear_part_on_t_max():
+    # on the lemma grid, index times step plus t_min misses t_max by an ulp:
+    # the point at index steps - 1 is t_max itself, as np.linspace sets it
+    grid = theorems._scan_grid(SQRT3, 1e3, 10**6)
+    assert grid.t_min + (grid.steps - 1) * grid.step != grid.t_max
+    (last,) = theorems._points(grid, range(grid.steps - 1, grid.steps))
+    assert last == grid.t_max == 1e3
 
 
 def test_cube_is_odd_and_within_one_ulp_of_pow():
@@ -222,7 +263,7 @@ def test_mirror_maps_each_scanned_expression_onto_its_partner(args):
 
 @pytest.mark.parametrize("scan", [scan_lemma1, scan_lemma2])
 def test_lemma_scan_memory_bounded(scan):
-    theorems._scan_grid(SQRT3, 1e3, 10**6)  # the cached grid, built untraced
+    # the grid included: its points are made block by block
     tracemalloc.start()
     try:
         scan()
@@ -483,7 +524,7 @@ def test_run_claims_draws_the_bounds_pass_only_when_asked_and_once(monkeypatch):
     for name in ("scan_lemma1", "scan_lemma2"):
         monkeypatch.setattr(theorems, name, lambda: ())
     for name in ("_claims_t4", "_claims_t5", "_claims_hyp"):
-        monkeypatch.setattr(theorems, name, lambda samples, seed: [])
+        monkeypatch.setattr(theorems, name, lambda *args: [])
     assert [r.claim_id for r in run_claims("all", 500, 7)] == [
         "T1A", "T1B", "T1C", "T1D", "T1E", "T2A", "T2B", "T2C", "T2D", "T2E", "T3"]
     assert calls == [(500, 7)]
@@ -496,7 +537,7 @@ def test_run_claims_draws_the_bounds_pass_only_when_asked_and_once(monkeypatch):
 def test_t1e_and_t3_ray_envelopes_share_the_closed_bound_threshold(monkeypatch, envelope, passed):
     # both envelopes are closed bounds: exactly -CLOSED_BOUND_SLACK passes,
     # one float lower fails
-    monkeypatch.setattr(theorems, "_ray_envelope", lambda expression: envelope)
+    monkeypatch.setattr(theorems, "_ray_envelopes", lambda *expressions: (envelope,) * len(expressions))
     reports = {r.claim_id: r for r in run_claims("T1", 2000, 7) + run_claims("T3", 2000, 7)}
     assert (reports["T1E"].passed, reports["T3"].passed) == (passed, passed)
     assert reports["T3"].margin == envelope
@@ -606,7 +647,7 @@ def _planted_pass(monkeypatch, planted, samples=2000, at=1000):
     good = list(sample_ordered_cubics(samples - 1, np.random.default_rng([5, 1])))
     cubics = good[:at] + [planted] + good[at:]
     # the pass reads the sampler's gate tables: hand it one of these cubics
-    table = np.array([dataclasses.astuple(c) for c in cubics], dtype=GATE_TABLE)
+    table = np.array([tuple(c) for c in cubics], dtype=GATE_TABLE)
     monkeypatch.setattr(theorems, "_admissible_blocks", lambda n, rng: iter([table[:n]]))
     reports, strays = theorems._bounds_claims(samples, 5)
     return reports, strays, cubics
@@ -641,12 +682,70 @@ def test_bounds_pass_reports_stray_attainment(monkeypatch):
     assert [rec.w for rec in strays[0]] == [normalize(planted).w] and strays[1] == []
 
 
+#: README's branch-incoherent pair: ordered, but sqrt(3 w3^2 + w2^2) wraps
+#: the branch, so its T1A and T1E margins are negative, the least of a pass.
+_INCOHERENT = order_roots(-(2.6620365926506335 + 0.7786881524437383j),
+                          -1.144943420509371 + 8.6203463196231j,
+                          2.6620365926506335 + 0.7786881524437383j)
+
+
+def _pass_in_blocks(monkeypatch, cubics, cuts):
+    """_bounds_claims on cubics, handed to it as GATE_TABLE blocks cut at
+    the indices cuts; returns its reports and its strays."""
+    table = np.array([tuple(c) for c in cubics], dtype=GATE_TABLE)
+    monkeypatch.setattr(theorems, "_admissible_blocks", lambda n, rng: iter(np.split(table[:n], cuts)))
+    return theorems._bounds_claims(len(cubics), 5)
+
+
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_bounds_pass_finds_a_minimum_planted_on_a_block_seam(monkeypatch, row):
+    good = list(sample_ordered_cubics(1999, np.random.default_rng([5, 1])))
+    cubics = good[:1000] + [_INCOHERENT] + good[1000:]
+    # the planted sample opens the block of rows 1000-1499, or closes the
+    # block of rows 500-1000
+    cuts = [500, 1000, 1500] if row == "first" else [500, 1001, 1500]
+    reports, strays = _pass_in_blocks(monkeypatch, cubics, cuts)
+    _assert_matches_reference(reports, strays, cubics)
+    for cid in ("T1A", "T1E"):
+        assert not reports[cid].passed and reports[cid].witness.w == normalize(_INCOHERENT).w
+
+
+@pytest.mark.parametrize("cuts", [[], [1200]], ids=["one-block", "two-blocks"])
+def test_bounds_pass_keeps_the_earlier_sample_on_a_tie(monkeypatch, cuts):
+    # the mirror image of the roots has the same margins, bit for bit, at
+    # the conjugate w: whichever comes first is the witness, within a block
+    # and across blocks
+    mirror = order_roots(*(z.conjugate() for z in _INCOHERENT.roots))
+    margins = [[rep.margin.hex() for rep in check_bounds(ratios_direct(c))] for c in (_INCOHERENT, mirror)]
+    assert margins[0] == margins[1] and normalize(mirror).w == normalize(_INCOHERENT).w.conjugate()
+    good = list(sample_ordered_cubics(1998, np.random.default_rng([5, 1])))
+    for first, second in ((_INCOHERENT, mirror), (mirror, _INCOHERENT)):
+        cubics = good[:1000] + [first] + good[1000:1500] + [second] + good[1500:]
+        reports, strays = _pass_in_blocks(monkeypatch, cubics, cuts)
+        _assert_matches_reference(reports, strays, cubics)
+        for cid in ("T1A", "T1E"):
+            assert reports[cid].witness.w == normalize(first).w != normalize(second).w
+
+
+@pytest.mark.parametrize("samples", [10**5, 10**6])
+def test_bounds_pass_memory_does_not_grow_with_samples(samples):
+    # the pass folds over the sampler's blocks; a table of all samples
+    # would take 120 B a sample, 11 MiB at 1e5
+    tracemalloc.start()
+    try:
+        theorems._bounds_claims(samples, DEFAULT_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_t4_witness_is_the_last_failing_configuration(monkeypatch):
     # two sampled triangles flagged as the gate's double critical point:
     # T4 fails on both (equilateral by the flag, yet sigma1 != sigma2), and
     # the report's witness is the later one
     good = list(sample_ordered_cubics(1000, np.random.default_rng([7, 4])))
-    first, second = (dataclasses.replace(c, coincident=True) for c in good[:2])
+    first, second = (c._replace(coincident=True) for c in good[:2])
     cubics = good[2:300] + [first] + good[300:600] + [second] + good[600:]
     assert not check_equivalence_t4(first).passed and not check_equivalence_t4(second).passed
     monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
@@ -800,7 +899,7 @@ def test_t5_witness_is_the_last_failing_configuration(monkeypatch):
     cubics = good[:300] + [first] + good[300:600] + [second] + good[600:]
     assert not check_equivalence_t5(first).passed and not check_equivalence_t5(second).passed
     monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
-    (rep,) = theorems._claims_t5(1000, 7)
+    (rep,) = theorems._claims_t5(1000, 7, 1.0)  # with a passing ray envelope
     assert not rep.passed
     assert rep.witness == theorems._witness(second, ratios_direct(second))
     assert rep.witness.w == normalize(second).w != normalize(first).w
@@ -812,9 +911,9 @@ def test_hyp_witness_is_the_last_failing_configuration(monkeypatch):
     # first with z1 and z2 swapped (sigma1 > 1), the second with z1 moved
     # off the real axis (|Im sigma1| = 1e-6 > EQ_TOL, margin still > 0)
     good = list(sample_hyperbolic(1000, np.random.default_rng([7, 6])))
-    first = dataclasses.replace(good[0], z1=good[0].z2, z2=good[0].z1)
+    first = good[0]._replace(z1=good[0].z2, z2=good[0].z1)
     c = good[1]
-    second = dataclasses.replace(c, z1=c.z1 + 1e-6j * (c.w2 - c.w1))
+    second = c._replace(z1=c.z1 + 1e-6j * (c.w2 - c.w1))
     cubics = good[2:300] + [first] + good[300:600] + [second] + good[600:]
     for planted in (first, second):
         assert not check_hyperbolic(planted).passed
@@ -834,13 +933,41 @@ def test_hyp_claim_raises_on_a_row_off_the_real_axis(monkeypatch):
         theorems._claims_hyp(1000, 7)
 
 
+@pytest.mark.parametrize("cid", ["T4", "T5", "HYP"])
+def test_row_claims_fold_the_same_at_any_chunk_size(monkeypatch, cid):
+    run = {
+        "T4": lambda: theorems._claims_t4(2000, 7),
+        "T5": lambda: theorems._claims_t5(2000, 7, 1.0),
+        "HYP": lambda: theorems._claims_hyp(2000, 7),
+    }[cid]
+    (want,) = run()
+    for chunk in (3, 200, 201, 2000):
+        monkeypatch.setattr(theorems, "_CHUNK", chunk)
+        (got,) = run()
+        assert got == want and got.margin.hex() == want.margin.hex(), chunk
+
+
+# the T4 witness test's failing rows sit at indices 298 and 599: the last
+# row of a chunk of 299 and the first of the next chunk of 298, the last
+# row of a chunk of 600 and the first of the next chunk of 599
+@pytest.mark.parametrize("chunk", [298, 299, 599, 600])
+def test_t4_last_failing_row_across_chunk_seams(monkeypatch, chunk):
+    good = list(sample_ordered_cubics(1000, np.random.default_rng([7, 4])))
+    first, second = (c._replace(coincident=True) for c in good[:2])
+    cubics = good[2:300] + [first] + good[300:600] + [second] + good[600:]
+    monkeypatch.setattr(theorems, "sample_ordered_cubics", lambda n, rng: iter(cubics[:n]))
+    monkeypatch.setattr(theorems, "_CHUNK", chunk)
+    (rep,) = theorems._claims_t4(1000, 7)
+    assert not rep.passed and rep.witness == theorems._witness(second, ratios_direct(second))
+
+
 # ---------------------------------------------------------------------------
 # the ray envelopes of T1E, T3 and T5, block by block
 
 
 def _whole_grid_envelopes():
     """The three envelopes on the whole ray grid at once, as np.min."""
-    grid = theorems._ray_grid()
+    grid = _grid(SQRT3, 1e3, 200000)
     a, b = boundary_modulus_sq(grid)
     _, _, v1, v2 = boundary_uv(grid)
     return {
@@ -850,33 +977,39 @@ def _whole_grid_envelopes():
     }
 
 
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
 def test_blocked_ray_envelopes_match_the_whole_grid(monkeypatch):
-    grid = theorems._ray_grid()
+    grid = _grid(SQRT3, 1e3, 200000)
     expected = _whole_grid_envelopes()
+    # the three in one pass, and each alone
+    assert _hexes(theorems._ray_envelopes(*expected)) == _hexes(expected.values())
     for expression, want in expected.items():
-        assert theorems._ray_envelope(expression).hex() == want.hex(), expression.__name__
+        assert _hexes(theorems._ray_envelopes(expression)) == [want.hex()], expression.__name__
     # seams at each minimum: the block size that makes it the first point
     # of a block and the one that makes it the last (index 0 is the first
     # point of the first block for every size)
     seams = {1000, 1001}
     for expression in expected:
-        i = int(np.argmin(expression(grid)))
+        i = int(np.argmin(expression(_ray_terms(grid))))
         seams |= {i, i + 1} if i >= 1000 else set()
     assert len(seams) > 2
     for block in sorted(seams):
         monkeypatch.setattr(theorems, "_SCAN_BLOCK", block)
-        for expression, want in expected.items():
-            assert theorems._ray_envelope(expression).hex() == want.hex(), (expression.__name__, block)
+        assert _hexes(theorems._ray_envelopes(*expected)) == _hexes(expected.values()), block
 
 
 @pytest.mark.parametrize("cid", ["T1E", "T3", "T5"])
 def test_ray_envelope_memory_bounded(cid):
     expression = {"T1E": theorems._t1e_ray, "T3": theorems._t3_ray, "T5": theorems._t5_ray}[cid]
-    theorems._ray_grid()  # the cached grid, built untraced
-    tracemalloc.start()
-    try:
-        theorems._ray_envelope(expression)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+    # the grid included: its points are made block by block
+    for expressions in ((expression,), (theorems._t1e_ray, theorems._t3_ray, theorems._t5_ray)):
+        tracemalloc.start()
+        try:
+            theorems._ray_envelopes(*expressions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (expressions, peak)
