@@ -17,7 +17,6 @@ no other command reads RATIOLAB_SEED. Tolerances are fixed constants
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
@@ -89,7 +88,7 @@ def _report_fields(rep: TheoremReport) -> dict:
         "passed": rep.passed,
         "margin": float(rep.margin),
         "note": rep.note,
-        "witness": None if rep.witness is None else dataclasses.asdict(rep.witness),
+        "witness": None if rep.witness is None else rep.witness._asdict(),
     }
 
 

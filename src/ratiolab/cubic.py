@@ -38,7 +38,6 @@ the last bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -105,8 +104,7 @@ class OrderedCubic(NamedTuple):
         return (self.w1, self.w2, self.w3)
 
 
-@dataclass(frozen=True)
-class NormalizedCubic:
+class NormalizedCubic(NamedTuple):
     """Translated configuration with w1n = -w3n; offset restores the original."""
 
     w2n: complex
@@ -115,8 +113,7 @@ class NormalizedCubic:
     w: complex
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Outcome of the admissibility conditions for a normalized pair.
 
     on_boundary means w sits on the excluded vertical rays |Im w| >= sqrt(3),

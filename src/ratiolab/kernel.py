@@ -28,9 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,11 +126,12 @@ def _csqrt(z) -> np.ndarray:
     the parts, with its scaled path for subnormal inputs."""
     x, y = z.real, z.imag
     ax, ay = np.abs(x), np.abs(y)
-    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
-    axu = np.ldexp(ax, _SCALE_UP)
-    scaled = np.ldexp(np.sqrt(axu + np.hypot(axu, np.ldexp(ay, _SCALE_UP))), _SCALE_DOWN)
     ax8 = ax / 8.0
-    s = np.where(tiny, scaled, 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0)))
+    s = np.asarray(2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0)))  # writable for a 0-d z too
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    if tiny.any():  # the scaled path, on those rows only
+        axu, ayu = np.ldexp(ax[tiny], _SCALE_UP), np.ldexp(ay[tiny], _SCALE_UP)
+        s[tiny] = np.ldexp(np.sqrt(axu + np.hypot(axu, ayu)), _SCALE_DOWN)
     with np.errstate(invalid="ignore"):  # 0/0 at z == 0, replaced below
         d = ay / (2.0 * s)
     right = x >= 0.0
@@ -140,8 +140,7 @@ def _csqrt(z) -> np.ndarray:
     return _complex(re, np.where(zero, y, np.copysign(np.where(right, d, s), y)))
 
 
-@dataclass(frozen=True, slots=True)  # slots: the fastest attribute reads
-class _Ops:
+class _Ops(NamedTuple):
     """The operations that Python complex values and numpy complex arrays
     do not share; a body takes them from the record of its operands."""
 

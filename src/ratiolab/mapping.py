@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InEllipse:
+class InEllipse(NamedTuple):
     """Midpoint inellipse: tangent to the triangle at all three side midpoints."""
 
     center: complex

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class RatioPath(enum.Enum):
     COINCIDENT = "coincident"
 
 
-@dataclass(frozen=True)
-class RatioVector:
+class RatioVector(NamedTuple):
     """The pair (sigma1, sigma2) plus the formula that produced it."""
 
     sigma1: complex

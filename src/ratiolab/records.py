@@ -21,8 +21,7 @@ claim reports (w, sigma1, sigma2, path, classification), not a dataset row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["SampleRecord", "CSV_COLUMNS", "csv_row", "jsonl_line", "fmt_float"]
 
@@ -40,8 +39,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """The witness of a claim report: the five fields verify prints, in
     the order it prints them."""
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -137,8 +136,7 @@ CLAIMS = (
 CLAIM_GROUPS = ("all", *dict.fromkeys(c.group for c in CLAIMS))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     claim_id: str
     passed: bool
     witness: Optional[SampleRecord]
@@ -335,9 +333,11 @@ class _Grid(NamedTuple):
 
 def _scan_grid(t_min: float, t_max: float, steps: int) -> _Grid:
     """The validated grid of a scan. Nothing is cached: a grid costs its
-    8 KB tail, and each scan makes its points block by block."""
-    if not (SQRT3 - EQ_TOL <= t_min < t_max):
-        raise BadRangeError(f"need sqrt(3) <= t_min < t_max, got [{t_min}, {t_max}]")
+    8 KB tail, and each scan makes its points block by block. t_max must
+    lie below the tail's end 1e9: above it the tail would run backwards,
+    and from about 1e76 the scanned expressions overflow."""
+    if not (SQRT3 - EQ_TOL <= t_min < t_max < 1e9):
+        raise BadRangeError(f"need sqrt(3) <= t_min < t_max < 1e9, got [{t_min}, {t_max}]")
     if steps < 1000:
         raise BadRangeError("steps must be at least 1000")
     t_min, t_max = float(t_min), float(t_max)
@@ -736,7 +736,7 @@ def _sharpness(base: TheoremReport, k: int, above: float, below: float) -> Theor
     (_, re_pos), (_, re_neg) = probes
     sharp_ok = re_pos > above and re_neg < below
     note = base.note + "; " + ", ".join(f"Re sigma{k}({t:+g}) = {re:.6g}" for t, re in probes)
-    return replace(base, passed=base.passed and sharp_ok, note=note)
+    return base._replace(passed=base.passed and sharp_ok, note=note)
 
 
 def _im_attainment(
@@ -779,7 +779,7 @@ def _claims_t1(seed: int, shared: dict, strays: tuple[list, list], env: float) -
     base = shared["T1E"]
     # on the asymptotic tail the envelope rounds onto its unattained limit 4
     ok = base.passed and env >= -CLOSED_BOUND_SLACK
-    reports.append(replace(base, passed=ok, note=base.note + f"; min(4 - a, 4 - b) = {env:.3e}"))
+    reports.append(base._replace(passed=ok, note=base.note + f"; min(4 - a, 4 - b) = {env:.3e}"))
     return reports
 
 
@@ -801,7 +801,7 @@ def _claims_t3(shared: dict, ray_min: float) -> list[TheoremReport]:
     base = shared["T3"]
     ok = base.passed and ray_min >= -CLOSED_BOUND_SLACK
     note = base.note + f"; ray min Re(sigma2 - sigma1) = {ray_min:.3e}"
-    return [replace(base, passed=ok, margin=min(base.margin, ray_min), note=note)]
+    return [base._replace(passed=ok, margin=min(base.margin, ray_min), note=note)]
 
 
 def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:

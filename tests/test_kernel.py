@@ -185,6 +185,9 @@ def test_abs_and_sqrt_match_cpython_bit_for_bit():
     # cmath.sqrt's scaled path: both parts below DBL_MIN, zero excepted
     tiny = (np.abs(a.real) < 2.2250738585072014e-308) & (np.abs(a.imag) < 2.2250738585072014e-308)
     assert (tiny & (a != 0)).sum() >= 20
+    # and an array without such rows, which skips that path
+    rest = a[~tiny]
+    assert np.array_equal(_bits(_csqrt(rest)), _bits([cmath.sqrt(z) for z in rest.tolist()]))
     # the planted parts against each other: the Smith quotient where CPython
     # gives a finite quotient, and the root
     pa, pb, expected = _cpython(lambda x, y: x / y, np.repeat(_PLANTED, len(_PLANTED)),

@@ -95,6 +95,11 @@ def test_scan_range_validation():
         scan_lemma1(SQRT3, 50.0, 10)
     with pytest.raises(BadRangeError):
         scan_lemma2(50.0, 2.0, 2000)
+    # t_max must lie below 1e9, where the grid's tail ends
+    for t_min, t_max in ((SQRT3, 1e77), (SQRT3, math.inf)):
+        for scan in (scan_lemma1, scan_lemma2):
+            with pytest.raises(BadRangeError):
+                scan(t_min, t_max, 2000)
 
 
 def _grid(t_min=SQRT3, t_max=1e3, steps=10**6):
