@@ -5,8 +5,9 @@ claim ids, their `verify` group and the statement.
 
 Every claim is checked numerically: Monte Carlo over admissible
 configurations, dense grid scans with sign-change detection and root
-refinement, and the explicit extremal families. No run keeps a whole grid
-or a whole sample: memory does not grow with either.
+refinement, and the explicit extremal families; the lemmas' squaring
+identities are checked exactly, on Python integers. No run keeps a whole
+grid or a whole sample: memory does not grow with either.
 
 t -> -t maps each lemma and ray envelope expression onto its partner bit
 for bit, so the lemma scans and the ray envelopes of T1E, T3 and T5 walk
@@ -277,12 +278,7 @@ def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
 def lemma1_expressions(t):
     """(A, B) = 4 t sqrt(t^2 - 3) -+ (5 t^2 - 3); vectorized."""
     t = np.asarray(t, dtype=float)
-    return _lemma1(t, t * t - 3.0)
-
-
-def _lemma1(t, d):
-    """lemma1_expressions(t), given d = t^2 - 3."""
-    r = np.sqrt(np.maximum(d, 0.0))
+    r = np.sqrt(np.maximum(t * t - 3.0, 0.0))
     # 4 t r and 5 t t once each, in place where t is an array
     radical = 4.0 * t
     radical *= r
@@ -304,8 +300,32 @@ def lemma2_expressions(t):
     return base - core, base + core
 
 
-#: The reductions of the scans: np.min and np.max without their wrapper.
-_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+class _Identity(NamedTuple):
+    """A lemma's identity A B = factored: for A, B = x -+ y, A B = x^2 - y^2
+    has no radical; both sides are integer polynomials of degree <= degree."""
+
+    text: str
+    degree: int
+    product: Callable[[int], int]
+    factored: Callable[[int], int]
+
+    def check(self) -> tuple[bool, str]:
+        """Whether the identity holds for every t, and its note: two
+        polynomials of degree at most d that agree at the d + 1 integers
+        0 ... d are equal."""
+        bad = [t for t in range(self.degree + 1) if self.product(t) != self.factored(t)]
+        return not bad, f"identity {self.text} " + (f"fails at t = {bad[0]}" if bad else "exact")
+
+
+_L1_IDENTITY = _Identity("A*B = -9 (t^2 + 1)^2", 4, lambda t: 16 * t**2 * (t**2 - 3) - (5 * t**2 - 3) ** 2,
+                         lambda t: -9 * (t**2 + 1) ** 2)
+_L2_IDENTITY = _Identity("A*B = -3 (t - 2)(t + 2)(t^2 + 1)^2", 6,
+                         lambda t: (t**3 - 7 * t) ** 2 - 4 * (t**2 - 1) ** 2 * (t**2 - 3),
+                         lambda t: -3 * (t - 2) * (t + 2) * (t**2 + 1) ** 2)
+
+
+#: The reduction of the scans: np.min without its wrapper.
+_MIN = np.minimum.reduce
 
 
 def _cube(t):
@@ -338,8 +358,8 @@ def _scan_grid(t_min: float, t_max: float, steps: int) -> _Grid:
     and from about 1e76 the scanned expressions overflow."""
     if not (SQRT3 - EQ_TOL <= t_min < t_max < 1e9):
         raise BadRangeError(f"need sqrt(3) <= t_min < t_max < 1e9, got [{t_min}, {t_max}]")
-    if steps < 1000:
-        raise BadRangeError("steps must be at least 1000")
+    if not isinstance(steps, (int, np.integer)) or steps < 1000:
+        raise BadRangeError(f"steps must be an integer of at least 1000, got {steps!r}")
     t_min, t_max = float(t_min), float(t_max)
     tail = np.logspace(math.log10(t_max), 9.0, 1000)[1:]
     return _Grid(t_min, t_max, steps, (t_max - t_min) / (steps - 1), tail)
@@ -430,36 +450,18 @@ def scan_lemma1(
     L1A and L1B are a mirror pair, A(-t) = -B(t) bit for bit: both take
     the least of |A| and |B| over t >= t_min, the only branch scanned.
 
-    Cross-check: squaring the radical equation collapses to
-    16 t^2 (t^2 - 3) - (5 t^2 - 3)^2 = -9 (t^2 + 1)^2 identically, which the
-    grid verifies to 1e-6 relative accuracy.
+    Certificate: A B = 16 t^2 (t^2 - 3) - (5 t^2 - 3)^2 = -9 (t^2 + 1)^2,
+    checked exactly (_Identity.check), is negative for every real t, so
+    neither A nor B vanishes.
     """
+    holds, note = _L1_IDENTITY.check()
     low = np.inf
-    max_resid = -np.inf
     for t in _blocks(_scan_grid(t_min, t_max, steps)):
-        t2 = t * t
-        d = t2 - 3.0
-        a, b = _lemma1(t, d)
-        # the identity's residual, in place: |16 t2 (t2 - 3) - (5 t2 - 3)^2
-        # + 9 (t2 + 1)^2| / (9 (t2 + 1)^2)
-        rhs = t2 + 1.0
-        rhs *= rhs
-        rhs *= 9.0
-        resid = 16.0 * t2
-        resid *= d
-        t2 *= 5.0
-        t2 -= 3.0
-        t2 *= t2
-        resid -= t2
-        resid += rhs
-        np.abs(resid, out=resid)
-        resid /= rhs
-        # np.minimum/np.maximum keep a NaN, as np.min/np.max over the grid do
+        a, b = lemma1_expressions(t)
+        # np.minimum keeps a NaN, as np.min over the grid does
         low = np.minimum(low, np.minimum(_MIN(np.abs(a, out=a)), _MIN(np.abs(b, out=b))))
-        max_resid = np.maximum(max_resid, _MAX(resid))
     low = float(low)
-    ok = low > 0.0 and bool(max_resid <= 1e-6)
-    note = f"identity max rel resid {max_resid:.3e}"
+    ok = low > 0.0 and holds
     return TheoremReport("L1A", ok, None, low, note), TheoremReport("L1B", ok, None, low, note)
 
 
@@ -495,55 +497,24 @@ def scan_lemma2(
     L2A and L2B are a mirror pair, A(-t) = -B(t) bit for bit: the scan
     walks t >= t_min only, and A's zeros on t <= -t_min are B's negated.
 
-    Cross-check: (t^3 - 7t)^2 - 4 (t^2 - 1)^2 (t^2 - 3) factors as
-    -3 (t - 2)(t + 2)(t^2 + 1)^2, verified on the grid to 1e-6 relative.
+    Certificate: A B = (t^3 - 7t)^2 - 4 (t^2 - 1)^2 (t^2 - 3) factors as
+    -3 (t - 2)(t + 2)(t^2 + 1)^2, checked exactly (_Identity.check), so A B
+    vanishes only at t = -+2.
     """
     grid = _scan_grid(t_min, t_max, steps)
+    holds, note = _L2_IDENTITY.check()
     # a coarse sub-grid brackets each sign change, refinement is exact
     coarse = _points(grid, range(0, grid.size, max(1, grid.size // 10000)))
     pos_a = _sign_change_roots(lambda t: lemma2_expressions(t)[0], coarse)
     pos_b = _sign_change_roots(lambda t: lemma2_expressions(t)[1], coarse)
     roots_a = [-r for r in reversed(pos_b)] + pos_a
     roots_b = [-r for r in reversed(pos_a)] + pos_b
-
-    max_resid = -np.inf
-    for t in _blocks(grid):
-        # lhs = (t^3 - 7t)^2 - 4 (t2 - 1)^2 (t2 - 3), in place
-        t2 = t * t
-        lhs = _cube(t)
-        lhs -= 7.0 * t
-        lhs *= lhs
-        term = t2 - 1.0
-        term *= term
-        term *= 4.0
-        term *= t2 - 3.0
-        lhs -= term
-        # rhs = -3 ((t - 2)(t + 2)) (t2 + 1)^2: (t - 2)(t + 2) first, so the
-        # product is even bit for bit
-        rhs = t - 2.0
-        rhs *= t + 2.0
-        rhs *= -3.0
-        t2 += 1.0
-        t2 *= t2
-        rhs *= t2
-        scale = np.abs(rhs)
-        np.maximum(scale, 1.0, out=scale)
-        np.maximum(np.abs(lhs), scale, out=scale)
-        lhs -= rhs
-        np.abs(lhs, out=lhs)
-        lhs /= scale
-        max_resid = np.maximum(max_resid, _MAX(lhs))
-    identity_ok = bool(max_resid <= 1e-6)
-    note = f"identity max rel resid {max_resid:.3e}"
-
-    ok_a = identity_ok and len(roots_a) == 1 and abs(roots_a[0] + 2.0) <= 1e-9
-    ok_b = identity_ok and len(roots_b) == 1 and abs(roots_b[0] - 2.0) <= 1e-9
-    dev_a = max((abs(r + 2.0) for r in roots_a), default=math.inf)
-    dev_b = max((abs(r - 2.0) for r in roots_b), default=math.inf)
-    return (
-        TheoremReport("L2A", ok_a, None, dev_a, note + f"; roots {roots_a}"),
-        TheoremReport("L2B", ok_b, None, dev_b, note + f"; roots {roots_b}"),
-    )
+    reports = []
+    for cid, roots, where in (("L2A", roots_a, -2.0), ("L2B", roots_b, 2.0)):
+        ok = holds and len(roots) == 1 and abs(roots[0] - where) <= 1e-9
+        dev = max((abs(r - where) for r in roots), default=math.inf)
+        reports.append(TheoremReport(cid, ok, None, dev, note + f"; roots {roots}"))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +633,13 @@ def _t4_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _t4_verdict(_ARRAY, s1, s2, table["coincident"])
 
 
-def _t5_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_t5_verdict on each row of a GATE_TABLE array; collinear as
-    classify_configuration decides it (unless equilateral)."""
+def _t5_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """_t5_verdict on each row of a GATE_TABLE array, then the rows' sigmas;
+    collinear as classify_configuration decides it (unless equilateral)."""
     s1, s2 = ratios_direct_array(table)
     w1, w2, w3 = table["w1"], table["w2"], table["w3"]
     collinear = ~table["coincident"] & _collinear(_ARRAY, w1, w2, w3)
-    return _t5_verdict(_ARRAY, s1, s2, collinear)
+    return (*_t5_verdict(_ARRAY, s1, s2, collinear), (s1, s2))
 
 
 def _hyp_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -832,10 +803,9 @@ def _claims_t5(samples: int, seed: int, ray_min: float) -> list[TheoremReport]:
     failing, col_worst = None, -math.inf
     for chunk, collinear in _chunks((sample_ordered_cubics(n, rng), False),
                                     (sample_collinear(400, rng), True)):
-        passed, _ = _t5_rows(chunk)
+        passed, _, (s1, s2) = _t5_rows(chunk)
         failing = _last_failing(chunk, passed, failing)
         if collinear:
-            s1, s2 = ratios_direct_array(chunk)
             col_worst = float(np.maximum(col_worst, np.max(np.maximum(np.abs(s1.imag), np.abs(s2.imag)))))
     # ray_min: on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never
     # vanish, so ray configurations never have a real ratio
@@ -866,8 +836,8 @@ def run_claims(
     sel = selector.upper() if selector.lower() != "all" else "all"
     if sel not in CLAIM_GROUPS:
         raise BadParameterError(f"unknown selector {selector!r}; choose from {CLAIM_GROUPS}")
-    if samples < 1:
-        raise BadParameterError(f"samples must be at least 1, got {samples}")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise BadParameterError(f"samples must be an integer of at least 1, got {samples!r}")
     # the T1-T3 Monte Carlo pass and the ray envelopes of T1E, T3 and T5,
     # each made at most once and only when asked for
     bounds = functools.cache(lambda: _bounds_claims(samples, seed))

@@ -57,6 +57,10 @@ def test_lemma1_spot_values():
     t = 2.0
     lhs = 16 * t * t * (t * t - 3) - (5 * t * t - 3) ** 2
     assert lhs == -225.0 == -9.0 * (t * t + 1) ** 2
+    # t = +-2 makes sqrt(t^2 - 3) = 1, so the scanned A B is exact there
+    for t in (2.0, -2.0):
+        a, b = lemma1_expressions(t)
+        assert a * b == theorems._L1_IDENTITY.product(int(t)) == -225
 
 
 def test_lemma2_spot_values():
@@ -68,6 +72,9 @@ def test_lemma2_spot_values():
     lhs = (t**3 - 7 * t) ** 2 - 4 * (t * t - 1) ** 2 * (t * t - 3)
     rhs = -3 * (t - 2) * (t + 2) * (t * t + 1) ** 2
     assert lhs == -1500.0 == rhs
+    for t in (2.0, -2.0):
+        a, b = lemma2_expressions(t)
+        assert a * b == theorems._L2_IDENTITY.product(int(t)) == 0
 
 
 def test_scan_lemma1_short_grid():
@@ -93,6 +100,12 @@ def test_scan_range_validation():
         scan_lemma1(1.0, 50.0, 2000)
     with pytest.raises(BadRangeError):
         scan_lemma1(SQRT3, 50.0, 10)
+    # steps must be an integer, a numpy one included
+    for scan in (scan_lemma1, scan_lemma2):
+        for steps in (2000.0, np.float64(2000), "2000"):
+            with pytest.raises(BadRangeError, match="steps"):
+                scan(SQRT3, 50.0, steps)
+        assert all(rep.passed for rep in scan(SQRT3, 50.0, np.int64(2000)))
     with pytest.raises(BadRangeError):
         scan_lemma2(50.0, 2.0, 2000)
     # t_max must lie below 1e9, where the grid's tail ends
@@ -120,16 +133,12 @@ def _reference_scan_lemma1(t_min=SQRT3, t_max=1e3, steps=10**6):
     """scan_lemma1 over both branches at once, without blocks."""
     grid = _both_branches(t_min, t_max, steps)
     a, b = lemma1_expressions(grid)
-    t2 = grid * grid
-    rhs = 9.0 * (t2 + 1.0) ** 2
-    resid = np.abs(16.0 * t2 * (t2 - 3.0) - (5.0 * t2 - 3.0) ** 2 + rhs) / rhs
-    identity_ok = bool(np.max(resid) <= 1e-6)
-    note = f"identity max rel resid {np.max(resid):.3e}"
+    note = "identity A*B = -9 (t^2 + 1)^2 exact"
     min_a = float(np.min(np.abs(a)))
     min_b = float(np.min(np.abs(b)))
     return (
-        theorems.TheoremReport("L1A", min_a > 0.0 and identity_ok, None, min_a, note),
-        theorems.TheoremReport("L1B", min_b > 0.0 and identity_ok, None, min_b, note),
+        theorems.TheoremReport("L1A", min_a > 0.0, None, min_a, note),
+        theorems.TheoremReport("L1B", min_b > 0.0, None, min_b, note),
     )
 
 
@@ -143,23 +152,68 @@ def _reference_scan_lemma2(t_min=SQRT3, t_max=1e3, steps=10**6):
     branches = (grid[:half][::stride], grid[half:][::stride])
     roots_a = [r for br in branches for r in theorems._sign_change_roots(lambda t: lemma2_expressions(t)[0], br)]
     roots_b = [r for br in branches for r in theorems._sign_change_roots(lambda t: lemma2_expressions(t)[1], br)]
+    note = "identity A*B = -3 (t - 2)(t + 2)(t^2 + 1)^2 exact"
 
-    t2 = grid * grid
-    lhs = (theorems._cube(grid) - 7.0 * grid) ** 2 - 4.0 * (t2 - 1.0) ** 2 * (t2 - 3.0)
-    rhs = -3.0 * ((grid - 2.0) * (grid + 2.0)) * (t2 + 1.0) ** 2
-    scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1.0))
-    resid = np.abs(lhs - rhs) / scale
-    identity_ok = bool(np.max(resid) <= 1e-6)
-    note = f"identity max rel resid {np.max(resid):.3e}"
-
-    ok_a = identity_ok and len(roots_a) == 1 and abs(roots_a[0] + 2.0) <= 1e-9
-    ok_b = identity_ok and len(roots_b) == 1 and abs(roots_b[0] - 2.0) <= 1e-9
+    ok_a = len(roots_a) == 1 and abs(roots_a[0] + 2.0) <= 1e-9
+    ok_b = len(roots_b) == 1 and abs(roots_b[0] - 2.0) <= 1e-9
     dev_a = max((abs(r + 2.0) for r in roots_a), default=math.inf)
     dev_b = max((abs(r - 2.0) for r in roots_b), default=math.inf)
     return (
         theorems.TheoremReport("L2A", ok_a, None, dev_a, note + f"; roots {roots_a}"),
         theorems.TheoremReport("L2B", ok_b, None, dev_b, note + f"; roots {roots_b}"),
     )
+
+
+_IDENTITIES = {"L1": theorems._L1_IDENTITY, "L2": theorems._L2_IDENTITY}
+
+
+def test_lemma_identities_hold_beyond_their_degree():
+    # the scans check the d + 1 integers 0 ... d; both identities hold on
+    # -10 ... 16 too, and there each side's (d + 1)-th finite difference
+    # vanishes, so no side has a degree above the stated d
+    ts = range(-10, 17)
+    for identity in _IDENTITIES.values():
+        assert all(identity.product(t) == identity.factored(t) for t in ts)
+        for side in (identity.product, identity.factored):
+            values = [side(t) for t in ts]
+            for _ in range(identity.degree + 1):
+                values = [b - a for a, b in zip(values, values[1:])]
+            assert values == [0] * (len(ts) - identity.degree - 1)
+    assert (theorems._L1_IDENTITY.degree, theorems._L2_IDENTITY.degree) == (4, 6)
+
+
+def test_lemma_identities_match_the_scanned_expressions():
+    # on floats, A B of the scanned expressions is the factored form up to
+    # rounding: the integer identities are about the expressions scanned
+    t = np.concatenate([-_grid(SQRT3, 50.0, 1000)[::-1], _grid(SQRT3, 50.0, 1000)])
+    for expressions, identity in zip((lemma1_expressions, lemma2_expressions), _IDENTITIES.values()):
+        a, b = expressions(t)
+        scale = (t * t + 1.0) ** (identity.degree // 2)
+        assert np.all(np.abs(a * b - identity.factored(t)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("lemma, power, off_by", [
+    (lemma, power, off_by)
+    for lemma, identity in _IDENTITIES.items()
+    for power in range(identity.degree + 1)
+    for off_by in (1, -1)
+])
+def test_a_planted_wrong_identity_fails_its_lemma(monkeypatch, lemma, power, off_by):
+    # the coefficient of t^power of the factored form off by one
+    identity = _IDENTITIES[lemma]
+    wrong = identity._replace(factored=lambda t: identity.factored(t) + off_by * t**power)
+    monkeypatch.setattr(theorems, f"_{lemma}_IDENTITY", wrong)
+    scan = {"L1": scan_lemma1, "L2": scan_lemma2}[lemma]
+    reports = scan(SQRT3, 50.0, 2000)
+    assert [r.claim_id for r in reports] == [lemma + "A", lemma + "B"]
+    assert not any(r.passed for r in reports)
+    for rep in reports:
+        assert rep.note.startswith(f"identity {identity.text} fails at t = ")
+    # the rest of the scan is untouched: margins, and L2's roots
+    monkeypatch.setattr(theorems, f"_{lemma}_IDENTITY", identity)
+    assert [r.margin for r in reports] == [r.margin for r in scan(SQRT3, 50.0, 2000)]
+    if lemma == "L2":
+        assert [r.note.split("; ")[1] for r in reports] == ["roots [-2.0]", "roots [2.0]"]
 
 
 def _assert_same_reports(got, want):
@@ -457,6 +511,18 @@ def test_hyperbolic_cases():
 def test_run_claims_selector_validation():
     with pytest.raises(BadParameterError):
         run_claims("T9", samples=100)
+
+
+@pytest.mark.parametrize("samples", [20000.0, np.float64(100), "100", None])
+def test_run_claims_rejects_a_non_integer_sample_count_before_any_work(monkeypatch, samples):
+    for name in ("scan_lemma1", "scan_lemma2"):
+        monkeypatch.setattr(theorems, name, lambda: pytest.fail("a scan ran"))
+    with pytest.raises(BadParameterError, match="samples"):
+        run_claims("all", samples)
+
+
+def test_run_claims_accepts_numpy_integer_sample_counts():
+    assert run_claims("T3", np.int64(400), 7) == run_claims("T3", 400, 7)
 
 
 @pytest.mark.parametrize("selector", ["all", "L1", "T1", "T3", "HYP"])
@@ -784,7 +850,7 @@ def _assert_rows_match_checks(cid, cubics, table):
     """The array verdict on table and the scalar check on each cubic give
     the same passed and the same (==) margin; returns the failing rows."""
     check, rows = _ROW_CHECKS[cid]
-    passed, margin = rows(table)
+    passed, margin = rows(table)[:2]
     assert passed.dtype == bool and margin.dtype == float
     reports = [check(c) for c in cubics]
     assert passed.tolist() == [rep.passed for rep in reports], cid
@@ -864,7 +930,7 @@ def test_array_verdicts_match_scalar_checks_at_the_thresholds(monkeypatch, cid):
             rep = check(c)
             expected.append((rep.passed, rep.margin))
         monkeypatch.setattr(theorems, "ratios_direct_array", lambda _table: (s1, s2))
-        passed, margin = rows(theorems._gate_table([c] * len(pairs)))
+        passed, margin = rows(theorems._gate_table([c] * len(pairs)))[:2]
         assert list(zip(passed.tolist(), margin.tolist())) == expected, (cid, c)
         assert any(p for p, _ in expected) and not all(p for p, _ in expected), (cid, c)
 
@@ -909,6 +975,15 @@ def test_t5_witness_is_the_last_failing_configuration(monkeypatch):
     assert rep.witness == theorems._witness(second, ratios_direct(second))
     assert rep.witness.w == normalize(second).w != normalize(first).w
     assert rep.witness.classification == "generic"
+
+
+def test_t5_claim_computes_each_chunks_ratios_once(monkeypatch):
+    calls = []
+    ratios = theorems.ratios_direct_array
+    monkeypatch.setattr(theorems, "ratios_direct_array", lambda t: calls.append(len(t)) or ratios(t))
+    (rep,) = theorems._claims_t5(1000, 7, 1.0)
+    assert rep.passed
+    assert calls == [1000, 400]  # the random chunk, then the collinear one
 
 
 def test_hyp_witness_is_the_last_failing_configuration(monkeypatch):
