@@ -38,7 +38,6 @@ __all__ = [
     "IDENTITY_TOL",
     "SQRT3",
     "principal_sqrt",
-    "require_finite",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -57,14 +56,6 @@ IDENTITY_TOL = 1e-10
 _ONE, _TWO, _THREE = complex(1.0, 0.0), complex(2.0, 0.0), complex(3.0, 0.0)
 
 
-def require_finite(z: complex, name: str = "value") -> complex:
-    """Coerce to complex and reject NaN/inf components."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must have finite components, got {z!r}")
-    return z
-
-
 def _finite(name: str, *zs: complex) -> tuple[complex, ...]:
     """zs, complex numbers, rejecting NaN/inf components in any of them."""
     for z in zs:
@@ -79,7 +70,7 @@ def principal_sqrt(z: complex) -> complex:
     A real input carrying a negative-zero imaginary part would select the
     lower limit, so the sign of zero is normalized first.
     """
-    z = require_finite(z, "sqrt argument")
+    (z,) = _finite("sqrt argument", complex(z))
     if z.imag == 0.0:
         z = complex(z.real, 0.0)
     return cmath.sqrt(z)

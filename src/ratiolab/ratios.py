@@ -47,8 +47,8 @@ import numpy as np
 from .cubic import GATE_TABLE, AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
 from .kernel import (
-    _ARRAY, _ONE, _SCALAR, _THREE, _TWO, EQ_TOL, SQRT3, _on_rays, _radicand, principal_sqrt,
-    require_finite,
+    _ARRAY, _ONE, _SCALAR, _THREE, _TWO, EQ_TOL, SQRT3, _finite, _on_rays, _radicand,
+    principal_sqrt,
 )
 
 __all__ = [
@@ -109,7 +109,7 @@ def _root_term(w: complex) -> tuple[complex, complex]:
     The ray tips +-i*sqrt(3) map to 3 + w^2 = 0 where the principal root is
     continuous, so they evaluate fine; only the open rays are rejected.
     """
-    w = require_finite(w, "w")
+    (w,) = _finite("w", complex(w))
     d = _radicand(_SCALAR, w)
     if _on_rays(w) and abs(d) > EQ_TOL:
         raise OutsideDomainError(

@@ -6,8 +6,9 @@ one block of 1024 at a time, with bounds and gap filters as masks. The
 whole block goes through the array gate order_roots_array, which decides
 each row as the scalar order_roots would, and the sampler yields the kept
 rows as OrderedCubic records, named tuples of a row's fields, until there
-are n; n <= 0 draws nothing. Blocks do not depend on n, so a shorter run is
-a prefix of a longer one.
+are n; n <= 0 draws nothing, and an n that is not a Python or numpy
+integer raises BadParameterError. Blocks do not depend on n, so a shorter
+run is a prefix of a longer one.
 
 sample_ordered_cubics draws per candidate a mix flag (a ray sample with
 probability 0.2), a log-uniform positive scale factor in [1e-3, 1e3]
@@ -43,6 +44,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .cubic import OrderedCubic, admissibility_mask, normalize_array, order_roots_array
+from .errors import BadParameterError
 from .kernel import SQRT3
 
 __all__ = [
@@ -122,6 +124,8 @@ def _blocks(n: int, rng: np.random.Generator,
 
 def _cubics(n: int, rng: np.random.Generator,
             draw: Callable[[np.random.Generator], np.ndarray]) -> Iterator[OrderedCubic]:
+    if not isinstance(n, (int, np.integer)):
+        raise BadParameterError(f"the sample count must be an integer, got {n!r}")
     for block in _blocks(n, rng, draw):
         yield from map(OrderedCubic._make, block.tolist())
 

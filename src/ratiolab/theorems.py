@@ -677,14 +677,16 @@ def _bounds_claims(samples: int, seed: int) -> tuple[dict[str, TheoremReport], t
     strays = ([], [])
     for block in filter(len, _admissible_blocks(samples, _rng_for(seed, 1))):
         s1, s2 = ratios_direct_array(block)
-        for k, m in enumerate(_bound_margins(_ARRAY, s1, s2)):
+        margins = _bound_margins(_ARRAY, s1, s2)
+        for k, m in enumerate(margins):
             i = int(np.argmin(m))  # the first row at the least margin, or the first NaN
             low, best = float(m[i]), lows[k]
             # a NaN stays the least margin; else a strictly smaller one wins
             if best is None or (not math.isnan(best[0]) and not low >= best[0]):
                 lows[k] = (low, block[i].tolist())
-        for sigma, found in zip((s1, s2), strays):
-            for i in np.flatnonzero(1.0 / 3.0 - np.abs(sigma.imag) <= EQ_TOL):
+        # T1B's and T2B's margins, 1/3 - |Im sigma|
+        for sigma, band, found in zip((s1, s2), (margins[1], margins[4]), strays):
+            for i in np.flatnonzero(band <= EQ_TOL):
                 wit = _row_witness(block[i].tolist())
                 if abs(wit.w - (-2j if sigma[i].imag > 0 else 2j)) > window:
                     found.append(wit)

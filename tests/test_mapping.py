@@ -566,7 +566,12 @@ def _reference_jsonl_line(row):
 
 
 def test_row_formatters_match_per_cell_encoding():
-    for row in _sample_rows():
+    swept = [row for block in sweep_w_grid((-3.0, 3.0), (-3.0, 3.0), 41) for row in block]
+    traced = [row for block in trace_boundary(SQRT3, 100.0, 50) for row in block]
+    assert (len(swept), len(traced)) == (1681, 100)
+    # the skipped rows of the sweep, all four sigma cells None
+    assert sum(row[2:6] == (None,) * 4 for row in swept) == 18
+    for row in _sample_rows() + swept + traced:
         assert csv_row(row) == _reference_csv_row(row)
         assert jsonl_line(row) == _reference_jsonl_line(row)
 

@@ -13,6 +13,7 @@ from ratiolab import (
     ratios_direct,
 )
 from ratiolab.cubic import GATE_TABLE
+from ratiolab.errors import BadParameterError
 from ratiolab.ratios import ratios_direct_array
 from ratiolab.sampling import (
     _BLOCK,
@@ -304,6 +305,23 @@ def test_no_draws_without_samples(sampler, n):
     state = rng.bit_generator.state
     assert list(sampler(n, rng)) == []
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+@pytest.mark.parametrize("n", [10.0, "5"])
+def test_samplers_reject_a_count_that_is_not_an_integer(sampler, n):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(BadParameterError, match="integer"):
+        list(sampler(n, rng))
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+def test_samplers_take_a_numpy_integer_count(sampler):
+    samples = list(sampler(np.int64(3), np.random.default_rng(3)))
+    assert samples == list(sampler(3, np.random.default_rng(3)))
+    assert len(samples) == 3
 
 
 @pytest.mark.parametrize("sampler", _SAMPLERS)
