@@ -2,7 +2,8 @@
 
 Subcommands: compute, verify, sweep, boundary, ellipse, probe. All numeric
 output is JSON with 17-significant-digit floats; identical arguments (and,
-for verify, seed) produce byte-identical stdout and files.
+for verify, seed) produce byte-identical stdout and files. A verify line
+writes a non-finite margin (a scan that found no root) as null.
 
 Exit codes: 0 success, 1 usage or parse error, 2 undefined-ratio input,
 3 failed claim, 4 I/O failure.
@@ -17,6 +18,7 @@ no other command reads RATIOLAB_SEED. Tolerances are fixed constants
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -83,10 +85,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _report_fields(rep: TheoremReport) -> dict:
+    margin = float(rep.margin)
     return {
         "claim": rep.claim_id,
         "passed": rep.passed,
-        "margin": float(rep.margin),
+        "margin": margin if math.isfinite(margin) else None,
         "note": rep.note,
         "witness": None if rep.witness is None else rep.witness._asdict(),
     }

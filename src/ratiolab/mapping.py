@@ -11,11 +11,11 @@ size. Every cell is what the scalar functions give, bit for bit.
 The midpoint inellipse of a noncollinear root triangle is fitted purely
 geometrically: six homogeneous linear constraints (the conic passes through
 each side midpoint and its gradient there is parallel to the side normal)
-determine the conic coefficients up to scale, as the null vector of one SVD;
-center, axes, and foci then come from the 2x2 quadratic part in closed form
-on Python floats. The foci independently reproduce the critical points,
-which is what makes this an oracle for the ratio machinery rather than a
-restatement of it.
+determine the conic coefficients up to scale, as the null vector of one SVD.
+The reduction after it is closed form on Python floats: one eigenvalue of
+the 2x2 quadratic part gives the semi-axes, one complex square root the foci.
+The foci independently reproduce the critical points, which is what makes
+this an oracle for the ratio machinery rather than a restatement of it.
 
 Naming note: the excluded vertical rays {Re w = 0, |Im w| >= sqrt(3)} in the
 w-plane and the inellipse of a root triangle are unrelated objects; code and
@@ -24,6 +24,7 @@ docs say "excluded rays" and "inellipse" to keep them apart.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple
@@ -184,90 +185,64 @@ def _rows(*columns) -> list[tuple]:
 def steiner_inellipse(c: OrderedCubic) -> InEllipse:
     """Fit the midpoint inellipse of the root triangle (geometric route).
 
-    The conic is the SVD null vector of the six constraint rows, the only
-    LAPACK call; center, axes and foci follow in closed form with math.
-    Raises DegenerateTriangleError when classify_configuration calls the
-    triangle collinear or the fitted conic is not a centered ellipse. The
-    returned foci are sorted by real part (then imaginary part) to match
-    the critical point labeling convention.
+    The conic A x^2 + B xy + C y^2 + D x + E y + F = 0 is the SVD null
+    vector of the six constraint rows, the only LAPACK call. With det the
+    determinant of its quadratic part, k0 its value at the center and lam
+    the eigenvalue of larger magnitude, it is an ellipse iff det > 0 and
+    -k0/lam > 0. Then semi_minor^2 = -k0/lam and, as the eigenvalues
+    multiply to det, semi_major^2 = -k0 lam/det. The foci are center -+ f,
+    one complex root: the focal vector at the major axis angle phi has
+    f^2 = (a^2 - b^2) e^(2i phi) = k0 ((A - C) + iB)/det. Raises
+    DegenerateTriangleError when classify_configuration calls the triangle
+    collinear or the fitted conic is not an ellipse. The foci are sorted by
+    real part (then imaginary part), as the critical points are labeled.
     """
     if classify_configuration(c) is Configuration.COLLINEAR:
         raise DegenerateTriangleError("triangle is numerically collinear")
-    verts = [c.w1, c.w2, c.w3]
-
     ctr = (c.w1 + c.w2 + c.w3) / 3.0
-    scale = max(abs(v - ctr) for v in verts)
-    vs = [(v - ctr) / scale for v in verts]
-
+    scale = max(abs(v - ctr) for v in c.roots)
+    p1, p2, p3 = ((v - ctr) / scale for v in c.roots)
+    sides = ((p1, p2), (p2, p3), (p3, p1))
     rows = []
-    midpoints = []
-    for k in range(3):
-        p = vs[k]
-        q = vs[(k + 1) % 3]
-        m = (p + q) / 2.0
-        midpoints.append(m)
-        d = q - p
-        x, y = m.real, m.imag
-        dx, dy = d.real, d.imag
+    for p, q in sides:
+        m, d = (p + q) / 2.0, q - p
+        x, y, dx, dy = m.real, m.imag, d.real, d.imag
         rows.append([x * x, x * y, y * y, x, y, 1.0])
         rows.append([2.0 * x * dx, y * dx + x * dy, 2.0 * y * dy, dx, dy, 0.0])
     _, _, vt = np.linalg.svd(np.array(rows))
     A, B, C, D, E, F = vt[-1].tolist()
 
-    # The quadratic part [[A, B/2], [B/2, C]] in closed form: the center by
-    # Cramer's rule, the eigenvalues mean +- h and the squared axes
-    # -k0/lambda. The major axis belongs to the eigenvalue of smaller
-    # magnitude; its eigenvector is at theta for mean + h, theta + pi/2 for
-    # mean - h. A zero eigenvalue (a parabola) counts as an infinite axis.
     det = A * C - B * B / 4.0
-    if det == 0.0:
-        raise DegenerateTriangleError("conic has no center")
+    if not det > 0.0:
+        raise DegenerateTriangleError("fitted conic is not an ellipse")
     cx = (B * E / 4.0 - C * D / 2.0) / det
     cy = (B * D / 4.0 - A * E / 2.0) / det
     k0 = F + (D / 2.0) * cx + (E / 2.0) * cy
     mean = (A + C) / 2.0
-    h = math.hypot((A - C) / 2.0, B / 2.0)
-    lam_major, lam_minor = (mean - h, mean + h) if mean > 0.0 else (mean + h, mean - h)
-    ax2_major = -k0 / lam_major if lam_major else math.inf
-    ax2_minor = -k0 / lam_minor
-    if not (0.0 < ax2_major < math.inf and 0.0 < ax2_minor < math.inf):
+    lam = mean + math.copysign(math.hypot((A - C) / 2.0, B / 2.0), mean)
+    ax2_minor = -k0 / lam
+    if not ax2_minor > 0.0:
         raise DegenerateTriangleError("fitted conic is not an ellipse")
-    semi_major = math.sqrt(ax2_major)
-    semi_minor = math.sqrt(ax2_minor)
-    theta = 0.5 * math.atan2(B, A - C) + (math.pi / 2.0 if mean > 0.0 else 0.0)
-    major_dir = complex(math.cos(theta), math.sin(theta))
-    focal = math.sqrt(max(semi_major**2 - semi_minor**2, 0.0))
 
     center = ctr + scale * complex(cx, cy)
-    fa = center + scale * focal * major_dir
-    fb = center - scale * focal * major_dir
-    f1, f2 = sorted((fa, fb), key=lambda z: (z.real, z.imag))
-    tangency = tuple(ctr + scale * m for m in midpoints)
+    focal = scale * cmath.sqrt(k0 * complex(A - C, B) / det)
+    f1, f2 = sorted((center - focal, center + focal), key=lambda z: (z.real, z.imag))
     return InEllipse(
         center=center,
         focus1=f1,
         focus2=f2,
-        semi_major=semi_major * scale,
-        semi_minor=semi_minor * scale,
-        tangency_points=tangency,
+        semi_major=math.sqrt(-k0 * lam / det) * scale,
+        semi_minor=math.sqrt(ax2_minor) * scale,
+        tangency_points=tuple(ctr + scale * ((p + q) / 2.0) for p, q in sides),
     )
 
 
 def ratio_angles(c: OrderedCubic) -> tuple[float, float]:
     """Signed angles (radians) at w1 from side w1->w2 to w1->z1, and at w2
-    from side w2->w3 to w2->z2. Computed from dot/cross products; equal to
-    (arg sigma1, arg sigma2)."""
-    u1 = c.w2 - c.w1
-    v1 = c.z1 - c.w1
-    u2 = c.w3 - c.w2
-    v2 = c.z2 - c.w2
-    th1 = math.atan2(
-        u1.real * v1.imag - u1.imag * v1.real, u1.real * v1.real + u1.imag * v1.imag
-    )
-    th2 = math.atan2(
-        u2.real * v2.imag - u2.imag * v2.real, u2.real * v2.real + u2.imag * v2.imag
-    )
-    return th1, th2
+    from side w2->w3 to w2->z2: the phases of (z1 - w1) conj(w2 - w1) and
+    (z2 - w2) conj(w3 - w2), equal to (arg sigma1, arg sigma2)."""
+    th1 = cmath.phase((c.z1 - c.w1) * (c.w2 - c.w1).conjugate())
+    return th1, cmath.phase((c.z2 - c.w2) * (c.w3 - c.w2).conjugate())
 
 
 def emit_dataset(blocks: Iterable[list[tuple]], destination, fmt: str = "csv") -> int:

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from ratiolab import theorems
 from ratiolab.cli import main, parse_complex
 
 
@@ -99,6 +101,23 @@ def test_verify_l2(capsys):
     assert [o["claim"] for o in objs] == ["L2A", "L2B"]
     assert all(o["passed"] for o in objs)
     assert all(o["margin"] <= 1e-9 for o in objs)
+
+
+def _reject(constant):
+    raise ValueError(f"non-JSON constant {constant}")
+
+
+def test_verify_failed_l2_prints_strict_json(capsys, monkeypatch):
+    # A and B without a sign change: the scan finds no root, both claims
+    # fail with an infinite margin, which verify writes as null
+    monkeypatch.setattr(theorems, "lemma2_expressions", lambda t: (np.ones_like(t), np.ones_like(t)))
+    code, out, _ = run_cli(capsys, "verify", "L2", "--samples", "100")
+    assert code == 3
+    objs = [json.loads(line, parse_constant=_reject) for line in out.splitlines()]
+    assert [(o["claim"], o["passed"], o["margin"]) for o in objs] == [
+        ("L2A", False, None),
+        ("L2B", False, None),
+    ]
 
 
 def test_verify_t3_margin(capsys):
@@ -296,10 +315,12 @@ def test_report_json_with_witness_parses():
     assert obj["witness"]["sigma2"]["re"] == 0.4
     assert obj["witness"]["path"] == "interior"
     assert obj["witness"]["classification"] == "generic"
-    rep = TheoremReport("L1A", True, None, float("inf"), "")
-    obj = json.loads(to_json(_report_fields(rep)))
-    assert obj["margin"] == float("inf")
-    assert obj["witness"] is None
+    # a non-finite margin is written as null, so the line stays strict JSON
+    for margin in (float("inf"), float("-inf"), float("nan")):
+        rep = TheoremReport("L1A", True, None, margin, "")
+        obj = json.loads(to_json(_report_fields(rep)), parse_constant=_reject)
+        assert obj["margin"] is None
+        assert obj["witness"] is None
 
 
 def test_console_entry_point():

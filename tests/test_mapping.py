@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from collections import namedtuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from ratiolab import (
     RatioPath,
     RatioVector,
     SQRT3,
+    UndefinedRatioError,
     boundary_sigma1,
     check_bounds,
     critical_points_direct,
@@ -247,6 +249,34 @@ def test_ratio_angles_examples():
     th1, th2 = ratio_angles(c)
     assert abs(th1 - math.atan2(rv.sigma1.imag, rv.sigma1.real)) < 1e-12
     assert abs(th2 - math.atan2(rv.sigma2.imag, rv.sigma2.real)) < 1e-12
+    # the phases of (z - p) conj(q - p) are atan2(cross, dot) bit for bit:
+    # the product's parts are the same dot and cross with the same roundings
+    rng = np.random.default_rng(30)
+    checked = 0
+    while checked < 2000:
+        ws = rng.uniform(-10, 10, size=6) * 10.0 ** rng.uniform(-3, 3)
+        try:
+            c = order_roots(complex(*ws[:2]), complex(*ws[2:4]), complex(*ws[4:]))
+        except UndefinedRatioError:
+            continue
+        got = [th.hex() for th in ratio_angles(c)]
+        assert got == [th.hex() for th in _reference_ratio_angles(c)], c
+        checked += 1
+
+
+def _reference_ratio_angles(c):
+    """ratio_angles as atan2 of the cross and dot products of the sides."""
+    u1 = c.w2 - c.w1
+    v1 = c.z1 - c.w1
+    u2 = c.w3 - c.w2
+    v2 = c.z2 - c.w2
+    th1 = math.atan2(
+        u1.real * v1.imag - u1.imag * v1.real, u1.real * v1.real + u1.imag * v1.imag
+    )
+    th2 = math.atan2(
+        u2.real * v2.imag - u2.imag * v2.real, u2.real * v2.real + u2.imag * v2.imag
+    )
+    return th1, th2
 
 
 def _sample_rows():
@@ -414,6 +444,45 @@ def test_steiner_inellipse_matches_lapack_reference():
         assert abs(ell.semi_minor - semi_minor) < 5e-9 * semi_minor
         assert ell.semi_major >= ell.semi_minor > 0.0
         checked += 1
+
+
+def _mp_critical_points(c):
+    """The critical points of the cubic with roots c.roots, to 50 digits."""
+    with mpmath.workdps(50):
+        w1, w2, w3 = (mpmath.mpc(z.real, z.imag) for z in c.roots)
+        e1 = w1 + w2 + w3
+        r = mpmath.sqrt(e1 * e1 - 3 * (w1 * w2 + w1 * w3 + w2 * w3))
+        return complex((e1 - r) / 3), complex((e1 + r) / 3)
+
+
+@pytest.mark.parametrize("area", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_steiner_inellipse_conditioning(area):
+    # the focus error grows like eps / (relative area)^2: 50 triangles of
+    # each relative area, measured worst 0.30 eps/area^2 of the diameter
+    # against 50-digit critical points
+    rng = np.random.default_rng([30, round(-math.log10(area))])
+    worst = 0.0
+    checked = 0
+    while checked < 50:
+        size = 10.0 ** rng.uniform(-2, 2)
+        p = complex(*rng.uniform(-size, size, size=2))
+        q = p + size * complex(*rng.normal(size=2))
+        # the third vertex at height 2 area |q - p| over side pq, whose
+        # length stays the diameter: the relative area is area
+        r = p + complex(rng.uniform(0.1, 0.9), 2.0 * area * rng.choice([-1.0, 1.0])) * (q - p)
+        try:
+            c = order_roots(p, r, q)
+        except UndefinedRatioError:
+            continue
+        ell = steiner_inellipse(c)
+        za, zb = _mp_critical_points(c)
+        err = min(
+            max(abs(ell.focus1 - za), abs(ell.focus2 - zb)),
+            max(abs(ell.focus1 - zb), abs(ell.focus2 - za)),
+        )
+        worst = max(worst, err / _relative_area(c)[1])
+        checked += 1
+    assert worst <= 2.0 * np.finfo(float).eps / area**2
 
 
 def test_steiner_inellipse_slivers_raise_only_degenerate():
