@@ -8,13 +8,12 @@ and always satisfies (1 - sigma1) * sigma2 = 1/3. On admissible interior
 configurations the ratios are functions of w = w2/w3 alone:
 
     f(w) = (w + 3 - R) / (3 (w + 1)) = 2 / (w + 3 + R),   R = sqrt(3 + w^2)
-    g(w) = 1 - conj f(-conj w)
+    g(w) = 1 - f(-w)
 
-g is the mirror symmetry: reflecting the roots in a vertical line
-(w -> -conj w) reverses their order by real part and gives
-sigma1' = 1 - conj sigma2, sigma2' = 1 - conj sigma1. The mirror point's
-root term is conj R, so one square root serves both ratios, and 1 - conj f
-cannot cancel because 0 < Re f < 2/3. Each point takes the form of f whose
+g is the reversal symmetry: negating the roots (w -> -w) reverses their
+order by real part and gives sigma1' = 1 - sigma2, sigma2' = 1 - sigma1.
+R(-w) = R(w), so one square root serves both ratios, and 1 - f cannot
+cancel because 0 < Re f < 2/3. Each point takes the form of f whose
 terms add rather than cancel: the rationalized one where
 Re((w + 3) conj(R)) >= 0, the textbook quotient elsewhere (large |w| with
 Re w < 0, where w + 3 + R cancels). The removable point w = -1 of f (value
@@ -44,10 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cubic import GATE_TABLE, AdmissibilityReport, NormalizedCubic, OrderedCubic
+from .cubic import GATE_TABLE, MAX_ROOT_MAGNITUDE, AdmissibilityReport, NormalizedCubic, OrderedCubic
 from .errors import BadParameterError, NotAdmissibleError, OutsideDomainError
 from .kernel import (
-    _ARRAY, _ONE, _SCALAR, _THREE, _TWO, EQ_TOL, SQRT3, _finite, _on_rays, _radicand,
+    _ARRAY, _ONE, _SCALAR, _THREE, _TWO, EQ_TOL, SQRT3, _on_rays, _radicand,
     principal_sqrt,
 )
 
@@ -103,13 +102,16 @@ def ratios_direct_array(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _root_term(w: complex) -> tuple[complex, complex]:
-    """(w, R = sqrt(3 + w^2)), rejecting w on the open excluded rays (the
+    """(w, R = sqrt(3 + w^2)), rejecting a part of w beyond
+    MAX_ROOT_MAGNITUDE (or not finite) and w on the open excluded rays (the
     _on_rays band).
 
     The ray tips +-i*sqrt(3) map to 3 + w^2 = 0 where the principal root is
     continuous, so they evaluate fine; only the open rays are rejected.
     """
-    (w,) = _finite("w", complex(w))
+    w = complex(w)
+    if not (abs(w.real) <= MAX_ROOT_MAGNITUDE >= abs(w.imag)):
+        raise BadParameterError(f"w={w!r} needs finite parts within +-{MAX_ROOT_MAGNITUDE:.0e}")
     d = _radicand(_SCALAR, w)
     if _on_rays(w) and abs(d) > EQ_TOL:
         raise OutsideDomainError(
@@ -136,8 +138,8 @@ def _f(ops, w, r):
 
 
 def _g(ops, w, r):
-    """g(w) = 1 - conj f(-conj w), whose root term is conj R."""
-    return _ONE - _f(ops, -w.conjugate(), r.conjugate()).conjugate()
+    """g(w) = 1 - f(-w), on the same root term R(-w) = R(w)."""
+    return _ONE - _f(ops, -w, r)
 
 
 def f_extension(w: complex) -> complex:
@@ -167,18 +169,10 @@ def _ray_sigma2(ops, s1):
     return ops.quot(_ONE, ops.complex(3.0 * u.real, 3.0 * u.imag))
 
 
-#: Above this |t|, t^2 would overflow; the ray terms scale |t| out.
-_T_SCALED = 2.0**500
-
-
 def _ray_terms(t):
-    """The ops record for t, the validated t, and the ray terms with |t|
-    scaled out: k = |t| above _T_SCALED (else 1), a = |t|/k, c = 1/k^2,
-    r = sqrt(t^2 - 3)/k and heavy = (t^2 + 3 + |t| sqrt(t^2 - 3))/k^2. A
-    constant term n of a sum becomes n c, and a quotient is divided by k
-    once per degree its numerator falls short of its denominator. Below
-    _T_SCALED these operations are exact, so the bits are those of the
-    unscaled formulas.
+    """The ops record for t, the validated t, and the ray terms a = |t|,
+    r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r. |t| may not exceed
+    MAX_ROOT_MAGNITUDE, so t^2 cannot overflow.
 
     A scalar t becomes a Python float and goes through math only; anything
     else becomes a float array. The tip rounding residue of t^2 - 3 is
@@ -186,15 +180,15 @@ def _ray_terms(t):
     """
     ops = _SCALAR if np.isscalar(t) else _ARRAY
     t = ops.floats(t)
-    at = abs(t)
-    if not ops.every(at < math.inf):
-        raise BadParameterError("boundary parameter must be finite")
-    if not ops.every(at >= SQRT3 - EQ_TOL):
+    a = abs(t)
+    if not ops.every(a <= MAX_ROOT_MAGNITUDE):
+        raise BadParameterError(
+            f"boundary parameter must be finite with |t| <= {MAX_ROOT_MAGNITUDE:.0e}"
+        )
+    if not ops.every(a >= SQRT3 - EQ_TOL):
         raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
-    k = ops.where(at > _T_SCALED, at, 1.0)
-    a, c = at / k, 1.0 / k / k
-    r = ops.real_sqrt(ops.maximum(a * a - 3.0 * c, 0.0))
-    return ops, t, k, a, c, r, a * a + 3.0 * c + a * r
+    r = ops.real_sqrt(ops.maximum(a * a - 3.0, 0.0))
+    return ops, t, a, r, a * a + 3.0 + a * r
 
 
 # The ray formulas below are bodies over _ray_terms(t), so that one block's
@@ -203,11 +197,11 @@ def _ray_terms(t):
 
 def _uv(terms):
     """The ops record and boundary_uv(t), from _ray_terms(t)."""
-    ops, t, k, a, c, r, heavy = terms
-    u_big = heavy / (3.0 * (a * a + c))
-    u_small = 3.0 / heavy / k / k
-    v_neg = (2.0 * a + r) / (3.0 * (a * a + c)) / k
-    v_pos = -1.0 / (r + 2.0 * a) / k
+    ops, t, a, r, heavy = terms
+    u_big = heavy / (3.0 * (a * a + 1.0))
+    u_small = 3.0 / heavy
+    v_neg = (2.0 * a + r) / (3.0 * (a * a + 1.0))
+    v_pos = -1.0 / (r + 2.0 * a)
     pos, neg = (u_big, u_small, v_pos, -v_neg), (u_small, u_big, v_neg, -v_pos)
     return ops, ops.select(t >= 0, pos, neg)
 
@@ -225,7 +219,7 @@ def boundary_uv(t):
         v_pos(|t|)   = -1 / (r + 2 |t|)
 
     with u1 = u_big, v1 = v_pos for t > 0 and the mirror images for t < 0.
-    Every finite |t| >= sqrt(3) is served, up to the largest double.
+    Every |t| from sqrt(3) to MAX_ROOT_MAGNITUDE (1e100) is served.
     """
     return _uv(_ray_terms(t))[1]
 
@@ -246,9 +240,9 @@ def boundary_modulus_sq(t):
 
 def _modulus_sq(terms):
     """boundary_modulus_sq(t), from _ray_terms(t)."""
-    ops, t, k, a, c, _, heavy = terms
-    big = 2.0 * heavy / (a * a + c)
-    small = 18.0 / heavy / k / k
+    ops, t, a, _, heavy = terms
+    big = 2.0 * heavy / (a * a + 1.0)
+    small = 18.0 / heavy
     return ops.select(t >= 0, (big, small), (small, big))
 
 
@@ -260,9 +254,9 @@ def boundary_sigma_diff(t) -> complex:
 
 def _sigma_diff(terms):
     """boundary_sigma_diff(t), from _ray_terms(t)."""
-    ops, _, k, a, c, r, _ = terms
-    den = 3.0 * (a * a + c)
-    return ops.complex((a * a - 3.0 * c) / den, -2.0 * r / den / k)
+    ops, _, a, r, _ = terms
+    den = 3.0 * (a * a + 1.0)
+    return ops.complex((a * a - 3.0) / den, -2.0 * r / den)
 
 
 def identity_residual(r: RatioVector) -> float:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import warnings
@@ -34,7 +35,7 @@ from ratiolab import (
 )
 from ratiolab.cubic import order_roots_array
 from ratiolab.kernel import _ARRAY, _on_rays, _radicand
-from ratiolab.ratios import _adds, _root_term, ratios_direct_array
+from ratiolab.ratios import _adds, _f, _g, _root_term, ratios_direct_array
 
 INV_SQRT3 = 1.0 / SQRT3
 EQUILATERAL_SIGMA = complex(0.5, -SQRT3 / 6.0)
@@ -78,8 +79,7 @@ def test_g_extension_values():
 
 
 def test_extensions_reject_open_rays():
-    # the message names the caller's w, also for g, which evaluates f at
-    # the mirror point -conj w
+    # the message names the caller's w, also for g, which evaluates f at -w
     for w in (2j, -2j, 5j, complex(1e-12, 3.0), complex(1e-10, 10.0)):
         for extension in (f_extension, g_extension):
             with pytest.raises(OutsideDomainError, match=re.escape(f"w={w!r} ")):
@@ -103,9 +103,10 @@ def test_extensions_use_the_ray_band():
 
 
 def _mp_closed_forms(w: complex) -> tuple[complex, complex]:
-    """f(w), g(w) from the unrationalized quotients at 50 digits (1/2 at
-    their removable points)."""
-    with mpmath.workdps(50):
+    """f(w), g(w) from the unrationalized quotients to 50 digits (1/2 at
+    their removable points). w + 3 - R cancels 2 log10|w| digits for large
+    |w|, so those are added."""
+    with mpmath.workdps(50 + 2 * int(math.log10(max(abs(w), 1.0)))):
         z = mpmath.mpc(w.real, w.imag)
         r = mpmath.sqrt(3 + z * z)
         f = mpmath.mpf(0.5) if z == -1 else (z + 3 - r) / (3 * (z + 1))
@@ -131,6 +132,25 @@ def test_removable_singularity_plateau():
             mp_f, mp_g = _mp_closed_forms(w)
             assert abs(f_extension(w) - mp_f) <= 1e-14 * abs(mp_f)
             assert abs(g_extension(w) - mp_g) <= 1e-14 * abs(mp_g)
+
+
+def test_extensions_stop_at_the_magnitude_limit():
+    # parts at +-1e100 evaluate to full relative accuracy (off the rays); one
+    # float beyond on either part, and a part that is not finite, raise and
+    # name the limit (beyond about 1.3e154, 3 + w^2 overflows)
+    assert f_extension(1e100) == 1e-100 and f_extension(-1e100) == 2.0 / 3.0
+    edge = 1e100
+    for w in (edge, -edge, complex(1.0, edge), complex(1.0, -edge), complex(edge, edge),
+              complex(-edge, edge), complex(edge, -edge), complex(-edge, -edge)):
+        mp_f, mp_g = _mp_closed_forms(w)
+        assert abs(f_extension(w) - mp_f) <= 1e-15 * abs(mp_f), w
+        assert abs(g_extension(w) - mp_g) <= 1e-15 * abs(mp_g), w
+    beyond = math.nextafter(edge, math.inf)
+    for w in (beyond, -beyond, complex(0.0, beyond), complex(1.0, -beyond), 1e160,
+              complex(math.nan, 0.0), complex(0.0, math.inf)):
+        for extension in (f_extension, g_extension):
+            with pytest.raises(BadParameterError, match=re.escape("within +-1e+100")):
+                extension(w)
 
 
 def test_extension_values_continuous_past_plateau():
@@ -190,11 +210,16 @@ def test_boundary_sigma1_is_u1_plus_iv1():
     assert np.max(np.abs((u1 + 1j * v1) - literal)) < 1e-12
 
 
+#: The largest ray parameter |t| the ray formulas serve, and |t| beyond it.
+T_EDGE = 1e100
+T_BEYOND = [math.nextafter(T_EDGE, math.inf), 1e150, 2.0**500, 1.7976931348623157e308]
+
+
 def _ray_parameters() -> np.ndarray:
-    """t from the tips (down to EQ_TOL below sqrt(3)) to 1e308, both signs."""
+    """t from the tips (down to EQ_TOL below sqrt(3)) to T_EDGE, both signs."""
     tips = SQRT3 - EQ_TOL * np.array([0.0, 1e-6, 0.25, 0.5, 0.999])
     near = np.linspace(SQRT3, 4.0, 2001)
-    far = np.logspace(np.log10(4.0), 308.0, 8001)
+    far = np.append(np.logspace(np.log10(4.0), 100.0, 8001)[:-1], T_EDGE)
     ts = np.concatenate([tips, np.nextafter(SQRT3, 0.0) - np.arange(4) * 2e-16, near, far])
     return np.concatenate([ts, -ts])
 
@@ -205,7 +230,7 @@ def _ray_parameters() -> np.ndarray:
 def test_ray_formulas_scalar_equals_array(fn):
     # the scalar path (math only) against the array path, bit for bit; it
     # raises no RuntimeWarning, ZeroDivisionError or OverflowError even at
-    # 1e308
+    # the limit T_EDGE
     ts = _ray_parameters()
     with np.errstate(all="ignore"):
         want = fn(ts)
@@ -246,11 +271,10 @@ def _mp_ray_values(t):
     "fn", [boundary_uv, boundary_modulus_sq, boundary_sigma_diff, boundary_sigma1]
 )
 def test_ray_formulas_hold_over_the_whole_double_range(fn):
-    # from 1e150, across the scaled path above 2**500, to the largest
-    # double: within 4 ulps of 50-digit mpmath, or 4 steps of the least
-    # subnormal where the value is that small; scalar and array alike
-    big = np.concatenate([np.logspace(150.0, 308.0, 401), [2.0**500, 1.7976931348623157e308]])
-    big = np.concatenate([big, np.nextafter(2.0**500, [0.0, np.inf])])
+    # every double |t| up to the limit T_EDGE is served, from 1e8 to T_EDGE
+    # within 4 ulps of 50-digit mpmath, scalar and array alike; every double
+    # beyond it, up to the largest, raises
+    big = np.append(np.logspace(8.0, 100.0, 401)[:-1], T_EDGE)
     ts = np.concatenate([big, -big])
     rows = fn(ts)
     rows = zip(*rows) if isinstance(rows, tuple) else ((value,) for value in rows)
@@ -263,7 +287,11 @@ def test_ray_formulas_hold_over_the_whole_double_range(fn):
                 # a real value has a zero imaginary part on both sides
                 for part, exact_part in ((value.real, exact.real), (value.imag, exact.imag)):
                     err = abs(mpmath.mpf(float(part)) - exact_part)
-                    assert err <= max(4 * 2.0**-52 * abs(exact_part), 4 * 2.0**-1074), (fn, t)
+                    assert err <= 4 * 2.0**-52 * abs(exact_part), (fn, t)
+    for beyond in T_BEYOND:
+        for t in (beyond, -beyond, np.array([2.0, -beyond])):
+            with pytest.raises(BadParameterError, match="must be finite"):
+                fn(t)
 
 
 @pytest.mark.parametrize(
@@ -536,3 +564,54 @@ def test_mirror_swaps_the_ratios():
         wv = ratios_via_w(n, report)
         assert close(wv, want, tol), triple
         assert close(wv, swapped(via_w(*triple)), 1e-12), triple
+
+
+def test_g_is_one_minus_f_at_minus_w():
+    # negating the roots (w -> -w) reverses their order by real part, and
+    # R(-w) = R(w): g(w) = 1 - f(-w) bit for bit, signed zeros on both axes
+    # included, on Python complex values and on arrays
+    axis = [0.0, -0.0, 1e-300, 0.5, 1.0, SQRT3, 3.0, 1e100]
+    on_axes = [complex(x, z) for x in axis + [-x for x in axis] for z in (0.0, -0.0)]
+    on_axes += [complex(z, x) for x in axis + [-x for x in axis] for z in (0.0, -0.0)]
+    w = np.concatenate([_agreement_points(), np.array(on_axes)])
+    w = w[~_on_rays(w)]
+    one = complex(1.0, 0.0)
+    points = w.tolist()
+    assert np.array_equal(_bits([g_extension(x) for x in points]),
+                          _bits([one - f_extension(-x) for x in points]))
+    assert np.array_equal(_bits(closed_forms_array(w)[1]), _bits(one - closed_forms_array(-w)[0]))
+
+
+def test_every_labeling_of_a_triangle_is_one_closed_form():
+    # the paper's ordering problem: complex roots have no natural order.
+    # Each of the 12 labelings of the triangle (-1, w, 1), 6 vertex orders
+    # times 2 critical-point labels, has its own (sigma1, sigma2) from the
+    # definition; that pair is (f, g) at the labeling's own
+    # w' = (b - m)/(c - m), m = (a + c)/2, taken with R(w') or with -R(w')
+    rng = np.random.default_rng(31)
+    w = rng.uniform(-3.0, 3.0, 4000) + 1j * rng.uniform(-3.0, 3.0, 4000)
+    far = np.min(np.abs(w[:, None] - np.array([1.0, -1.0, SQRT3 * 1j, -SQRT3 * 1j])), axis=1)
+    w = w[far > 0.05][:1000]
+    assert w.size == 1000
+    roots = (-np.ones_like(w), w, np.ones_like(w))
+    # the critical points of (z + 1)(z - w)(z - 1), from its derivative
+    # 3 z^2 - 2 s z + e2 on the roots' elementary symmetric functions
+    s = sum(roots)
+    e2 = roots[0] * roots[1] + roots[1] * roots[2] + roots[2] * roots[0]
+    root = np.sqrt(s * s - 3.0 * e2)
+    crit = ((s + root) / 3.0, (s - root) / 3.0)
+    signs = []
+    for a, b, c in itertools.permutations(roots):
+        m = (a + c) / 2.0
+        w_prime = (b - m) / (c - m)
+        r = _ARRAY.sqrt(_radicand(_ARRAY, w_prime))
+        candidates = [(_f(_ARRAY, w_prime, sign * r), _g(_ARRAY, w_prime, sign * r)) for sign in (1.0, -1.0)]
+        for z1, z2 in (crit, crit[::-1]):
+            sigma1, sigma2 = (z1 - a) / (b - a), (z2 - b) / (c - b)
+            errs = [np.maximum(np.abs(sigma1 - f) / np.abs(sigma1), np.abs(sigma2 - g) / np.abs(sigma2))
+                    for f, g in candidates]
+            assert np.max(np.minimum(*errs)) <= 1e-12
+            signs.append(errs[0] <= errs[1])
+    # the two critical-point labels of each vertex order take opposite roots
+    for plus, minus in zip(signs[::2], signs[1::2]):
+        assert np.array_equal(plus, ~minus)
