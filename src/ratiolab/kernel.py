@@ -95,16 +95,24 @@ def _complex(re, im) -> np.ndarray:
 def _cquot(a, b) -> np.ndarray:
     """a / b on complex arrays as CPython's _Py_c_quot forms it: Smith's
     division by the part of b with the larger magnitude (the real part on a
-    tie). Rows with b == 0 hold NaN where CPython raises."""
+    tie). Where that is the imaginary part, a and b are first turned by -i,
+    which is exact and gives the same bits, so the division is written once,
+    by the real part. Rows with b == 0 hold NaN where CPython raises.
+
+    A scalar divisor (a Python complex, such as _THREE) takes one branch,
+    picked once, and only that one is computed on a's parts; its own parts
+    divide as numpy floats, so b == 0 gives NaN rows there too."""
     ax, ay, bx, by = a.real, a.imag, b.real, b.imag
-    by_imag = np.abs(bx) < np.abs(by)
-    big = np.where(by_imag, by, bx)
-    small = np.where(by_imag, bx, by)
-    ratio = small / big
-    denom = big + small * ratio
-    re = np.where(by_imag, ax * ratio + ay, ax + ay * ratio)
-    im = np.where(by_imag, ay * ratio - ax, ay - ax * ratio)
-    return _complex(re / denom, im / denom)
+    if isinstance(b, complex):
+        bx, by = np.float64(bx), np.float64(by)
+        if abs(bx) < abs(by):
+            ax, ay, bx, by = ay, -ax, by, -bx
+    else:
+        turn = np.abs(bx) < np.abs(by)
+        ax, ay, bx, by = (np.where(turn, p, q) for p, q in ((ay, ax), (-ax, ay), (by, bx), (-bx, by)))
+    ratio = by / bx
+    denom = bx + by * ratio
+    return _complex((ax + ay * ratio) / denom, (ay - ax * ratio) / denom)
 
 
 #: cmath.sqrt's scaling of subnormal inputs: 2**53 up, 2**-27 down.

@@ -170,13 +170,12 @@ def _ray_sigma2(ops, s1):
 
 
 def _ray_terms(t):
-    """The ops record for t, the validated t, and the ray terms a = |t|,
-    r = sqrt(t^2 - 3) and heavy = t^2 + 3 + |t| r. |t| may not exceed
-    MAX_ROOT_MAGNITUDE, so t^2 cannot overflow.
+    """The ops record for t, the validated t, and the ray terms of
+    _ray_values. |t| may not exceed MAX_ROOT_MAGNITUDE, so t^2 cannot
+    overflow.
 
     A scalar t becomes a Python float and goes through math only; anything
-    else becomes a float array. The tip rounding residue of t^2 - 3 is
-    clamped to 0.
+    else becomes a float array.
     """
     ops = _SCALAR if np.isscalar(t) else _ARRAY
     t = ops.floats(t)
@@ -187,23 +186,38 @@ def _ray_terms(t):
         )
     if not ops.every(a >= SQRT3 - EQ_TOL):
         raise BadParameterError("boundary parameter needs |t| >= sqrt(3)")
-    r = ops.real_sqrt(ops.maximum(a * a - 3.0, 0.0))
-    return ops, t, a, r, a * a + 3.0 + a * r
+    return _ray_values(ops, t)
+
+
+def _ray_values(ops, t):
+    """(ops, t, a, r, heavy) with the ray terms a = |t|, r = sqrt(t^2 - 3)
+    and heavy = t^2 + 3 + |t| r of an already validated t. The tip
+    rounding residue of t^2 - 3 is clamped to 0."""
+    a = abs(t)
+    aa = a * a
+    r = ops.real_sqrt(ops.maximum(aa - 3.0, 0.0))
+    return ops, t, a, r, aa + 3.0 + a * r
 
 
 # The ray formulas below are bodies over _ray_terms(t), so that one block's
-# terms can serve several of them.
+# terms can serve several of them. _uv and _modulus_sq select between the
+# two sides by the sign of t; _uv_upper and _modulus_sq_upper are their
+# values for t >= 0, which the other side mirrors.
+
+
+def _uv_upper(terms):
+    """(u1, u2, v1, v2) for t >= 0, from _ray_terms(t)."""
+    _, _, a, r, heavy = terms
+    den = 3.0 * (a * a + 1.0)
+    return heavy / den, 3.0 / heavy, -1.0 / (r + 2.0 * a), -((2.0 * a + r) / den)
 
 
 def _uv(terms):
-    """The ops record and boundary_uv(t), from _ray_terms(t)."""
-    ops, t, a, r, heavy = terms
-    u_big = heavy / (3.0 * (a * a + 1.0))
-    u_small = 3.0 / heavy
-    v_neg = (2.0 * a + r) / (3.0 * (a * a + 1.0))
-    v_pos = -1.0 / (r + 2.0 * a)
-    pos, neg = (u_big, u_small, v_pos, -v_neg), (u_small, u_big, v_neg, -v_pos)
-    return ops, ops.select(t >= 0, pos, neg)
+    """The ops record and boundary_uv(t), from _ray_terms(t): for t < 0 the
+    mirror (u2, u1, -v2, -v1) of the t >= 0 values."""
+    ops, t = terms[:2]
+    upper = u1, u2, v1, v2 = _uv_upper(terms)
+    return ops, ops.select(t >= 0, upper, (u2, u1, -v2, -v1))
 
 
 def boundary_uv(t):
@@ -238,11 +252,17 @@ def boundary_modulus_sq(t):
     return _modulus_sq(_ray_terms(t))
 
 
+def _modulus_sq_upper(terms):
+    """boundary_modulus_sq(t) for t >= 0, from _ray_terms(t)."""
+    _, _, a, _, heavy = terms
+    return 2.0 * heavy / (a * a + 1.0), 18.0 / heavy
+
+
 def _modulus_sq(terms):
-    """boundary_modulus_sq(t), from _ray_terms(t)."""
-    ops, t, a, _, heavy = terms
-    big = 2.0 * heavy / (a * a + 1.0)
-    small = 18.0 / heavy
+    """boundary_modulus_sq(t), from _ray_terms(t): for t < 0 the pair
+    swapped."""
+    ops, t = terms[:2]
+    big, small = _modulus_sq_upper(terms)
     return ops.select(t >= 0, (big, small), (small, big))
 
 

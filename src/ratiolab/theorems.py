@@ -15,7 +15,13 @@ t >= sqrt(3) only. A scan grid is a small record (_scan_grid); its points
 are made _SCAN_BLOCK at a time, bit for bit the points np.linspace and
 np.logspace give, and a scan's minimum is folded block by block, which
 gives the bits of the whole-grid minimum. The three ray envelopes share
-one pass, and each block's ray terms serve all three.
+one pass, and each block's ray terms serve all three. _scan_grid validates
+the grid once, so the blocks take the ray arithmetic without its range
+checks, and each envelope reads the t >= 0 terms of its formula directly.
+
+The extremal families of T1C-T2D run as one gated array per claim
+(cubic.order_roots_array, then ratios_direct_array), with the bits of the
+scalar families, whose roots and strip test are the same body.
 
 Reports carry a margin (signed distance to the bound) and a witness
 record for the extremal or violating configuration. The Monte Carlo pass
@@ -51,15 +57,16 @@ from .cubic import (
     classify_configuration,
     normalize,
     order_roots,
+    order_roots_array,
 )
 from .errors import BadParameterError, BadRangeError, ConstraintViolatedError, NotHyperbolicError
 from .kernel import _ARRAY, _SCALAR, EQ_TOL, IDENTITY_TOL, SQRT3
 from .ratios import (
     RatioVector,
-    _modulus_sq,
-    _ray_terms,
+    _modulus_sq_upper,
+    _ray_values,
     _sigma_diff,
-    _uv,
+    _uv_upper,
     ratios_direct,
     ratios_direct_array,
 )
@@ -412,21 +419,22 @@ def _blocks(grid: _Grid) -> Iterator[np.ndarray]:
 def _ray_envelopes(*expressions: Callable[[tuple], np.ndarray]) -> tuple[float, ...]:
     """The least value of each expression over the ray grid, in one pass:
     each block's ray terms are made once and handed to every expression
-    (np.minimum keeps a NaN, as np.min over the grid does)."""
+    (np.minimum keeps a NaN, as np.min over the grid does). _scan_grid has
+    validated the grid, so the blocks take the ray arithmetic only."""
     lows = [np.inf] * len(expressions)
     for t in _blocks(_ray_grid()):
-        terms = _ray_terms(t)
+        terms = _ray_values(_ARRAY, t)
         lows = [np.minimum(low, _MIN(expression(terms))) for low, expression in zip(lows, expressions)]
     return tuple(map(float, lows))
 
 
 # The ray envelope expressions of T1E, T3 and T5, on the ray terms
-# (ratios._ray_terms) of t >= sqrt(3).
+# (ratios._ray_values) of t >= sqrt(3): the t >= 0 side of each formula.
 
 
 def _t1e_ray(terms: tuple) -> np.ndarray:
     """4 - a and 4 - b, the lesser per t: |sigma_k| <= 2/3 resp. 1 on the rays."""
-    a, b = _modulus_sq(terms)
+    a, b = _modulus_sq_upper(terms)
     return np.minimum(4.0 - a, 4.0 - b)
 
 
@@ -438,7 +446,7 @@ def _t3_ray(terms: tuple) -> np.ndarray:
 def _t5_ray(terms: tuple) -> np.ndarray:
     """The lesser of |v1| and |v2|, the imaginary parts of sigma1 on the two
     sides of the rays."""
-    _, (_, _, v1, v2) = _uv(terms)
+    _, _, v1, v2 = _uv_upper(terms)
     return np.minimum(np.abs(v1), np.abs(v2))
 
 
@@ -542,24 +550,34 @@ def sharpness_probe_re(t: float) -> tuple[OrderedCubic, RatioVector]:
     return c, ratios_direct(c)
 
 
-def _im_family(
-    z0: complex, c: complex, sign: int, re_sign: int
-) -> tuple[OrderedCubic, RatioVector]:
+def _family_roots(ops, z0, c, sign: int, re_sign: int):
     """Roots +-i z0 + c and 2 z0 + c, with z0 on the strip where the family
     attains Im sigma_k = sign/3: -sign Im z0 > 0 and
     0 < re_sign Re z0 < |Im z0| / 2 (re_sign +1 for sigma1, -1 for the
     mirrored sigma2 strip). Every band is EQ_TOL * |z0|, so scaling z0 by a
-    positive factor does not move the strip's edges."""
-    z0 = complex(z0)
-    if sign not in (+1, -1):
-        raise BadParameterError("sign must be +1 or -1")
-    band = EQ_TOL * abs(z0)
-    y = -sign * z0.imag
-    x = re_sign * z0.real
-    if not (y > band and band < x < 0.5 * y - band):
+    positive factor does not move the strip's edges; a z0 off the strip
+    raises ConstraintViolatedError. z0 and c are complex scalars (ops =
+    kernel._SCALAR) or arrays (kernel._ARRAY). The products are spelled on
+    the parts, as CPython forms +-1j * z0 and _TWO * z0 from the nonzero
+    parts of a z0 on the strip."""
+    x0, y0 = z0.real, z0.imag
+    band = EQ_TOL * ops.modulus(z0)
+    y = -sign * y0
+    x = re_sign * x0
+    if not ops.every((y > band) & (band < x) & (x < 0.5 * y - band)):
         strip = f"sign={sign:+d} half-strip" if re_sign > 0 else f"sigma2 sign={sign:+d} strip"
         raise ConstraintViolatedError(f"z0={z0!r} outside the {strip}")
-    cub = order_roots(1j * z0 + c, -1j * z0 + c, 2.0 * z0 + c)
+    iz = ops.complex(-y0, x0)
+    return iz + c, -iz + c, ops.complex(2.0 * x0, 2.0 * y0) + c
+
+
+def _im_family(
+    z0: complex, c: complex, sign: int, re_sign: int
+) -> tuple[OrderedCubic, RatioVector]:
+    """The ordered family cubic of _family_roots and its ratio vector."""
+    if sign not in (+1, -1):
+        raise BadParameterError("sign must be +1 or -1")
+    cub = order_roots(*_family_roots(_SCALAR, complex(z0), complex(c), sign, re_sign))
     return cub, ratios_direct(cub)
 
 
@@ -712,30 +730,44 @@ def _sharpness(base: TheoremReport, k: int, above: float, below: float) -> Theor
     return base._replace(passed=base.passed and sharp_ok, note=note)
 
 
+#: The (low, high) of each uniform draw of a family member: |Im z0|, Re z0
+#: as a fraction of |Im z0| / 2, and the offset's two parts.
+_FAMILY_DRAWS = ((0.5, 4.0), (0.05, 0.95), (-3.0, 3.0), (-3.0, 3.0))
+#: How close each family member's Im sigma_k must come to sign/3.
+_FAMILY_TOL = 1e-12
+
+
 def _im_attainment(
     cid: str, k: int, sign: int, rng: np.random.Generator, strays: tuple[list, list], tail: str
 ) -> TheoremReport:
-    """Im sigma_k = sign/3 to 1e-12 over 64 draws of its extremal family,
-    and no stray attainment of |Im sigma_k| = 1/3 in the Monte Carlo pass."""
+    """Im sigma_k = sign/3 to _FAMILY_TOL over 64 draws of its extremal
+    family, and no stray attainment of |Im sigma_k| = 1/3 in the Monte
+    Carlo pass.
+
+    Each column of one (64, 4) rng.random block is mapped as rng.uniform
+    maps a variate, low + (high - low) u, which gives the values of 64
+    rounds of four scalar rng.uniform calls. The witness is the first draw
+    at the largest deviation, or the first stray when only strays fail."""
     re_sign = (+1, -1)[k - 1]  # the sign of Re z0 on the family's strip
     strays = strays[k - 1]
-    worst = 0.0
-    witness = None
-    for _ in range(64):
-        y = rng.uniform(0.5, 4.0) * (-1 if sign > 0 else 1)
-        x = re_sign * rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
-        z0 = complex(x, y)
-        off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        cub, rv = _im_family(z0, off, sign, re_sign)
-        dev = abs((rv.sigma1, rv.sigma2)[k - 1].imag - sign / 3.0)
-        if dev > worst:
-            worst = dev
-            witness = _witness(cub, rv)
-    ok = worst <= 1e-12 and not strays
+    u = rng.random((64, len(_FAMILY_DRAWS)))
+    y, x, cx, cy = (low + (high - low) * col for (low, high), col in zip(_FAMILY_DRAWS, u.T))
+    if sign > 0:
+        y = -y
+    x = re_sign * x * (np.abs(y) / 2.0)
+    roots = _family_roots(_ARRAY, _ARRAY.complex(x, y), _ARRAY.complex(cx, cy), sign, re_sign)
+    table, reasons = order_roots_array(np.stack(roots, axis=1))
+    if reasons.any():  # order_roots raises for the first rejected draw
+        order_roots(*(r[np.flatnonzero(reasons)[0]] for r in roots))
+    dev = np.abs(ratios_direct_array(table)[k - 1].imag - sign / 3.0)
+    i = int(np.argmax(dev))
+    worst = float(dev[i])
+    ok = worst <= _FAMILY_TOL and not strays
     note = f"max |Im sigma{k} - ({sign:+d}/3)| = {worst:.3e}{tail}"
     if strays:
         note += f"; {len(strays)} stray attainments"
-    return TheoremReport(cid, ok, witness if not ok else None, worst, note)
+    witness = None if ok else strays[0] if worst <= _FAMILY_TOL else _row_witness(table[i].tolist())
+    return TheoremReport(cid, ok, witness, worst, note)
 
 
 def _claims_t1(seed: int, shared: dict, strays: tuple[list, list], env: float) -> list[TheoremReport]:

@@ -153,6 +153,10 @@ def _cpython(op, a, b):
     ("quot", lambda x, y: x / y, _cquot),
     ("real-quot", lambda x, y: x / complex(3.0, 0.0), lambda a, b: _cquot(a, complex(3.0, 0.0))),
     ("real-quot-2", lambda x, y: x / complex(2.0, 0.0), lambda a, b: _cquot(a, complex(2.0, 0.0))),
+    # a scalar divisor takes one Smith branch: by the imaginary part, and on
+    # a tie |Re b| = |Im b| by the real part
+    ("imag-quot", lambda x, y: x / complex(0.0, 2.0), lambda a, b: _cquot(a, complex(0.0, 2.0))),
+    ("tie-quot", lambda x, y: x / complex(1.0, -1.0), lambda a, b: _cquot(a, complex(1.0, -1.0))),
     ("add", lambda x, y: x + y, lambda a, b: a + b),
     ("sub", lambda x, y: x - y, lambda a, b: a - b),
     ("real-add", lambda x, y: complex(3.0, 0.0) + x, lambda a, b: complex(3.0, 0.0) + a),
@@ -163,6 +167,15 @@ def test_binary_helpers_match_cpython_bit_for_bit(name, op, helper):
     with np.errstate(all="ignore"):
         got = helper(a, b)
     assert np.array_equal(_bits(got), _bits(expected)), name
+
+
+def test_quotient_by_a_zero_scalar_gives_nan_rows():
+    # as an array divisor b == 0 does, where CPython raises ZeroDivisionError
+    a, _ = _operands()
+    for b in (0j, complex(-0.0, 0.0), np.zeros(len(a), dtype=complex)):
+        with np.errstate(all="ignore"):
+            q = _cquot(a, b)
+        assert q.shape == a.shape and np.isnan(q.real).all() and np.isnan(q.imag).all()
 
 
 def test_quotient_takes_both_smith_branches():

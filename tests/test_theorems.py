@@ -14,6 +14,7 @@ from ratiolab import (
     BadParameterError,
     Configuration,
     ConstraintViolatedError,
+    CriticalRealPartsEqualError,
     NotHyperbolicError,
     SQRT3,
     RatioPath,
@@ -452,6 +453,112 @@ def test_families_scale_free(family, cases):
             _, rv = family(lam * z0, 0j, sign)
             assert abs(rv.sigma1 - ref.sigma1) <= 1e-12
             assert abs(rv.sigma2 - ref.sigma2) <= 1e-12
+
+
+def _reference_im_attainment(cid, k, sign, rng, strays, tail):
+    """_im_attainment as a loop over 64 draws, each four scalar rng.uniform
+    calls and one scalar family member; a strictly larger deviation takes
+    the witness, so it is the first draw at the maximum."""
+    re_sign = (+1, -1)[k - 1]
+    strays = strays[k - 1]
+    worst = 0.0
+    witness = None
+    for _ in range(64):
+        y = rng.uniform(0.5, 4.0) * (-1 if sign > 0 else 1)
+        x = re_sign * rng.uniform(0.05, 0.95) * (abs(y) / 2.0)
+        z0 = complex(x, y)
+        off = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        cub, rv = theorems._im_family(z0, off, sign, re_sign)
+        dev = abs((rv.sigma1, rv.sigma2)[k - 1].imag - sign / 3.0)
+        if dev > worst:
+            worst = dev
+            witness = theorems._witness(cub, rv)
+    ok = worst <= theorems._FAMILY_TOL and not strays
+    note = f"max |Im sigma{k} - ({sign:+d}/3)| = {worst:.3e}{tail}"
+    if strays:
+        note += f"; {len(strays)} stray attainments"
+    witness = None if ok else strays[0] if worst <= theorems._FAMILY_TOL else witness
+    return theorems.TheoremReport(cid, ok, witness, worst, note)
+
+
+#: The attainment claims: (k, rng stream, the claims in the order they draw).
+_ATTAINMENTS = ((1, 2, (("T1C", +1), ("T1D", -1))), (2, 3, (("T2C", +1), ("T2D", -1))))
+
+
+def _attainment_pairs(seed, strays=([], [])):
+    """(array report, reference report) of each attainment claim, both
+    drawing from their own generators at the claim's stream."""
+    for k, stream, claims in _ATTAINMENTS:
+        rngs = theorems._rng_for(seed, stream), theorems._rng_for(seed, stream)
+        for cid, sign in claims:
+            yield tuple(f(cid, k, sign, rng, strays, " tail")
+                        for f, rng in zip((theorems._im_attainment, _reference_im_attainment), rngs))
+
+
+def _report_key(rep):
+    return rep.claim_id, rep.passed, rep.margin.hex(), rep.witness, rep.note
+
+
+@pytest.mark.parametrize("seed", [1, 1729, 31337])
+def test_array_families_match_the_scalar_loop(seed):
+    for got, want in _attainment_pairs(seed):
+        assert got.passed and got.witness is None
+        assert _report_key(got) == _report_key(want)
+
+
+def test_array_families_report_the_first_draw_at_the_largest_deviation(monkeypatch):
+    # with no deviation allowed every claim fails on its family, and the
+    # witness is the scalar loop's: the first draw at the maximum
+    monkeypatch.setattr(theorems, "_FAMILY_TOL", 0.0)
+    for got, want in _attainment_pairs(1729):
+        assert not got.passed and got.witness is not None
+        assert _report_key(got) == _report_key(want)
+
+
+class _FixedGenerator:
+    """A generator whose every family draw is the four variates row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, size):
+        return np.tile(self.row, (size[0], 1))
+
+
+@pytest.mark.parametrize("k, sign", [(1, +1), (1, -1), (2, +1), (2, -1)])
+def test_array_family_raises_as_the_scalar_family(k, sign):
+    # every variate 1.2: Re z0 lands past the strip
+    with pytest.raises(ConstraintViolatedError):
+        theorems._im_attainment("T", k, sign, _FixedGenerator([1.2] * 4), ([], []), "")
+    # |Im z0| = 2 and Re z0 = +-3e-9, inside the strip's band of 2e-9 but
+    # with critical points closer in real part than the gate's band
+    row = [1.5 / 3.5, (3e-9 - 0.05) / 0.9, 0.5, 0.5]
+    with pytest.raises(CriticalRealPartsEqualError):
+        theorems._im_attainment("T", k, sign, _FixedGenerator(row), ([], []), "")
+    z0 = complex((1, -1)[k - 1] * 3e-9, -sign * 2.0)
+    with pytest.raises(CriticalRealPartsEqualError):
+        theorems._im_family(z0, 0j, sign, (1, -1)[k - 1])
+
+
+def test_a_stray_alone_is_the_witness_of_its_attainment_claim(monkeypatch):
+    # test_bounds_pass_reports_stray_attainment's pair strays on sigma1
+    # (Im sigma1 = -0.362); its negation, sigma2' = 1 - sigma1, on sigma2
+    w2 = 3.1348651577320052 + 9.238696826921835j
+    w3 = 4.664688529761268 - 1.789596054354937j
+    planted = order_roots(-w3, w2, w3)
+    negated = order_roots(*(-z for z in planted.roots))
+    reports, (strays1, _), _ = _planted_pass(monkeypatch, planted)
+    _, (_, strays2), _ = _planted_pass(monkeypatch, negated)
+    assert len(strays1) == len(strays2) == 1
+    strays = (strays1, strays2)
+    got = theorems._claims_t1(1, reports, strays, 0.0) + theorems._claims_t2(1, reports, strays)
+    got = {rep.claim_id: rep for rep in got}
+    for cid, stray in (("T1C", strays1[0]), ("T1D", strays1[0]), ("T2C", strays2[0]), ("T2D", strays2[0])):
+        rep = got[cid]
+        # the family holds; the claim fails on the stray alone
+        assert not rep.passed and rep.margin <= theorems._FAMILY_TOL and rep.note.endswith("1 stray attainments")
+        assert rep.witness == stray
+    assert got["T1C"].witness.sigma1.imag < -0.36 and got["T2C"].witness.sigma2.imag > 0.36
 
 
 def test_t4_equivalence_cases():
