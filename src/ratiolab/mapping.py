@@ -31,9 +31,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cubic import MAX_ROOT_MAGNITUDE, Configuration, OrderedCubic, classify_configuration
+from .cubic import MAX_ROOT_MAGNITUDE, Configuration, OrderedCubic, _collinear
 from .errors import BadRangeError, DegenerateTriangleError
-from .kernel import _ARRAY, EQ_TOL, SQRT3, _on_rays
+from .kernel import _ARRAY, _SCALAR, EQ_TOL, SQRT3, _on_rays
 from .ratios import _ray_sigma2, boundary_sigma1, closed_forms_array
 from .records import CSV_COLUMNS, csv_row, jsonl_line
 from .theorems import bounds_mask
@@ -192,26 +192,30 @@ def steiner_inellipse(c: OrderedCubic) -> InEllipse:
     -k0/lam > 0. Then semi_minor^2 = -k0/lam and, as the eigenvalues
     multiply to det, semi_major^2 = -k0 lam/det. The foci are center -+ f,
     one complex root: the focal vector at the major axis angle phi has
-    f^2 = (a^2 - b^2) e^(2i phi) = k0 ((A - C) + iB)/det. Raises
-    DegenerateTriangleError when classify_configuration calls the triangle
-    collinear or the fitted conic is not an ellipse. The foci are sorted by
+    f^2 = (a^2 - b^2) e^(2i phi) = k0 ((A - C) + iB)/det; they are sorted by
     real part (then imaginary part), as the critical points are labeled.
+    Raises DegenerateTriangleError when classify_configuration would call
+    the triangle collinear or the fitted conic is not an ellipse.
     """
-    if classify_configuration(c) is Configuration.COLLINEAR:
+    w1, w2, w3 = c.w1, c.w2, c.w3
+    if not c.coincident and _collinear(_SCALAR, w1, w2, w3):
         raise DegenerateTriangleError("triangle is numerically collinear")
-    ctr = (c.w1 + c.w2 + c.w3) / 3.0
-    scale = max(abs(v - ctr) for v in c.roots)
-    p1, p2, p3 = ((v - ctr) / scale for v in c.roots)
-    sides = ((p1, p2), (p2, p3), (p3, p1))
-    rows = []
-    for p, q in sides:
-        m, d = (p + q) / 2.0, q - p
-        x, y, dx, dy = m.real, m.imag, d.real, d.imag
-        rows.append([x * x, x * y, y * y, x, y, 1.0])
-        rows.append([2.0 * x * dx, y * dx + x * dy, 2.0 * y * dy, dx, dy, 0.0])
-    _, _, vt = np.linalg.svd(np.array(rows))
-    A, B, C, D, E, F = vt[-1].tolist()
-
+    ctr = (w1 + w2 + w3) / 3.0
+    d1, d2, d3 = w1 - ctr, w2 - ctr, w3 - ctr
+    scale = max(abs(d1), abs(d2), abs(d3))
+    p1, p2, p3 = d1 / scale, d2 / scale, d3 / scale
+    m1, m2, m3 = (p1 + p2) / 2.0, (p2 + p3) / 2.0, (p3 + p1) / 2.0
+    x1, y1, u1, v1 = m1.real, m1.imag, p2.real - p1.real, p2.imag - p1.imag
+    x2, y2, u2, v2 = m2.real, m2.imag, p3.real - p2.real, p3.imag - p2.imag
+    x3, y3, u3, v3 = m3.real, m3.imag, p1.real - p3.real, p1.imag - p3.imag
+    A, B, C, D, E, F = np.linalg.svd(np.array((
+        x1 * x1, x1 * y1, y1 * y1, x1, y1, 1.0,
+        2.0 * x1 * u1, y1 * u1 + x1 * v1, 2.0 * y1 * v1, u1, v1, 0.0,
+        x2 * x2, x2 * y2, y2 * y2, x2, y2, 1.0,
+        2.0 * x2 * u2, y2 * u2 + x2 * v2, 2.0 * y2 * v2, u2, v2, 0.0,
+        x3 * x3, x3 * y3, y3 * y3, x3, y3, 1.0,
+        2.0 * x3 * u3, y3 * u3 + x3 * v3, 2.0 * y3 * v3, u3, v3, 0.0,
+    ), float).reshape(6, 6))[2][-1].tolist()
     det = A * C - B * B / 4.0
     if not det > 0.0:
         raise DegenerateTriangleError("fitted conic is not an ellipse")
@@ -226,15 +230,11 @@ def steiner_inellipse(c: OrderedCubic) -> InEllipse:
 
     center = ctr + scale * complex(cx, cy)
     focal = scale * cmath.sqrt(k0 * complex(A - C, B) / det)
-    f1, f2 = sorted((center - focal, center + focal), key=lambda z: (z.real, z.imag))
-    return InEllipse(
-        center=center,
-        focus1=f1,
-        focus2=f2,
-        semi_major=math.sqrt(-k0 * lam / det) * scale,
-        semi_minor=math.sqrt(ax2_minor) * scale,
-        tangency_points=tuple(ctr + scale * ((p + q) / 2.0) for p, q in sides),
-    )
+    fa, fb = center - focal, center + focal
+    f1, f2 = (fb, fa) if (fb.real, fb.imag) < (fa.real, fa.imag) else (fa, fb)
+    semi_major = math.sqrt(-k0 * lam / det) * scale
+    return InEllipse(center, f1, f2, semi_major, math.sqrt(ax2_minor) * scale,
+                     (ctr + scale * m1, ctr + scale * m2, ctr + scale * m3))
 
 
 def ratio_angles(c: OrderedCubic) -> tuple[float, float]:

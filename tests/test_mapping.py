@@ -1,7 +1,8 @@
+import cmath
 import json
 import math
 import tracemalloc
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import mpmath
 import numpy as np
@@ -31,7 +32,7 @@ from ratiolab import (
 from ratiolab.cubic import Configuration, classify_configuration
 from ratiolab.errors import BadRangeError
 from ratiolab.kernel import _on_rays
-from ratiolab.mapping import _BLOCK
+from ratiolab.mapping import _BLOCK, InEllipse
 from ratiolab.records import CSV_COLUMNS, csv_row, fmt_float, jsonl_line, to_json
 
 INV_SQRT3 = 1.0 / SQRT3
@@ -506,6 +507,131 @@ def test_steiner_inellipse_slivers_raise_only_degenerate():
             assert fitted == _fits(_reference_inellipse, c)
             decided += 1
     assert decided > n // 2
+
+
+# -- the fit before its rows were unrolled, kept verbatim as the bit-for-bit
+# reference
+
+
+def _reference_steiner_inellipse(c):
+    if classify_configuration(c) is Configuration.COLLINEAR:
+        raise DegenerateTriangleError("triangle is numerically collinear")
+    ctr = (c.w1 + c.w2 + c.w3) / 3.0
+    scale = max(abs(v - ctr) for v in c.roots)
+    p1, p2, p3 = ((v - ctr) / scale for v in c.roots)
+    sides = ((p1, p2), (p2, p3), (p3, p1))
+    rows = []
+    for p, q in sides:
+        m, d = (p + q) / 2.0, q - p
+        x, y, dx, dy = m.real, m.imag, d.real, d.imag
+        rows.append([x * x, x * y, y * y, x, y, 1.0])
+        rows.append([2.0 * x * dx, y * dx + x * dy, 2.0 * y * dy, dx, dy, 0.0])
+    _, _, vt = np.linalg.svd(np.array(rows))
+    A, B, C, D, E, F = vt[-1].tolist()
+
+    det = A * C - B * B / 4.0
+    if not det > 0.0:
+        raise DegenerateTriangleError("fitted conic is not an ellipse")
+    cx = (B * E / 4.0 - C * D / 2.0) / det
+    cy = (B * D / 4.0 - A * E / 2.0) / det
+    k0 = F + (D / 2.0) * cx + (E / 2.0) * cy
+    mean = (A + C) / 2.0
+    lam = mean + math.copysign(math.hypot((A - C) / 2.0, B / 2.0), mean)
+    ax2_minor = -k0 / lam
+    if not ax2_minor > 0.0:
+        raise DegenerateTriangleError("fitted conic is not an ellipse")
+
+    center = ctr + scale * complex(cx, cy)
+    focal = scale * cmath.sqrt(k0 * complex(A - C, B) / det)
+    f1, f2 = sorted((center - focal, center + focal), key=lambda z: (z.real, z.imag))
+    return InEllipse(
+        center=center,
+        focus1=f1,
+        focus2=f2,
+        semi_major=math.sqrt(-k0 * lam / det) * scale,
+        semi_minor=math.sqrt(ax2_minor) * scale,
+        tangency_points=tuple(ctr + scale * ((p + q) / 2.0) for p, q in sides),
+    )
+
+
+def _inellipse_bits(fit, c):
+    """The type of fit(c) and of each field, with the float.hex of the
+    field's real and imaginary parts; or the type and message of the
+    DegenerateTriangleError that fit(c) raises."""
+    try:
+        ell = fit(c)
+    except DegenerateTriangleError as exc:
+        return type(exc), str(exc)
+    fields = (*ell[:5], *ell.tangency_points)
+    return type(ell), [(type(v), v.real.hex(), v.imag.hex()) for v in fields]
+
+
+def _inellipse_triangles(rng, n):
+    """n root triangles of each of six families, as an (6 n, 3) complex
+    array: generic, exact equilateral, near-equilateral, ray (w = i t),
+    slivers at relative areas 10^U(log10 2e-9, -2) and exact collinear
+    triples. Each is rotated (the exact ones only by half turns), scaled by
+    10^U(-5, 5) and translated."""
+    gen = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
+    equi = np.broadcast_to([-1, SQRT3 * 1j, 1], (n, 3))
+    kick = 10.0 ** rng.uniform(-9, -3, (n, 1)) * np.exp(2j * np.pi * rng.uniform(size=(n, 1)))
+    near = equi + [0, 1, 0] * kick
+    t = rng.choice([-1.0, 1.0], (n, 1)) * 10.0 ** rng.uniform(np.log10(SQRT3), 4, (n, 1))
+    ray = np.hstack([-np.ones((n, 1)), 1j * t, np.ones((n, 1))])
+    # the third vertex at height 2 area |q - p| over side pq, whose length
+    # stays the diameter: the relative area is area
+    area = 10.0 ** rng.uniform(np.log10(2e-9), -2, n) * rng.choice([-1.0, 1.0], n)
+    sliver = np.stack([np.zeros(n), rng.uniform(0.1, 0.9, n) + 2j * area, np.ones(n)], axis=1)
+    # integer ends and a dyadic point between them: collinear in floats
+    ends = rng.integers(-8, 9, (n, 2)) + 1j * rng.integers(-8, 9, (n, 2))
+    along = rng.choice([0.25, 0.5, 0.75], n)
+    line = np.stack([ends[:, 0], ends[:, 0] + along * (ends[:, 1] - ends[:, 0]), ends[:, 1]], 1)
+    turn = np.exp(2j * np.pi * rng.uniform(size=(6 * n, 1)))
+    exact = np.repeat([False, True, False, False, False, True], n)
+    turn[exact] = rng.choice([1.0, -1.0], (exact.sum(), 1))
+    size = 10.0 ** rng.uniform(-5, 5, (6 * n, 1))
+    shift = size * (rng.uniform(-10, 10, (6 * n, 1)) + 1j * rng.uniform(-10, 10, (6 * n, 1)))
+    return np.concatenate([gen, equi, near, ray, sliver, line]) * turn * size + shift
+
+
+def test_steiner_inellipse_matches_reference_bit_for_bit():
+    # every field by float.hex, every DegenerateTriangleError by type and
+    # message, on about 36 000 triangles across the six families
+    outcomes = Counter()
+    for roots in _inellipse_triangles(np.random.default_rng(33), 6000).tolist():
+        try:
+            c = order_roots(*roots)
+        except UndefinedRatioError:
+            continue
+        got = _inellipse_bits(steiner_inellipse, c)
+        assert got == _inellipse_bits(_reference_steiner_inellipse, c), c
+        outcomes[got[1] if got[0] is DegenerateTriangleError else "fit"] += 1
+    assert outcomes["fit"] > 25_000
+    assert outcomes["triangle is numerically collinear"] > 5_000
+    assert outcomes["fitted conic is not an ellipse"] > 100
+    for roots in ((-1, SQRT3 * 1j, 1), (-1, 0, 1)):
+        c = order_roots(*roots)
+        assert _inellipse_bits(steiner_inellipse, c) == _inellipse_bits(
+            _reference_steiner_inellipse, c
+        )
+
+
+def test_steiner_inellipse_makes_one_svd(monkeypatch):
+    # the docstring's "the only LAPACK call": one SVD per fit, none before
+    # the collinear gate
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    steiner_inellipse(order_roots(-4 - 1j, -2 + 8j, 4 + 1j))
+    assert len(calls) == 1
+    with pytest.raises(DegenerateTriangleError, match="collinear"):
+        steiner_inellipse(order_roots(-1, 0, 1))
+    assert len(calls) == 1
 
 
 # -- the per-point loops the array evaluation replaced, kept as references;
