@@ -27,6 +27,11 @@ long as two guards for inputs the arithmetic cannot resolve stay quiet:
 root magnitudes above 1e100 or a diameter below 1e-100, and a root
 separation below 1e-12 of the largest magnitude (a small triangle far from
 the origin, whose shape the input's rounding has already blurred).
+The gate also decides the triangle's shape once, on the same diameter:
+coincident (a double critical point, the equilateral triangle) or
+collinear (an area of at most EQ_TOL * diameter^2). OrderedCubic carries
+both flags, and classify_configuration, the T4 and T5 checks and the
+inellipse oracle read them.
 
 order_roots_array, normalize_array and admissibility_mask are the same gate
 on whole blocks of configurations, for the sampler: each gate step is one
@@ -89,8 +94,9 @@ class Configuration(enum.Enum):
 
 class OrderedCubic(NamedTuple):
     """Three distinct roots with Re w1 < Re w2 < Re w3 and labeled critical
-    points (z1 == z2 in the coincident case, else Re z1 < Re z2). A record
-    is a GATE_TABLE row: it equals the plain tuple of its fields."""
+    points (z1 == z2 in the coincident case, else Re z1 < Re z2), with the
+    gate's shape flags: coincident (equilateral) and collinear, never both.
+    A record is a GATE_TABLE row: it equals the plain tuple of its fields."""
 
     w1: complex
     w2: complex
@@ -98,6 +104,7 @@ class OrderedCubic(NamedTuple):
     z1: complex
     z2: complex
     coincident: bool
+    collinear: bool
 
     @property
     def roots(self) -> tuple[complex, complex, complex]:
@@ -155,7 +162,8 @@ _TAGS = GATE_REASONS[_ORDER_CHECKS:]
 
 #: Row type of order_roots_array's table: the fields of OrderedCubic.
 GATE_TABLE = np.dtype(
-    [(name, complex) for name in ("w1", "w2", "w3", "z1", "z2")] + [("coincident", bool)],
+    [(name, complex) for name in ("w1", "w2", "w3", "z1", "z2")]
+    + [("coincident", bool), ("collinear", bool)],
     align=True,
 )
 
@@ -217,18 +225,25 @@ def critical_points_bruteforce(
 
 def _order(ops, w1, w2, w3):
     """order_roots on roots sorted by real part: the bands (mag, sep, diam),
-    the outcome of each of its checks in GATE_REASONS order, and the
-    critical points z1, z2 with whether they coincide (then both are the
-    centroid). Every step runs, also past a failing check, and none raises:
-    mag, the one divisor that can be 0, is 0 only where roots-not-distinct
-    holds, and there 1 stands in for it."""
+    the outcome of each of its checks in GATE_REASONS order, the critical
+    points z1, z2 with whether they coincide (then both are the centroid),
+    and whether the triangle is collinear: not coincident, and an area
+    |Im((w2 - w1) conj(w3 - w1))| / 2 of at most EQ_TOL * diam^2. The area
+    is spelled on the parts of w1 - w2 and w1 - w3, whose products are
+    those of (w2 - w1) conj(w3 - w1) with both factors negated. Every
+    step runs, also past a failing check, and none raises: mag, the one
+    divisor that can be 0, is 0 only where roots-not-distinct holds, and
+    there 1 stands in for it."""
     mod = ops.modulus
     mag = ops.maximum(mod(w1), mod(w2), mod(w3))
-    d12, d13, d23 = mod(w1 - w2), mod(w1 - w3), mod(w2 - w3)
+    e12, e13 = w1 - w2, w1 - w3
+    d12, d13, d23 = mod(e12), mod(e13), mod(w2 - w3)
     sep, diam = ops.minimum(d12, d13, d23), ops.maximum(d12, d13, d23)
     band = EQ_TOL * diam
     m, q, z1, z2 = _critical_points(ops, w1, w2, w3)
     coincident = mod(q) <= _COINCIDENCE * diam * diam
+    area = abs(e12.imag * e13.real - e12.real * e13.imag) / 2.0
+    collinear = ops.where(coincident, False, area <= EQ_TOL * diam * diam)
     failed = (
         mag > MAX_ROOT_MAGNITUDE,
         sep <= band,
@@ -238,7 +253,7 @@ def _order(ops, w1, w2, w3):
         ops.where(coincident, False, z2.real - z1.real <= band),
     )
     z1, z2 = ops.select(coincident, (m, m), (z1, z2))
-    return (mag, sep, diam), failed, z1, z2, coincident
+    return (mag, sep, diam), failed, z1, z2, coincident, collinear
 
 
 def _order_error(k: int, mag: float, sep: float, diam: float) -> UndefinedRatioError:
@@ -264,10 +279,10 @@ def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     """
     roots = _finite("roots", complex(r1), complex(r2), complex(r3))
     w1, w2, w3 = sorted(roots, key=lambda z: z.real)
-    bands, failed, z1, z2, coincident = _order(_SCALAR, w1, w2, w3)
+    bands, failed, z1, z2, coincident, collinear = _order(_SCALAR, w1, w2, w3)
     if True in failed:
         raise _order_error(failed.index(True), *bands)
-    return OrderedCubic(w1, w2, w3, z1, z2, coincident)
+    return OrderedCubic(w1, w2, w3, z1, z2, coincident, collinear)
 
 
 def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +300,12 @@ def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
     ws = np.take_along_axis(roots, np.argsort(roots.real, axis=1, kind="stable"), axis=1)
     # rejected rows may overflow or divide by zero; their values are unused
     with np.errstate(all="ignore"):
-        _, failed, z1, z2, coincident = _order(_ARRAY, *ws.T)
+        _, failed, z1, z2, coincident, collinear = _order(_ARRAY, *ws.T)
     reasons = np.zeros(len(ws), dtype=np.uint16)
     for k in reversed(range(len(failed))):  # the first failing check wins
         reasons[failed[k]] = 1 << k
     table = np.empty(len(ws), dtype=GATE_TABLE)
-    for name, column in zip(GATE_TABLE.names, (*ws.T, z1, z2, coincident)):
+    for name, column in zip(GATE_TABLE.names, (*ws.T, z1, z2, coincident, collinear)):
         table[name] = column
     return table, reasons
 
@@ -391,27 +406,16 @@ def _diameter(ops, w1, w2, w3):
     return ops.maximum(ops.modulus(w1 - w2), ops.modulus(w1 - w3), ops.modulus(w2 - w3))
 
 
-def _collinear(ops, w1, w2, w3):
-    """Whether the root triangle's area is at most EQ_TOL * diameter^2; on
-    scalars or arrays as _diameter. The area |Im((w2 - w1) conj(w3 - w1))| / 2
-    is spelled on real and imaginary parts, as CPython's complex product
-    forms that imaginary part."""
-    ax, ay = w2.real - w1.real, w2.imag - w1.imag
-    bx, by = w3.real - w1.real, w3.imag - w1.imag
-    area = abs(ay * bx - ax * by) / 2.0
-    diam = _diameter(ops, w1, w2, w3)
-    return area <= EQ_TOL * diam * diam
-
-
 def classify_configuration(c: OrderedCubic) -> Configuration:
     """Equilateral, collinear, or generic root triangle.
 
-    Equilateral means the gate's double critical point (c.coincident), the
-    shape on which T4 puts sigma1 = sigma2; collinear means a triangle area
-    of at most EQ_TOL * diameter^2. Both decisions are scale-free.
+    The gate decides both shapes: equilateral is its double critical point
+    (c.coincident), the shape on which T4 puts sigma1 = sigma2, and
+    collinear (c.collinear) a triangle area of at most EQ_TOL * diameter^2.
+    Both decisions are scale-free.
     """
     if c.coincident:
         return Configuration.EQUILATERAL
-    if _collinear(_SCALAR, c.w1, c.w2, c.w3):
+    if c.collinear:
         return Configuration.COLLINEAR
     return Configuration.GENERIC

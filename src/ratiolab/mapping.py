@@ -31,9 +31,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cubic import MAX_ROOT_MAGNITUDE, Configuration, OrderedCubic, _collinear
+from .cubic import MAX_ROOT_MAGNITUDE, Configuration, OrderedCubic
 from .errors import BadRangeError, DegenerateTriangleError
-from .kernel import _ARRAY, _SCALAR, EQ_TOL, SQRT3, _on_rays
+from .kernel import _ARRAY, EQ_TOL, SQRT3, _on_rays
 from .ratios import _ray_sigma2, boundary_sigma1, closed_forms_array
 from .records import CSV_COLUMNS, csv_row, jsonl_line
 from .theorems import bounds_mask
@@ -110,8 +110,8 @@ def sweep_w_grid(
             raise BadRangeError(
                 f"bad {name} {(lo, hi)!r}: need lo < hi within +-{MAX_ROOT_MAGNITUDE:.0e}"
             )
-    if resolution < 2:
-        raise BadRangeError("resolution must be at least 2")
+    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise BadRangeError(f"resolution must be an integer of at least 2, got {resolution!r}")
 
     re_axis = np.linspace(re_lo, re_hi, resolution)
     im_axis = np.linspace(im_lo, im_hi, resolution)
@@ -148,8 +148,8 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tupl
         raise BadRangeError(
             f"need sqrt(3) <= t_min < t_max <= {MAX_ROOT_MAGNITUDE:.0e}, got [{t_min}, {t_max}]"
         )
-    if steps < 2:
-        raise BadRangeError("steps must be at least 2")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise BadRangeError(f"steps must be an integer of at least 2, got {steps!r}")
     ts = np.concatenate(
         [-np.linspace(t_max, t_min, steps), np.linspace(t_min, t_max, steps)]
     )
@@ -194,12 +194,12 @@ def steiner_inellipse(c: OrderedCubic) -> InEllipse:
     one complex root: the focal vector at the major axis angle phi has
     f^2 = (a^2 - b^2) e^(2i phi) = k0 ((A - C) + iB)/det; they are sorted by
     real part (then imaginary part), as the critical points are labeled.
-    Raises DegenerateTriangleError when classify_configuration would call
-    the triangle collinear or the fitted conic is not an ellipse.
+    Raises DegenerateTriangleError when the gate calls the triangle
+    collinear (c.collinear) or the fitted conic is not an ellipse.
     """
-    w1, w2, w3 = c.w1, c.w2, c.w3
-    if not c.coincident and _collinear(_SCALAR, w1, w2, w3):
+    if c.collinear:
         raise DegenerateTriangleError("triangle is numerically collinear")
+    w1, w2, w3 = c.w1, c.w2, c.w3
     ctr = (w1 + w2 + w3) / 3.0
     d1, d2, d3 = w1 - ctr, w2 - ctr, w3 - ctr
     scale = max(abs(d1), abs(d2), abs(d3))

@@ -50,9 +50,7 @@ import numpy as np
 
 from .cubic import (
     GATE_TABLE,
-    Configuration,
     OrderedCubic,
-    _collinear,
     _diameter,
     classify_configuration,
     normalize,
@@ -252,16 +250,14 @@ def _off_real_axis(ops, w1, w2, w3):
 def check_equivalence_t4(c: OrderedCubic) -> TheoremReport:
     """sigma1 == sigma2 (within IDENTITY_TOL) iff the triangle is equilateral."""
     rv = ratios_direct(c)
-    equilateral = classify_configuration(c) is Configuration.EQUILATERAL
-    passed, margin = _t4_verdict(_SCALAR, rv.sigma1, rv.sigma2, equilateral)
+    passed, margin = _t4_verdict(_SCALAR, rv.sigma1, rv.sigma2, c.coincident)
     return TheoremReport("T4", passed, None if passed else _witness(c, rv), margin)
 
 
 def check_equivalence_t5(c: OrderedCubic) -> TheoremReport:
     """a ratio is real (within EQ_TOL) iff the roots are collinear."""
     rv = ratios_direct(c)
-    collinear = classify_configuration(c) is Configuration.COLLINEAR
-    passed, margin = _t5_verdict(_SCALAR, rv.sigma1, rv.sigma2, collinear)
+    passed, margin = _t5_verdict(_SCALAR, rv.sigma1, rv.sigma2, c.collinear)
     return TheoremReport("T5", passed, None if passed else _witness(c, rv), margin)
 
 
@@ -532,21 +528,16 @@ def scan_lemma2(
 def sharpness_probe_re(t: float) -> tuple[OrderedCubic, RatioVector]:
     """Ray family driving Re sigma1 to its bounds: Re sigma1 = u1(t).
 
-    t > sqrt(3):  roots -2t - i, -t + 2 t^2 i, 2t + i
-    t < -sqrt(3): roots  2t - i, -t - 2 t^2 i, -2t + i
-
-    Both normalize to w = i t with Im w3 > 0, the side on which sigma1 is
+    The roots -2|t| - i, -t + 2 t |t| i, 2|t| + i normalize to w = i t with
+    Im w3 > 0 for either sign of t, the side on which sigma1 is
     u1(t) + i v1(t); mirroring by plain sign flips would land on the other
     side of the rays (Im w3 < 0), where Re sigma1 is u2(t) -> 2/3 instead
     of u1(t) -> 0.
     """
     if not math.isfinite(t) or abs(t) <= SQRT3:
         raise BadParameterError("sharpness probe needs |t| > sqrt(3)")
-    if t > 0:
-        roots = (complex(-2 * t, -1.0), complex(-t, 2 * t * t), complex(2 * t, 1.0))
-    else:
-        roots = (complex(2 * t, -1.0), complex(-t, -2 * t * t), complex(-2 * t, 1.0))
-    c = order_roots(*roots)
+    a = abs(t)
+    c = order_roots(complex(-2 * a, -1.0), complex(-t, 2 * t * a), complex(2 * a, 1.0))
     return c, ratios_direct(c)
 
 
@@ -652,12 +643,9 @@ def _t4_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _t5_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """_t5_verdict on each row of a GATE_TABLE array, then the rows' sigmas;
-    collinear as classify_configuration decides it (unless equilateral)."""
+    """_t5_verdict on each row of a GATE_TABLE array, then the rows' sigmas."""
     s1, s2 = ratios_direct_array(table)
-    w1, w2, w3 = table["w1"], table["w2"], table["w3"]
-    collinear = ~table["coincident"] & _collinear(_ARRAY, w1, w2, w3)
-    return (*_t5_verdict(_ARRAY, s1, s2, collinear), (s1, s2))
+    return (*_t5_verdict(_ARRAY, s1, s2, table["collinear"]), (s1, s2))
 
 
 def _hyp_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,11 +28,12 @@ from ratiolab.cubic import (
     MAX_ROOT_MAGNITUDE,
     MIN_ROOT_DIAMETER,
     MIN_SEPARATION_RATIO,
+    _diameter,
     admissibility_mask,
     normalize_array,
     order_roots_array,
 )
-from ratiolab.kernel import EQ_TOL
+from ratiolab.kernel import _SCALAR, EQ_TOL
 from ratiolab.ratios import _root_term, ratios_direct_array
 from ratiolab.sampling import _candidate_block, sample_ordered_cubics
 
@@ -376,9 +377,24 @@ def _ref_radicand(w1, w2, w3):
     return s, m, u1 * u1 + u2 * u2 + u3 * u3 - u1 * u2 - u1 * u3 - u2 * u3
 
 
+def _reference_collinear(ops, w1, w2, w3):
+    """The collinear rule as a function of its own, the reference for the
+    gate's flag: whether the root triangle's area is at most
+    EQ_TOL * diameter^2; on scalars or arrays as _diameter. The area |Im((w2 - w1) conj(w3 - w1))| / 2
+    is spelled on real and imaginary parts, as CPython's complex product
+    forms that imaginary part."""
+    ax, ay = w2.real - w1.real, w2.imag - w1.imag
+    bx, by = w3.real - w1.real, w3.imag - w1.imag
+    area = abs(ay * bx - ax * by) / 2.0
+    diam = _diameter(ops, w1, w2, w3)
+    return area <= EQ_TOL * diam * diam
+
+
 def _ref_order_roots(r1, r2, r3):
     """(reason, values): reason is the GATE_REASONS tag of the check that
-    fails, or None and values = (w1, w2, w3, z1, z2, coincident)."""
+    fails, or None and values = (w1, w2, w3, z1, z2, coincident, collinear);
+    collinear is the former separate rule, _reference_collinear, on the
+    triangles that are not coincident."""
     w1, w2, w3 = sorted((complex(r1), complex(r2), complex(r3)), key=lambda z: z.real)
     mag = max(abs(w1), abs(w2), abs(w3))
     if mag > MAX_ROOT_MAGNITUDE:
@@ -396,13 +412,13 @@ def _ref_order_roots(r1, r2, r3):
         return "root-real-parts-equal", None
     s, m, q = _ref_radicand(w1, w2, w3)
     if abs(q) <= _COINCIDENCE * diam * diam:
-        return None, (w1, w2, w3, m, m, True)
+        return None, (w1, w2, w3, m, m, True, False)
     r = _ref_principal_sqrt(q)
     z1 = (s - r) / _THREE
     z2 = (s + r) / _THREE
     if z2.real - z1.real <= band:
         return "critical-real-parts-equal", None
-    return None, (w1, w2, w3, z1, z2, False)
+    return None, (w1, w2, w3, z1, z2, False, _reference_collinear(_SCALAR, w1, w2, w3))
 
 
 def _ref_normalize(w1, w2, w3):
@@ -515,6 +531,9 @@ def _hand_placed_roots():
             (-1, 1 - k * band, 1), (-1, -1 + k * band, 1), (-1, 1 - k * band * 1j, 1),
             (-1, 0.5 + 1.5j, 1 + k * band * 1j), (-1 + 0.3j, 0.4j + k * band, 1),
         ]
+    # within 3 ulps of the collinear band's edge: area y against EQ_TOL * 2^2
+    edge = 2 * band
+    rows += [(-1, complex(0.5, y), 1) for y in edge + np.spacing(edge) * np.arange(-3, 4)]
     return np.array(rows, dtype=complex)
 
 
@@ -542,11 +561,12 @@ def _gate_outcomes(roots, order, rest):
 
 
 def _reference_rest(values):
-    w1, w2, w3, z1, z2, coincident = values
+    w1, w2, w3, z1, z2, coincident, collinear = values
     w2n, w3n, offset, w = _ref_normalize(w1, w2, w3)
     tags, on_boundary = _ref_assess_admissibility(w2n, w3n)
     s1, s2 = _ref_ratios_direct(w1, w2, w3, z1, z2)
-    return (w1, w2, w3, z1, z2, w2n, w3n, offset, w, s1, s2), coincident, _mask(tags), on_boundary
+    values = (w1, w2, w3, z1, z2, w2n, w3n, offset, w, s1, s2)
+    return values, coincident, collinear, _mask(tags), on_boundary
 
 
 def _scalar_order(*row):
@@ -563,7 +583,7 @@ def _scalar_rest(c):
     assert rep.admissible == (not rep.reasons)
     rv = ratios_direct(c)
     values = (c.w1, c.w2, c.w3, c.z1, c.z2, n.w2n, n.w3n, n.offset, n.w, rv.sigma1, rv.sigma2)
-    return values, c.coincident, _mask(rep.reasons), rep.on_boundary
+    return values, c.coincident, c.collinear, _mask(rep.reasons), rep.on_boundary
 
 
 def _assert_gate_matches_reference(roots):
@@ -571,16 +591,18 @@ def _assert_gate_matches_reference(roots):
     each row; returns the reasons masks of order_roots and of the
     admissibility of the accepted rows."""
     reasons, accepted = _gate_outcomes(roots, _ref_order_roots, _reference_rest)
-    values, coincident, adm, on_boundary = (list(col) for col in zip(*accepted))
+    values, coincident, collinear, adm, on_boundary = (list(col) for col in zip(*accepted))
+    assert not any(a and b for a, b in zip(coincident, collinear))
     scalar_reasons, scalar = _gate_outcomes(roots, _scalar_order, _scalar_rest)
     assert scalar_reasons == reasons
-    assert [row[1:] for row in scalar] == list(zip(coincident, adm, on_boundary))
+    assert [row[1:] for row in scalar] == list(zip(coincident, collinear, adm, on_boundary))
     assert np.array_equal(_bits([row[0] for row in scalar]), _bits(values))
 
     table, got_reasons = order_roots_array(roots)
     assert got_reasons.tolist() == reasons
     table = table[got_reasons == 0]
     assert table["coincident"].tolist() == coincident
+    assert table["collinear"].tolist() == collinear
     w2n, w3n = normalize_array(table)
     got_adm, got_on_boundary = admissibility_mask(w2n, w3n)
     assert got_adm.tolist() == adm and got_on_boundary.tolist() == on_boundary
@@ -594,6 +616,8 @@ def _assert_gate_matches_reference(roots):
 def test_array_gate_matches_scalar_gate_on_hand_placed_rows():
     roots = _hand_placed_roots()
     reasons, adm = _assert_gate_matches_reference(roots)
+    # the last seven rows straddle the collinear band: area up to 4e-9
+    assert order_roots_array(roots[-7:])[0]["collinear"].tolist() == [True] * 4 + [False] * 3
     # the rows reach every order_roots check
     assert {_mask([tag]) for tag in GATE_REASONS[:6]} <= set(reasons.tolist())
     assert np.count_nonzero(reasons == 0) >= 10

@@ -108,6 +108,18 @@ def test_trace_validation():
             list(trace_boundary(t_min, t_max, steps))
 
 
+def test_dataset_counts_must_be_integers():
+    # rejected at the first block, before any row is made
+    for bad in (2.5, 10.0, "5"):
+        with pytest.raises(BadRangeError, match="resolution must be an integer"):
+            next(sweep_w_grid((-1.0, 1.0), (-1.0, 1.0), bad))
+        with pytest.raises(BadRangeError, match="steps must be an integer"):
+            next(trace_boundary(2.0, 3.0, bad))
+    assert list(sweep_w_grid((-1.0, 1.0), (-1.0, 1.0), np.int64(3))) == list(
+        sweep_w_grid((-1.0, 1.0), (-1.0, 1.0), 3))
+    assert list(trace_boundary(2.0, 3.0, np.int64(3))) == list(trace_boundary(2.0, 3.0, 3))
+
+
 def test_datasets_finite_at_the_magnitude_limit():
     # 3 + w*w overflows near 1.3e154; the ranges stop at 1e100
     rows = rows_of(sweep_w_grid((-1e100, 1e100), (-1e100, 1e100), 7))

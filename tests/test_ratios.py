@@ -550,7 +550,7 @@ def test_mirror_swaps_the_ratios():
     for i, (triple, image) in enumerate(zip(roots.tolist(), mirrored.tolist())):
         c = order_roots(*image)
         mv = ratios_direct(c)
-        *fields, coincident = table[i].tolist()
+        *fields, coincident, _ = table[i].tolist()
         scalar = np.array([c.w1, c.w2, c.w3, c.z1, c.z2, mv.sigma1, mv.sigma2])
         array = np.array([*fields, s1_arr[i], s2_arr[i]])
         assert np.array_equal(scalar.view(np.uint64), array.view(np.uint64)), image

@@ -19,7 +19,7 @@ def _cubic():
 
 # (record, its fields in order)
 _RECORDS = {
-    "OrderedCubic": (_cubic, ("w1", "w2", "w3", "z1", "z2", "coincident")),
+    "OrderedCubic": (_cubic, ("w1", "w2", "w3", "z1", "z2", "coincident", "collinear")),
     "NormalizedCubic": (lambda: normalize(_cubic()), ("w2n", "w3n", "offset", "w")),
     "AdmissibilityReport": (
         lambda: assess_admissibility(0.3 + 0.5j, 1.0),

@@ -42,11 +42,12 @@ from ratiolab import (
     sigma2_extremal_family,
 )
 from ratiolab import theorems
-from ratiolab.cubic import GATE_TABLE, OrderedCubic, _collinear, order_roots_array
+from ratiolab.cubic import GATE_TABLE, OrderedCubic, order_roots_array
 from ratiolab.errors import BadRangeError
 from ratiolab.ratios import _ray_terms, boundary_modulus_sq, boundary_sigma_diff, boundary_uv
 from ratiolab.kernel import _ARRAY, EQ_TOL, IDENTITY_TOL
 from ratiolab.theorems import CLOSED_BOUND_SLACK, DEFAULT_SEED, lemma1_expressions, lemma2_expressions
+from test_cubic import _reference_collinear
 
 
 def test_lemma1_spot_values():
@@ -1061,8 +1062,9 @@ def test_array_verdicts_match_scalar_checks_on_near_collinear_triangles():
     # both paths must fail the same rows
     table = _near_collinear_triangles()
     cubics = [OrderedCubic(*row) for row in table.tolist()]
-    assert [classify_configuration(c) is Configuration.COLLINEAR for c in cubics] == (
-        ~table["coincident"] & _collinear(_ARRAY, table["w1"], table["w2"], table["w3"])
+    collinear = [classify_configuration(c) is Configuration.COLLINEAR for c in cubics]
+    assert collinear == table["collinear"].tolist() == (
+        ~table["coincident"] & _reference_collinear(_ARRAY, table["w1"], table["w2"], table["w3"])
     ).tolist()
     failing = _assert_rows_match_checks("T5", cubics, table)
     assert 500 < len(failing) < 3000, len(failing)
