@@ -285,6 +285,12 @@ def order_roots(r1: complex, r2: complex, r3: complex) -> OrderedCubic:
     return OrderedCubic(w1, w2, w3, z1, z2, coincident, collinear)
 
 
+def _exchange(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi with their entries swapped where Re hi < Re lo."""
+    swap = hi.real < lo.real
+    return np.where(swap, hi, lo), np.where(swap, lo, hi)
+
+
 def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
     """order_roots on each row of an (n, 3) complex array, bit for bit.
 
@@ -297,15 +303,20 @@ def order_roots_array(roots) -> tuple[np.ndarray, np.ndarray]:
     roots = np.asarray(roots, dtype=complex)
     if not np.isfinite(roots).all():
         raise ValueError("roots must have finite components")
-    ws = np.take_along_axis(roots, np.argsort(roots.real, axis=1, kind="stable"), axis=1)
+    # sorted(key=real) on each row: a compare-exchange network on the real
+    # parts that swaps only on a strict <, so ties keep their input order
+    w1, w2, w3 = roots.T
+    w1, w2 = _exchange(w1, w2)
+    w2, w3 = _exchange(w2, w3)
+    w1, w2 = _exchange(w1, w2)
     # rejected rows may overflow or divide by zero; their values are unused
     with np.errstate(all="ignore"):
-        _, failed, z1, z2, coincident, collinear = _order(_ARRAY, *ws.T)
-    reasons = np.zeros(len(ws), dtype=np.uint16)
+        _, failed, z1, z2, coincident, collinear = _order(_ARRAY, w1, w2, w3)
+    reasons = np.zeros(len(roots), dtype=np.uint16)
     for k in reversed(range(len(failed))):  # the first failing check wins
         reasons[failed[k]] = 1 << k
-    table = np.empty(len(ws), dtype=GATE_TABLE)
-    for name, column in zip(GATE_TABLE.names, (*ws.T, z1, z2, coincident, collinear)):
+    table = np.empty(len(roots), dtype=GATE_TABLE)
+    for name, column in zip(GATE_TABLE.names, (w1, w2, w3, z1, z2, coincident, collinear)):
         table[name] = column
     return table, reasons
 

@@ -134,9 +134,9 @@ def _csqrt(z) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # 0/0 at z == 0, replaced below
         d = ay / (2.0 * s)
     right = x >= 0.0
-    zero = (x == 0.0) & (y == 0.0)
-    re = np.where(zero, 0.0, np.where(right, s, d))
-    return _complex(re, np.where(zero, y, np.copysign(np.where(right, d, s), y)))
+    zero = s == 0.0  # z == 0, where s is +0.0 and d is NaN
+    im = np.where(zero, y, np.copysign(np.where(right, d, s), y))
+    return _complex(np.where(right, s, d), im)
 
 
 class _Ops(NamedTuple):

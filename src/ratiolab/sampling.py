@@ -28,8 +28,16 @@ ordering with a gap of 1e-4, |w2 +- w3| >= 1e-4 at pair scale, which
 keeps w over 7e-6 from +-1) run before scaling and translation, and its
 gate table also goes through normalize_array and admissibility_mask: a
 row is kept when it is admissible, on the rays exactly when it was drawn
-as a ray sample. The T1-T3 pass reads these gate tables directly, one
-block at a time.
+as a ray sample.
+
+Each sampler's draw of one gated block is a private function
+(_admissible_block, _hyperbolic_block, _collinear_block,
+_equilateral_block, _near_equilateral_block), and _blocks(n, rng, draw)
+yields its GATE_TABLE blocks, n rows in all. The claim runs read those
+blocks directly, one at a time: T1-T3 the admissible ones, T4 the
+equilateral and near-equilateral ones, T5 the collinear ones and HYP the
+hyperbolic ones. Only the random configurations of T4 and T5 go through
+the public sample_ordered_cubics records.
 
 The margins keep every accepted configuration far enough from the
 degenerate sets that the documented comparison tolerances hold with
@@ -164,9 +172,13 @@ def _hyperbolic_roots(rng: np.random.Generator) -> np.ndarray:
     return (xs * s[:, None] + off[:, None])[keep].astype(complex)
 
 
+def _hyperbolic_block(rng: np.random.Generator) -> np.ndarray:
+    return _gate(_hyperbolic_roots(rng))
+
+
 def sample_hyperbolic(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n all-real-root configurations with comfortably distinct roots."""
-    yield from _cubics(n, rng, lambda g: _gate(_hyperbolic_roots(g)))
+    yield from _cubics(n, rng, _hyperbolic_block)
 
 
 def _collinear_roots(rng: np.random.Generator) -> np.ndarray:
@@ -176,13 +188,17 @@ def _collinear_roots(rng: np.random.Generator) -> np.ndarray:
     return (off[:, None] + d[:, None] * xs)[keep]
 
 
+def _collinear_block(rng: np.random.Generator) -> np.ndarray:
+    return _gate(_collinear_roots(rng))
+
+
 def sample_collinear(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n collinear (generally non-real) configurations.
 
     Roots are c + d * x_k for sorted reals x_k and a direction d kept away
     from vertical so the real parts stay distinct.
     """
-    yield from _cubics(n, rng, lambda g: _gate(_collinear_roots(g)))
+    yield from _cubics(n, rng, _collinear_block)
 
 
 def _equilateral_roots(rng: np.random.Generator, near: bool) -> np.ndarray:
@@ -198,12 +214,20 @@ def _equilateral_roots(rng: np.random.Generator, near: bool) -> np.ndarray:
     return np.stack((-w3 + off, w2 + off, w3 + off), axis=1)
 
 
+def _equilateral_block(rng: np.random.Generator) -> np.ndarray:
+    return _gate(_equilateral_roots(rng, near=False))
+
+
+def _near_equilateral_block(rng: np.random.Generator) -> np.ndarray:
+    return _gate(_equilateral_roots(rng, near=True))
+
+
 def sample_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n equilateral configurations (w = +-i sqrt(3), no vertical side)."""
-    yield from _cubics(n, rng, lambda g: _gate(_equilateral_roots(g, near=False)))
+    yield from _cubics(n, rng, _equilateral_block)
 
 
 def sample_near_equilateral(n: int, rng: np.random.Generator) -> Iterator[OrderedCubic]:
     """Yield n slightly perturbed equilateral configurations (never exactly
     equilateral: w moves off +-i sqrt(3) parallel to the real axis)."""
-    yield from _cubics(n, rng, lambda g: _gate(_equilateral_roots(g, near=True)))
+    yield from _cubics(n, rng, _near_equilateral_block)

@@ -29,9 +29,12 @@ of T1-T3 folds over the GATE_TABLE blocks the sampler gates: per bound it
 keeps the least margin so far and a copy of its row, so a bound's margin
 is the minimum over the samples, its witness the first sample at that
 minimum, and its verdict the bound's open or closed threshold applied to
-that minimum. T4, T5 and HYP fold over chunks of _CHUNK records that the
-public samplers yield, one sampler after another; a chunk is one
-GATE_TABLE array (a record is its row's tuple), decided at once. Each
+that minimum. T4, T5 and HYP fold over GATE_TABLE arrays, one draw after
+another from the claim's rng, each decided at once: HYP's hyperbolic
+draws and T4's and T5's constructed draws (equilateral, near-equilateral,
+collinear) are the samplers' gated blocks, and the random configurations
+of T4 and T5 and T4's two proof witnesses are records (a record is its
+row's tuple), turned into chunks of _CHUNK rows by _gate_table. Each
 verdict is one body written with operators and kernel's ops record, which
 check_equivalence_t4, check_equivalence_t5 and check_hyperbolic run on
 complex scalars and the claim runs on the table's columns, with the same
@@ -63,18 +66,17 @@ from .ratios import (
     RatioVector,
     _modulus_sq_upper,
     _ray_values,
-    _sigma_diff,
-    _uv_upper,
     ratios_direct,
     ratios_direct_array,
 )
 from .records import SampleRecord
 from .sampling import (
     _admissible_blocks,
-    sample_collinear,
-    sample_equilateral,
-    sample_hyperbolic,
-    sample_near_equilateral,
+    _blocks as _sampled,
+    _collinear_block,
+    _equilateral_block,
+    _hyperbolic_block,
+    _near_equilateral_block,
     sample_ordered_cubics,
 )
 
@@ -435,14 +437,17 @@ def _t1e_ray(terms: tuple) -> np.ndarray:
 
 
 def _t3_ray(terms: tuple) -> np.ndarray:
-    """Re(sigma2 - sigma1) on the rays."""
-    return _sigma_diff(terms).real
+    """Re(sigma2 - sigma1) on the rays, the real part of ratios._sigma_diff."""
+    _, _, a, _, _ = terms
+    return (a * a - 3.0) / (3.0 * (a * a + 1.0))
 
 
 def _t5_ray(terms: tuple) -> np.ndarray:
     """The lesser of |v1| and |v2|, the imaginary parts of sigma1 on the two
-    sides of the rays."""
-    _, _, v1, v2 = _uv_upper(terms)
+    sides of the rays, spelled as ratios._uv_upper spells them."""
+    _, _, a, r, _ = terms
+    v1 = -1.0 / (r + 2.0 * a)
+    v2 = -((2.0 * a + r) / (3.0 * (a * a + 1.0)))
     return np.minimum(np.abs(v1), np.abs(v2))
 
 
@@ -618,22 +623,24 @@ def _row_witness(row: Optional[tuple]) -> Optional[SampleRecord]:
 
 
 def _gate_table(cubics: Iterable[OrderedCubic]) -> np.ndarray:
-    """A GATE_TABLE row per cubic, in order: a record is its row's tuple."""
-    return np.array(list(cubics), dtype=GATE_TABLE)
+    """A GATE_TABLE row per cubic, in order: a record is its row's tuple.
+    The table is filled field by field, from the records' columns."""
+    rows = list(cubics)
+    table = np.empty(len(rows), dtype=GATE_TABLE)
+    for name, column in zip(GATE_TABLE.names, zip(*rows)):
+        table[name] = column
+    return table
 
 
-#: Records per GATE_TABLE chunk of the T4, T5 and HYP folds (88 KiB).
+#: Records per GATE_TABLE chunk of the T4 and T5 folds (88 KiB).
 _CHUNK = 1024
 
 
-def _chunks(*parts: tuple[Iterable[OrderedCubic], bool]) -> Iterator[tuple[np.ndarray, bool]]:
-    """(chunk, flag) for consecutive GATE_TABLE chunks of at most _CHUNK
-    records of each (records, flag) part; the parts are consumed one after
-    another, each to its end."""
-    for records, flag in parts:
-        it = iter(records)
-        while len(chunk := _gate_table(itertools.islice(it, _CHUNK))):
-            yield chunk, flag
+def _chunks(records: Iterable[OrderedCubic]) -> Iterator[np.ndarray]:
+    """Consecutive GATE_TABLE chunks of at most _CHUNK records each."""
+    it = iter(records)
+    while len(chunk := _gate_table(itertools.islice(it, _CHUNK))):
+        yield chunk
 
 
 def _t4_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -804,16 +811,18 @@ def _claims_t4(samples: int, seed: int) -> list[TheoremReport]:
     # witnesses are w = +-i sqrt(3)
     witnesses = (order_roots(-1.0, w2, 1.0) for w2 in (SQRT3 * 1j, -SQRT3 * 1j))
     failing, eq_worst = None, -math.inf
-    for chunk, exact in _chunks(
-        (sample_ordered_cubics(n, rng), False),
-        (sample_equilateral(200, rng), True),
-        (sample_near_equilateral(200, rng), False),
-        (witnesses, True),
+    # the parts draw from rng one after another, each to its end
+    for tables, exact in (
+        (_chunks(sample_ordered_cubics(n, rng)), False),
+        (_sampled(200, rng, _equilateral_block), True),
+        (_sampled(200, rng, _near_equilateral_block), False),
+        (_chunks(witnesses), True),
     ):
-        passed, margin = _t4_rows(chunk)  # the T4 margin is |sigma1 - sigma2|
-        failing = _last_failing(chunk, passed, failing)
-        if exact:
-            eq_worst = float(np.maximum(eq_worst, margin.max()))
+        for table in filter(len, tables):
+            passed, margin = _t4_rows(table)  # the T4 margin is |sigma1 - sigma2|
+            failing = _last_failing(table, passed, failing)
+            if exact:
+                eq_worst = float(np.maximum(eq_worst, margin.max()))
     ok = failing is None and eq_worst <= 1e-10
     note = f"{n} random + 400 constructed; max |sigma1 - sigma2| on equilateral = {eq_worst:.3e}"
     return [TheoremReport("T4", ok, _row_witness(failing), eq_worst, note)]
@@ -823,12 +832,14 @@ def _claims_t5(samples: int, seed: int, ray_min: float) -> list[TheoremReport]:
     rng = _rng_for(seed, 5)
     n = max(1000, samples // 10)
     failing, col_worst = None, -math.inf
-    for chunk, collinear in _chunks((sample_ordered_cubics(n, rng), False),
-                                    (sample_collinear(400, rng), True)):
-        passed, _, (s1, s2) = _t5_rows(chunk)
-        failing = _last_failing(chunk, passed, failing)
-        if collinear:
-            col_worst = float(np.maximum(col_worst, np.max(np.maximum(np.abs(s1.imag), np.abs(s2.imag)))))
+    for tables, collinear in ((_chunks(sample_ordered_cubics(n, rng)), False),
+                              (_sampled(400, rng, _collinear_block), True)):
+        for table in filter(len, tables):
+            passed, _, (s1, s2) = _t5_rows(table)
+            failing = _last_failing(table, passed, failing)
+            if collinear:
+                worst = np.maximum(np.abs(s1.imag), np.abs(s2.imag)).max()
+                col_worst = float(np.maximum(col_worst, worst))
     # ray_min: on the rays the v-numerators -2t -+ sqrt(t^2 - 3) never
     # vanish, so ray configurations never have a real ratio
     ok = failing is None and col_worst <= 1e-10 and ray_min > 0.0
@@ -843,9 +854,9 @@ def _claims_hyp(samples: int, seed: int) -> list[TheoremReport]:
     rng = _rng_for(seed, 6)
     n = max(1000, samples // 10)
     failing, margin = None, math.inf
-    for chunk, _ in _chunks((sample_hyperbolic(n, rng), False)):
-        passed, margins = _hyp_rows(chunk)
-        failing = _last_failing(chunk, passed, failing)
+    for table in filter(len, _sampled(n, rng, _hyperbolic_block)):
+        passed, margins = _hyp_rows(table)
+        failing = _last_failing(table, passed, failing)
         margin = float(np.minimum(margin, margins.min()))
     ok = failing is None and margin > 0.0
     return [TheoremReport("HYP", ok, _row_witness(failing), margin, f"{n} samples")]

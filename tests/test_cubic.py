@@ -685,6 +685,21 @@ def test_coherence_on_the_imaginary_axis(w2n, w3n, tags):
     assert adm.tolist() == [_mask(tags)] and not on_boundary.any()
 
 
+@pytest.mark.parametrize("imag", [(1.0, 2.0, 3.0), (3.0, -1.0, 2.0)])
+def test_array_gate_orders_tied_real_parts_as_sorted(imag):
+    # every row ties two or three real parts (-0.0 and 0.0 tie too): the
+    # array gate keeps tied roots in their input order, as sorted does, and
+    # rejects each row with the error order_roots raises
+    reals = [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)]
+    rows = [[complex(x, y) for x, y in zip(re, imag)] for re in reals]
+    table, reasons = order_roots_array(np.array(rows))
+    for row, got, reason in zip(rows, table.tolist(), reasons.tolist()):
+        assert np.array_equal(_bits(got[:3]), _bits(sorted(row, key=lambda z: z.real))), row
+        with pytest.raises(UndefinedRatioError) as exc:
+            order_roots(*row)
+        assert reason == _mask([_reason_of(exc.value)]), row
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
 def test_array_gate_rejects_nonfinite_input(bad):
     with pytest.raises(ValueError):

@@ -1095,6 +1095,12 @@ def test_t5_claim_computes_each_chunks_ratios_once(monkeypatch):
     assert calls == [1000, 400]  # the random chunk, then the collinear one
 
 
+def _plant_hyperbolic_blocks(monkeypatch, cubics):
+    """HYP's block source yields cubics as one GATE_TABLE block, cut to the
+    claim's sample count."""
+    monkeypatch.setattr(theorems, "_hyperbolic_block", lambda rng: theorems._gate_table(cubics))
+
+
 def test_hyp_witness_is_the_last_failing_configuration(monkeypatch):
     # two sampled all-real triangles with planted critical points: the
     # first with z1 and z2 swapped (sigma1 > 1), the second with z1 moved
@@ -1107,7 +1113,7 @@ def test_hyp_witness_is_the_last_failing_configuration(monkeypatch):
     for planted in (first, second):
         assert not check_hyperbolic(planted).passed
     assert check_hyperbolic(second).margin > 0.0
-    monkeypatch.setattr(theorems, "sample_hyperbolic", lambda n, rng: iter(cubics[:n]))
+    _plant_hyperbolic_blocks(monkeypatch, cubics)
     (rep,) = theorems._claims_hyp(1000, 7)
     assert not rep.passed
     assert rep.witness == theorems._witness(second, ratios_direct(second))
@@ -1117,9 +1123,83 @@ def test_hyp_witness_is_the_last_failing_configuration(monkeypatch):
 def test_hyp_claim_raises_on_a_row_off_the_real_axis(monkeypatch):
     good = list(sample_hyperbolic(1000, np.random.default_rng([7, 6])))
     cubics = good[:500] + [order_roots(-1, 1j, 1)] + good[500:]
-    monkeypatch.setattr(theorems, "sample_hyperbolic", lambda n, rng: iter(cubics[:n]))
+    _plant_hyperbolic_blocks(monkeypatch, cubics)
     with pytest.raises(NotHyperbolicError, match="roots must all be real"):
         theorems._claims_hyp(1000, 7)
+
+
+def _reference_chunks(*parts):
+    """(chunk, flag) for consecutive chunks of at most 1024 records of each
+    (records, flag) part, each chunk one np.array of GATE_TABLE rows; the
+    parts are consumed one after another, each to its end."""
+    for records, flag in parts:
+        it = iter(records)
+        while chunk := list(itertools.islice(it, 1024)):
+            yield np.array(chunk, dtype=GATE_TABLE), flag
+
+
+def _reference_row_claim(cid, samples, seed):
+    """The T4, T5 or HYP report folded over chunks of the public samplers'
+    records: the last failing row, and the claim's extreme margin."""
+    rng = np.random.default_rng([seed, {"T4": 4, "T5": 5, "HYP": 6}[cid]])
+    n = max(1000, samples // 10)
+    parts = {
+        "T4": lambda: (
+            (sample_ordered_cubics(n, rng), False),
+            (sample_equilateral(200, rng), True),
+            (sample_near_equilateral(200, rng), False),
+            ([order_roots(-1.0, w2, 1.0) for w2 in (SQRT3 * 1j, -SQRT3 * 1j)], True),
+        ),
+        "T5": lambda: ((sample_ordered_cubics(n, rng), False), (sample_collinear(400, rng), True)),
+        "HYP": lambda: ((sample_hyperbolic(n, rng), True),),
+    }[cid]()
+    failing, extreme = None, math.inf if cid == "HYP" else -math.inf
+    for chunk, flag in _reference_chunks(*parts):
+        passed, margin, *sigmas = _ROW_CHECKS[cid][1](chunk)
+        failed = np.flatnonzero(~passed)
+        if len(failed):
+            failing = chunk[failed[-1]].tolist()
+        if cid == "HYP":
+            extreme = min(extreme, float(margin.min()))
+        elif flag and cid == "T4":
+            extreme = max(extreme, float(margin.max()))
+        elif flag:
+            s1, s2 = sigmas[0]
+            extreme = max(extreme, float(np.maximum(np.abs(s1.imag), np.abs(s2.imag)).max()))
+    if cid == "T4":
+        ok = failing is None and extreme <= 1e-10
+        note = f"{n} random + 400 constructed; max |sigma1 - sigma2| on equilateral = {extreme:.3e}"
+    elif cid == "T5":
+        ok = failing is None and extreme <= 1e-10
+        note = (f"{n} random + 400 collinear; max |Im sigma| on collinear = {extreme:.3e}; "
+                "ray min |Im sigma1| = 1.000e+00")
+    else:
+        ok = failing is None and extreme > 0.0
+        note = f"{n} samples"
+    return theorems.TheoremReport(cid, ok, theorems._row_witness(failing), extreme, note)
+
+
+@pytest.mark.parametrize("seed", [1, 1729, 31337])
+@pytest.mark.parametrize("cid", ["T4", "T5", "HYP"])
+def test_row_claims_match_the_fold_over_sampler_records(cid, seed):
+    (got,) = {
+        "T4": lambda: theorems._claims_t4(20000, seed),
+        "T5": lambda: theorems._claims_t5(20000, seed, 1.0),
+        "HYP": lambda: theorems._claims_hyp(20000, seed),
+    }[cid]()
+    want = _reference_row_claim(cid, 20000, seed)
+    assert (got.passed, got.note, got.witness) == (want.passed, want.note, want.witness)
+    assert got.margin.hex() == want.margin.hex()
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS, ids=lambda s: s.__name__)
+def test_gate_table_fills_the_rows_of_np_array(sampler):
+    cubics = list(sampler(3000, np.random.default_rng([5, 9])))
+    for records in (cubics, cubics[:1], []):
+        got, want = theorems._gate_table(records), np.array(records, dtype=GATE_TABLE)
+        assert got.dtype == GATE_TABLE and len(got) == len(want)
+        for name in GATE_TABLE.names:  # field by field: the aligned rows have padding
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 @pytest.mark.parametrize("cid", ["T4", "T5", "HYP"])
