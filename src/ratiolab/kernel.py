@@ -153,18 +153,17 @@ class _Ops(NamedTuple):
     complex: Callable    # (x, y) -> x + iy
     floats: Callable     # a real value as a float or a float array
     every: Callable      # whether every entry of a truth value holds
-    real_sqrt: Callable
 
 
 _SCALAR = _Ops(
     _modulus_scalar, max, min, lambda c, a, b: a if c else b, lambda c, a, b: a if c else b,
-    cmath.sqrt, operator.truediv, complex, float, bool, math.sqrt,
+    cmath.sqrt, operator.truediv, complex, float, bool,
 )
 _ARRAY = _Ops(
     lambda z: np.hypot(z.real, z.imag),
     lambda *xs: reduce(np.maximum, xs), lambda *xs: reduce(np.minimum, xs), np.where,
     lambda c, a, b: tuple(np.where(c, x, y) for x, y in zip(a, b)),
-    _csqrt, _cquot, _complex, lambda t: np.asarray(t, dtype=float), np.all, np.sqrt,
+    _csqrt, _cquot, _complex, lambda t: np.asarray(t, dtype=float), np.all,
 )
 
 

@@ -189,14 +189,31 @@ def _ray_terms(t):
     return _ray_values(ops, t)
 
 
-def _ray_values(ops, t):
-    """(ops, t, a, r, heavy) with the ray terms a = |t|, r = sqrt(t^2 - 3)
-    and heavy = t^2 + 3 + |t| r of an already validated t. The tip
-    rounding residue of t^2 - 3 is clamped to 0."""
-    a = abs(t)
-    aa = a * a
-    r = ops.real_sqrt(ops.maximum(aa - 3.0, 0.0))
-    return ops, t, a, r, aa + 3.0 + a * r
+def _ray_values(ops, t, out=None):
+    """(ops, t, a, r, heavy, square, plus) with the ray terms a = |t|,
+    r = sqrt(t^2 - 3), heavy = t^2 + 3 + |t| r, square = t^2 and
+    plus = t^2 + 1 of an already validated t. The tip rounding residue of
+    t^2 - 3 is clamped to 0 in r.
+
+    A float array t takes its terms in place, into out: five arrays of t's
+    shape that receive a, r, heavy, square and plus (fresh ones when out is
+    None), with the bits of the scalar spelling."""
+    if ops is _SCALAR:
+        a = abs(t)
+        square = a * a
+        r = math.sqrt(max(square - 3.0, 0.0))
+        return ops, t, a, r, square + 3.0 + a * r, square, square + 1.0
+    a, r, heavy, square, plus = [np.empty_like(t) for _ in range(5)] if out is None else out
+    np.abs(t, out=a)
+    np.multiply(a, a, out=square)
+    np.subtract(square, 3.0, out=r)
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(a, r, out=heavy)
+    np.add(square, 3.0, out=plus)  # plus holds t^2 + 3 until heavy has it
+    heavy += plus
+    np.add(square, 1.0, out=plus)
+    return ops, t, a, r, heavy, square, plus
 
 
 # The ray formulas below are bodies over _ray_terms(t), so that one block's
@@ -207,8 +224,8 @@ def _ray_values(ops, t):
 
 def _uv_upper(terms):
     """(u1, u2, v1, v2) for t >= 0, from _ray_terms(t)."""
-    _, _, a, r, heavy = terms
-    den = 3.0 * (a * a + 1.0)
+    _, _, a, r, heavy, _, plus = terms
+    den = 3.0 * plus
     return heavy / den, 3.0 / heavy, -1.0 / (r + 2.0 * a), -((2.0 * a + r) / den)
 
 
@@ -254,8 +271,8 @@ def boundary_modulus_sq(t):
 
 def _modulus_sq_upper(terms):
     """boundary_modulus_sq(t) for t >= 0, from _ray_terms(t)."""
-    _, _, a, _, heavy = terms
-    return 2.0 * heavy / (a * a + 1.0), 18.0 / heavy
+    heavy, _, plus = terms[4:]
+    return 2.0 * heavy / plus, 18.0 / heavy
 
 
 def _modulus_sq(terms):
@@ -274,9 +291,9 @@ def boundary_sigma_diff(t) -> complex:
 
 def _sigma_diff(terms):
     """boundary_sigma_diff(t), from _ray_terms(t)."""
-    ops, _, a, r, _ = terms
-    den = 3.0 * (a * a + 1.0)
-    return ops.complex((a * a - 3.0) / den, -2.0 * r / den)
+    ops, _, _, r, _, square, plus = terms
+    den = 3.0 * plus
+    return ops.complex((square - 3.0) / den, -2.0 * r / den)
 
 
 def identity_residual(r: RatioVector) -> float:

@@ -18,6 +18,11 @@ gives the bits of the whole-grid minimum. The three ray envelopes share
 one pass, and each block's ray terms serve all three. _scan_grid validates
 the grid once, so the blocks take the ray arithmetic without its range
 checks, and each envelope reads the t >= 0 terms of its formula directly.
+The L1 scan and the ray envelopes compute in place: each call allocates
+one buffer, and every block's points, ray terms (ratios._ray_values),
+lemma expressions (_lemma1_into, the body of lemma1_expressions) and
+envelope expressions are written into its rows with out= ufuncs, with the
+bits of the allocating spellings.
 
 The extremal families of T1C-T2D run as one gated array per claim
 (cubic.order_roots_array, then ratios_direct_array), with the bits of the
@@ -64,7 +69,6 @@ from .errors import BadParameterError, BadRangeError, ConstraintViolatedError, N
 from .kernel import _ARRAY, _SCALAR, EQ_TOL, IDENTITY_TOL, SQRT3
 from .ratios import (
     RatioVector,
-    _modulus_sq_upper,
     _ray_values,
     ratios_direct,
     ratios_direct_array,
@@ -283,17 +287,26 @@ def check_hyperbolic(c: OrderedCubic) -> TheoremReport:
 def lemma1_expressions(t):
     """(A, B) = 4 t sqrt(t^2 - 3) -+ (5 t^2 - 3); vectorized."""
     t = np.asarray(t, dtype=float)
-    r = np.sqrt(np.maximum(t * t - 3.0, 0.0))
-    # 4 t r and 5 t t once each, in place where t is an array
-    radical = 4.0 * t
-    radical *= r
-    square = 5.0 * t
-    square *= t
-    a = radical - square
+    a, b = _lemma1_into(t, *(np.empty_like(t) for _ in range(3)))
+    return a[()], b[()]  # numpy scalars for a scalar t, as ufuncs return them
+
+
+def _lemma1_into(t, r, a, b):
+    """lemma1_expressions(t) in place: A into a and B into b, with r as
+    scratch; r, a and b are float arrays of t's shape."""
+    np.multiply(t, t, out=r)
+    r -= 3.0
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(t, 4.0, out=b)
+    b *= r  # 4 t r
+    np.multiply(t, 5.0, out=r)
+    r *= t  # 5 t t
+    np.subtract(b, r, out=a)
     a += 3.0
-    radical += square
-    radical -= 3.0
-    return a, radical
+    b += r
+    b -= 3.0
+    return a, b
 
 
 def lemma2_expressions(t):
@@ -395,60 +408,90 @@ def _ray_grid() -> _Grid:
 
 
 #: Points per block of the lemma scans and the ray envelopes, chosen by
-#: measured page faults and time. A block's temporaries (32 KiB a float
-#: array, 0.2-0.5 MiB in all) stay in cache and mostly reuse the heap chunks
-#: the block before freed. No grid-sized array is allocated, so glibc keeps
-#: its default 128 KiB trim threshold and top pad: from 2**13 points on, a
-#: block outgrows them, and the heap is trimmed and faulted back in scan
-#: after scan (hundreds to thousands of minor faults a verify round at
-#: 2**13, over 10 000 at 2**15).
-_SCAN_BLOCK = 2**12
+#: measured time. The L1 scan and the ray envelopes allocate no temporaries
+#: per block: each call writes its points, terms and expressions into one
+#: buffer of 4 resp. 8 rows of _SCAN_BLOCK floats (0.5 and 1 MiB here), so
+#: a block may outgrow glibc's 128 KiB mmap and trim thresholds without a
+#: page being mapped and faulted back block after block. What a block still
+#: costs is numpy's per-call overhead beside the arithmetic. In process,
+#: best of 25 on 2 shared cores: L1 took 8.3-9.3 ms at 2**12, 6.2-7.2 at
+#: 2**13, 5.1-6.3 at 2**14 and 5.8-6.2 at 2**15; the envelopes 3.3-3.7,
+#: 2.3-2.8, 2.2-2.6 and 2.4-3.4 ms (allocating blocks of 2**12: 8.7-9.2
+#: and 4.3-4.6 ms). In ten alternating pairs of bench/run.py verify runs
+#: 2**14 beat 2**13 in seven, by 2% in the median.
+_SCAN_BLOCK = 2**14
 
 
-def _blocks(grid: _Grid) -> Iterator[np.ndarray]:
-    """The points of grid, in consecutive blocks of at most _SCAN_BLOCK."""
+def _blocks(grid: _Grid, out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """The points of grid, in consecutive blocks of at most _SCAN_BLOCK:
+    fresh arrays, or views of out, a buffer of _SCAN_BLOCK floats that each
+    block overwrites."""
     block = _SCAN_BLOCK
     offsets = np.arange(block, dtype=float)
     for i in range(0, grid.size, block):
         rows = range(i, min(i + block, grid.size))
-        yield _points(grid, rows, offsets[:len(rows)] + i)
+        n = len(rows)
+        yield _points(grid, rows, np.add(offsets[:n], i, out=None if out is None else out[:n]))
 
 
-def _ray_envelopes(*expressions: Callable[[tuple], np.ndarray]) -> tuple[float, ...]:
+def _ray_envelopes(*expressions: Callable[[tuple, np.ndarray], np.ndarray]) -> tuple[float, ...]:
     """The least value of each expression over the ray grid, in one pass:
     each block's ray terms are made once and handed to every expression
     (np.minimum keeps a NaN, as np.min over the grid does). _scan_grid has
-    validated the grid, so the blocks take the ray arithmetic only."""
+    validated the grid, so the blocks take the ray arithmetic only. The
+    points, the terms and the expressions' two scratch rows live in one
+    buffer of this call, which each block overwrites."""
     lows = [np.inf] * len(expressions)
-    for t in _blocks(_ray_grid()):
-        terms = _ray_values(_ARRAY, t)
-        lows = [np.minimum(low, _MIN(expression(terms))) for low, expression in zip(lows, expressions)]
+    work = np.empty((8, _SCAN_BLOCK))
+    for t in _blocks(_ray_grid(), work[0]):
+        rows = work[1:, :len(t)]
+        terms = _ray_values(_ARRAY, t, rows[:5])
+        lows = [np.minimum(low, _MIN(expr(terms, rows[5:]))) for low, expr in zip(lows, expressions)]
     return tuple(map(float, lows))
 
 
 # The ray envelope expressions of T1E, T3 and T5, on the ray terms
-# (ratios._ray_values) of t >= sqrt(3): the t >= 0 side of each formula.
+# (ratios._ray_values) of t >= sqrt(3): the t >= 0 side of each formula,
+# computed in place in the two rows of scratch, with the bits of the
+# ratios formula each one names.
 
 
-def _t1e_ray(terms: tuple) -> np.ndarray:
-    """4 - a and 4 - b, the lesser per t: |sigma_k| <= 2/3 resp. 1 on the rays."""
-    a, b = _modulus_sq_upper(terms)
-    return np.minimum(4.0 - a, 4.0 - b)
+def _t1e_ray(terms: tuple, scratch: np.ndarray) -> np.ndarray:
+    """4 - a and 4 - b, the lesser per t: |sigma_k| <= 2/3 resp. 1 on the
+    rays, with a and b as ratios._modulus_sq_upper spells them."""
+    heavy, _, plus = terms[4:]
+    big, small = scratch
+    np.multiply(heavy, 2.0, out=big)
+    big /= plus
+    np.subtract(4.0, big, out=big)
+    np.divide(18.0, heavy, out=small)
+    np.subtract(4.0, small, out=small)
+    return np.minimum(big, small, out=big)
 
 
-def _t3_ray(terms: tuple) -> np.ndarray:
+def _t3_ray(terms: tuple, scratch: np.ndarray) -> np.ndarray:
     """Re(sigma2 - sigma1) on the rays, the real part of ratios._sigma_diff."""
-    _, _, a, _, _ = terms
-    return (a * a - 3.0) / (3.0 * (a * a + 1.0))
+    square, plus = terms[5:]
+    num, den = scratch
+    np.subtract(square, 3.0, out=num)
+    np.multiply(plus, 3.0, out=den)
+    return np.divide(num, den, out=num)
 
 
-def _t5_ray(terms: tuple) -> np.ndarray:
+def _t5_ray(terms: tuple, scratch: np.ndarray) -> np.ndarray:
     """The lesser of |v1| and |v2|, the imaginary parts of sigma1 on the two
-    sides of the rays, spelled as ratios._uv_upper spells them."""
-    _, _, a, r, _ = terms
-    v1 = -1.0 / (r + 2.0 * a)
-    v2 = -((2.0 * a + r) / (3.0 * (a * a + 1.0)))
-    return np.minimum(np.abs(v1), np.abs(v2))
+    sides of the rays, spelled as ratios._uv_upper spells them (v2's outer
+    negation is left out, as |v2| drops it)."""
+    _, _, a, r, _, _, plus = terms
+    v1, v2 = scratch
+    np.multiply(a, 2.0, out=v1)
+    v1 += r  # 2 a + r
+    np.multiply(plus, 3.0, out=v2)
+    np.divide(v1, v2, out=v2)
+    np.divide(-1.0, v1, out=v1)
+    np.abs(v1, out=v1)
+    np.abs(v2, out=v2)
+    return np.minimum(v1, v2, out=v1)
 
 
 def scan_lemma1(
@@ -465,8 +508,10 @@ def scan_lemma1(
     """
     holds, note = _L1_IDENTITY.check()
     low = np.inf
-    for t in _blocks(_scan_grid(t_min, t_max, steps)):
-        a, b = lemma1_expressions(t)
+    # the points, A, B and r live in one buffer of this call
+    work = np.empty((4, _SCAN_BLOCK))
+    for t in _blocks(_scan_grid(t_min, t_max, steps), work[0]):
+        a, b = _lemma1_into(t, *work[1:, :len(t)])
         # np.minimum keeps a NaN, as np.min over the grid does
         low = np.minimum(low, np.minimum(_MIN(np.abs(a, out=a)), _MIN(np.abs(b, out=b))))
     low = float(low)

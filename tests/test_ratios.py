@@ -230,8 +230,10 @@ def _ray_parameters() -> np.ndarray:
 def test_ray_formulas_scalar_equals_array(fn):
     # the scalar path (math only) against the array path, bit for bit; it
     # raises no RuntimeWarning, ZeroDivisionError or OverflowError even at
-    # the limit T_EDGE
-    ts = _ray_parameters()
+    # the limit T_EDGE. Every 50th point of verify's ray grid joins the
+    # parameters, both signs.
+    ray_grid = np.linspace(SQRT3, 1e3, 200000)[::50]
+    ts = np.concatenate([_ray_parameters(), ray_grid, -ray_grid])
     with np.errstate(all="ignore"):
         want = fn(ts)
     want = list(zip(*want)) if isinstance(want, tuple) else list(want)

@@ -44,7 +44,7 @@ from ratiolab import (
 from ratiolab import theorems
 from ratiolab.cubic import GATE_TABLE, OrderedCubic, order_roots_array
 from ratiolab.errors import BadRangeError
-from ratiolab.ratios import _ray_terms, boundary_modulus_sq, boundary_sigma_diff, boundary_uv
+from ratiolab.ratios import _ray_terms, _ray_values, boundary_modulus_sq, boundary_sigma_diff, boundary_uv
 from ratiolab.kernel import _ARRAY, EQ_TOL, IDENTITY_TOL
 from ratiolab.theorems import CLOSED_BOUND_SLACK, DEFAULT_SEED, lemma1_expressions, lemma2_expressions
 from test_cubic import _reference_collinear
@@ -223,18 +223,22 @@ def _assert_same_reports(got, want):
     assert [r.margin.hex() for r in got] == [r.margin.hex() for r in want]
 
 
-# the scanned branch has steps + 999 points: 1 999 (under one block of
-# 2^12), 4 096 (exactly one block), 4 097 and 4 098 (one block plus one or
-# two points); over both branches, as the references walk them, 1 049 and
-# 1 050 steps give one block and one block plus two points. At 4 096 steps
-# t_max is the last point of the first block and the tail starts the
-# second; at 4 097 steps t_max starts the second block.
+#: The scan block, which the seam parameters below target.
+_BLOCK = theorems._SCAN_BLOCK
+
+
+# the scanned branch has steps + 999 points: 1 999 (under one block), a
+# block exactly, and a block plus one or two points; over both branches, as
+# the references walk them, _BLOCK / 2 - 999 and one more step give one
+# block and one block plus two points. At _BLOCK steps t_max is the last
+# point of the first block and the tail starts the second; at _BLOCK + 1
+# steps t_max starts the second block.
 @pytest.mark.parametrize(
     "args",
     [(), (SQRT3, 50.0, 2000), (SQRT3, 1e3, 10**6), (2.5, 40.0, 5000),
-     (SQRT3, 5.0, 1000), (SQRT3, 5.0, 1049), (SQRT3, 5.0, 1050),
-     (SQRT3, 5.0, 3097), (SQRT3, 5.0, 3098), (SQRT3, 5.0, 3099),
-     (SQRT3, 5.0, 4096), (SQRT3, 5.0, 4097)],
+     (SQRT3, 5.0, 1000), (SQRT3, 5.0, _BLOCK // 2 - 999), (SQRT3, 5.0, _BLOCK // 2 - 998),
+     (SQRT3, 5.0, _BLOCK - 999), (SQRT3, 5.0, _BLOCK - 998), (SQRT3, 5.0, _BLOCK - 997),
+     (SQRT3, 5.0, _BLOCK), (SQRT3, 5.0, _BLOCK + 1)],
 )
 def test_blocked_scans_match_the_unblocked_scans(args):
     _assert_same_reports(scan_lemma1(*args), _reference_scan_lemma1(*args))
@@ -245,7 +249,7 @@ def test_blocked_scans_match_the_unblocked_scans(args):
 # point, and five blocks plus a short sixth one
 @pytest.mark.parametrize("block", [5997, 1000])
 def test_blocked_scans_match_across_planted_seams(monkeypatch, block):
-    assert theorems._scan_grid(SQRT3, 5.0, 3097).size == theorems._SCAN_BLOCK
+    assert theorems._scan_grid(SQRT3, 5.0, _BLOCK - 999).size == theorems._SCAN_BLOCK
     args = (SQRT3, 50.0, 4999)
     assert theorems._scan_grid(*args).size == 5998
     monkeypatch.setattr(theorems, "_SCAN_BLOCK", block)
@@ -266,13 +270,13 @@ def test_blocks_cover_the_grid_in_order(extra):
 
 
 # the lemma grid and the ray grid; t_max inside a block, on a block's last
-# point (4 096 steps, where the tail starts the next block) and on a
-# block's first point (4 097 steps); integer bounds; a coarse stride of 2
-# that takes the t_max point (20 001 steps)
+# point (_BLOCK steps, where the tail starts the next block) and on a
+# block's first point (_BLOCK + 1 steps); integer bounds; a coarse stride of
+# 2 that takes the t_max point (20 001 steps)
 @pytest.mark.parametrize(
     "args",
     [(SQRT3, 1e3, 10**6), (SQRT3, 1e3, 200000), (2.5, 40.0, 5000), (SQRT3, 50.0, 4999),
-     (SQRT3, 5.0, 4096), (SQRT3, 5.0, 4097), (2, 7, 1000), (SQRT3, 5.0, 20001)],
+     (SQRT3, 5.0, _BLOCK), (SQRT3, 5.0, _BLOCK + 1), (2, 7, 1000), (SQRT3, 5.0, 20001)],
 )
 def test_generated_grid_is_linspace_and_logspace_bit_for_bit(args):
     grid, want = theorems._scan_grid(*args), _grid(*args)
@@ -313,6 +317,21 @@ def test_mirror_maps_each_scanned_expression_onto_its_partner(args):
         a, b = expressions(t)
         mirror_a, mirror_b = expressions(-t)
         assert np.array_equal(mirror_a, -b) and np.array_equal(mirror_b, -a)
+    # the in-place bodies the scans run, on buffers that hold NaN, and the
+    # operator spellings have the bits of the public expressions and terms
+    dirty = np.full((5, t.size), np.nan)
+    a, b = lemma1_expressions(t)
+    r = np.sqrt(np.maximum(t * t - 3.0, 0.0))
+    for got in (theorems._lemma1_into(t, *dirty[:3]),
+                (4.0 * t * r - 5.0 * t * t + 3.0, 4.0 * t * r + 5.0 * t * t - 3.0)):
+        assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(got, (a, b)))
+    dirty[:] = np.nan
+    a = np.abs(t)
+    square = a * a
+    r = np.sqrt(np.maximum(square - 3.0, 0.0))
+    want = (a, r, square + 3.0 + a * r, square, square + 1.0)
+    for got in (_ray_values(_ARRAY, t, dirty), _ray_terms(t)):
+        assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(got[2:], want))
     u1, u2, v1, v2 = boundary_uv(t)
     for got, want in zip(boundary_uv(-t), (u2, u1, -v2, -v1)):
         assert np.array_equal(got, want)
@@ -1253,8 +1272,11 @@ def _hexes(values):
 def test_blocked_ray_envelopes_match_the_whole_grid(monkeypatch):
     grid = _grid(SQRT3, 1e3, 200000)
     expected = _whole_grid_envelopes()
-    # the three in one pass, and each alone
+    # the three in one pass, and each alone; the L1 scan before and after
+    # gives the same bits, so no scan's buffers carry into the next
+    lemma = _hexes(r.margin for r in scan_lemma1())
     assert _hexes(theorems._ray_envelopes(*expected)) == _hexes(expected.values())
+    assert _hexes(r.margin for r in scan_lemma1()) == lemma
     for expression, want in expected.items():
         assert _hexes(theorems._ray_envelopes(expression)) == [want.hex()], expression.__name__
     # seams at each minimum: the block size that makes it the first point
@@ -1262,7 +1284,7 @@ def test_blocked_ray_envelopes_match_the_whole_grid(monkeypatch):
     # point of the first block for every size)
     seams = {1000, 1001}
     for expression in expected:
-        i = int(np.argmin(expression(_ray_terms(grid))))
+        i = int(np.argmin(expression(_ray_terms(grid), np.empty((2, grid.size)))))
         seams |= {i, i + 1} if i >= 1000 else set()
     assert len(seams) > 2
     for block in sorted(seams):
