@@ -165,7 +165,7 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tupl
             s2.real,
             s2.imag,
             "boundary",
-            _W_CLASSES[2 * (abs(abs(t) - SQRT3) <= EQ_TOL)],
+            _W_CLASSES[_classify_w(1j * t)],
             True,
             bounds_mask(s1, s2),
         )

@@ -916,6 +916,8 @@ def run_claims(
         raise BadParameterError(f"unknown selector {selector!r}; choose from {CLAIM_GROUPS}")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise BadParameterError(f"samples must be an integer of at least 1, got {samples!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadParameterError(f"seed must be a non-negative integer, got {seed!r}")
     # the T1-T3 Monte Carlo pass and the ray envelopes of T1E, T3 and T5,
     # each made at most once and only when asked for
     bounds = functools.cache(lambda: _bounds_claims(samples, seed))

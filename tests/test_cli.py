@@ -149,6 +149,16 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_verify_refuses_a_negative_seed(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "verify", "L1", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "seed must be a non-negative integer, got -1"
+    monkeypatch.setenv("RATIOLAB_SEED", "-3")
+    code, out, err = run_cli(capsys, "verify", "T4")
+    assert (code, out) == (1, "")
+    assert "seed" in json.loads(err)["error"]
+
+
 def test_seed_env_read_by_verify_only(capsys, monkeypatch):
     monkeypatch.setenv("RATIOLAB_SEED", "abc")
     code, out, _ = run_cli(capsys, "compute", "-1", "0", "1")

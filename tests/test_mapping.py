@@ -753,10 +753,13 @@ def test_sweep_classifies_the_tip_band_edge_as_the_scalar_modulus(x, y, label):
 
 
 def test_trace_matches_reference_loop():
-    rows = rows_of(trace_boundary(SQRT3, 100.0, 500))
-    _assert_same_rows(rows, _reference_trace(SQRT3, 100.0, 500))
-    assert {r.classification for r in rows} == {"generic", "equilateral"}
-    assert all(r.bounds_ok for r in rows)
+    # the tips t = -+sqrt(3), and t_min inside, on and past the edge of their EQ_TOL band
+    for t_min in (SQRT3, SQRT3 + EQ_TOL / 2, SQRT3 + EQ_TOL, np.nextafter(SQRT3 + EQ_TOL, 2.0)):
+        rows = rows_of(trace_boundary(t_min, 100.0, 500))
+        _assert_same_rows(rows, _reference_trace(t_min, 100.0, 500))
+        tips = {"equilateral"} if abs(t_min - SQRT3) <= EQ_TOL else set()
+        assert {r.classification for r in rows} == {"generic"} | tips
+        assert all(r.bounds_ok for r in rows)
 
 
 

@@ -2,6 +2,7 @@ import ast
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -657,6 +658,15 @@ def test_run_claims_accepts_numpy_integer_sample_counts():
 def test_run_claims_rejects_sample_counts_below_one(selector, samples):
     with pytest.raises(BadParameterError, match="samples"):
         run_claims(selector, samples=samples)
+
+
+@pytest.mark.parametrize("selector", CLAIM_GROUPS)
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.0, "1"])
+def test_run_claims_rejects_a_bad_seed_for_every_group_before_any_work(monkeypatch, selector, seed):
+    for name in ("scan_lemma1", "scan_lemma2"):
+        monkeypatch.setattr(theorems, name, lambda: pytest.fail("a scan ran"))
+    with pytest.raises(BadParameterError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+        run_claims(selector, samples=100, seed=seed)
 
 
 def test_run_claims_lemma_groups():
