@@ -24,12 +24,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .cubic import (
-    classify_configuration,
-    critical_points_direct,
-    normalize,
-    order_roots,
-)
+from .cubic import classify_configuration, normalize, order_roots
 from .errors import RatioLabError, UndefinedRatioError
 from .mapping import emit_dataset, ratio_angles, steiner_inellipse, sweep_w_grid, trace_boundary
 from .ratios import identity_residual, ratios_direct
@@ -210,8 +205,6 @@ def _cmd_boundary(args) -> int:
 def _cmd_ellipse(args) -> int:
     c = order_roots(*(parse_complex(s) for s in args.roots))
     ell = steiner_inellipse(c)
-    za, zb = critical_points_direct(c.w1, c.w2, c.w3)
-    zs = sorted((za, zb), key=lambda z: (z.real, z.imag))
     th1, th2 = ratio_angles(c)
     print(to_json({
         "center": ell.center,
@@ -219,8 +212,8 @@ def _cmd_ellipse(args) -> int:
         "focus2": ell.focus2,
         "semi_major": ell.semi_major,
         "semi_minor": ell.semi_minor,
-        "critical_points": zs,
-        "focus_mismatch": max(abs(ell.focus1 - zs[0]), abs(ell.focus2 - zs[1])),
+        "critical_points": [c.z1, c.z2],
+        "focus_mismatch": max(abs(ell.focus1 - c.z1), abs(ell.focus2 - c.z2)),
         "theta1": th1,
         "theta2": th2,
     }))

@@ -2,11 +2,14 @@
 
 sweep_w_grid and trace_boundary are generators: they evaluate their points
 as numpy arrays in blocks of at most 4096 (closed_forms_array or the ray
-formula for the ratios, bounds_mask for the bound catalog, and the &/|
-predicates _on_rays, is_reachable and _classify_w that also serve single
-points) and yield each block as a list of row tuples in CSV_COLUMNS order.
-emit_dataset writes block after block, so memory stays flat in the grid
-size. Every cell is what the scalar functions give, bit for bit.
+formula for the ratios) and hand w, sigma1 and sigma2 to _rows, the one row
+builder, which adds bounds_mask for the bound catalog and the &/| predicates
+is_reachable and _classify_w that also serve single points, and yields the
+block as a list of row tuples in CSV_COLUMNS order. The sweep runs the
+closed forms on its ray points (_on_rays) too; _rows drops those values
+and leaves the sigma and bounds_ok cells of a skip row None. emit_dataset
+writes block after block, so memory stays flat in the grid size. Every
+cell is what the scalar functions give, bit for bit.
 
 The midpoint inellipse of a noncollinear root triangle is fitted purely
 geometrically: six homogeneous linear constraints (the conic passes through
@@ -117,23 +120,9 @@ def sweep_w_grid(
     im_axis = np.linspace(im_lo, im_hi, resolution)
     for start in range(0, resolution * resolution, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, resolution * resolution))
-        w = np.empty(k.size, dtype=complex)
-        w.real = re_axis[k // resolution]
-        w.imag = im_axis[k % resolution]
+        w = _ARRAY.complex(re_axis[k // resolution], im_axis[k % resolution])
         skip = _on_rays(w)
-        live = ~skip
-        s1 = np.full(k.size, np.nan, dtype=complex)
-        s2 = s1.copy()
-        s1[live], s2[live] = closed_forms_array(w[live])
-        yield _rows(
-            w.real,
-            w.imag,
-            *(np.where(skip, None, x) for x in (s1.real, s1.imag, s2.real, s2.imag)),
-            np.where(skip, "skip", "interior"),
-            _W_CLASSES[_classify_w(w)],
-            is_reachable(w),
-            np.where(skip, None, bounds_mask(s1, s2)),
-        )
+        yield _rows(w, *closed_forms_array(w), np.where(skip, "skip", "interior"), skip)
 
 
 def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tuple]]:
@@ -144,7 +133,7 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tupl
     Yields blocks of at most _BLOCK rows in CSV_COLUMNS order. t_max must
     not exceed MAX_ROOT_MAGNITUDE.
     """
-    if not (SQRT3 - EQ_TOL <= t_min < t_max <= MAX_ROOT_MAGNITUDE):
+    if not (SQRT3 <= t_min < t_max <= MAX_ROOT_MAGNITUDE):
         raise BadRangeError(
             f"need sqrt(3) <= t_min < t_max <= {MAX_ROOT_MAGNITUDE:.0e}, got [{t_min}, {t_max}]"
         )
@@ -156,29 +145,21 @@ def trace_boundary(t_min: float, t_max: float, steps: int) -> Iterator[list[tupl
     for start in range(0, ts.size, _BLOCK):
         t = ts[start : start + _BLOCK]
         s1 = boundary_sigma1(t)
-        s2 = _ray_sigma2(_ARRAY, s1)
-        yield _rows(
-            np.zeros(t.size),
-            t,
-            s1.real,
-            s1.imag,
-            s2.real,
-            s2.imag,
-            "boundary",
-            _W_CLASSES[_classify_w(1j * t)],
-            True,
-            bounds_mask(s1, s2),
-        )
+        yield _rows(_ARRAY.complex(0.0, t), s1, _ray_sigma2(_ARRAY, s1), "boundary",
+                    np.zeros(t.size, bool))
 
 
-def _rows(*columns) -> list[tuple]:
-    """One block of rows from the ten columns in CSV_COLUMNS order. The
-    first column is an array that sets the row count; a later one may be a
-    single value for every row. Cells come out as Python floats, bools,
-    strings and None."""
-    cells = np.empty((len(columns), len(columns[0])), dtype=object)
+def _rows(w, s1, s2, path, skip) -> list[tuple]:
+    """One block of rows in CSV_COLUMNS order from the points w, their
+    ratios s1 and s2 and their path (an array or one value for every row).
+    Where skip holds, the four sigma cells and bounds_ok are None. Cells
+    come out as Python floats, bools, strings and None."""
+    columns = (w.real, w.imag, s1.real, s1.imag, s2.real, s2.imag, path,
+               _W_CLASSES[_classify_w(w)], is_reachable(w), bounds_mask(s1, s2))
+    cells = np.empty((len(columns), w.size), dtype=object)
     for i, column in enumerate(columns):
         cells[i] = column
+    cells[2:6, skip] = cells[9, skip] = None
     return list(zip(*cells.tolist()))
 
 

@@ -374,7 +374,7 @@ def _scan_grid(t_min: float, t_max: float, steps: int) -> _Grid:
     8 KB tail, and each scan makes its points block by block. t_max must
     lie below the tail's end 1e9: above it the tail would run backwards,
     and from about 1e76 the scanned expressions overflow."""
-    if not (SQRT3 - EQ_TOL <= t_min < t_max < 1e9):
+    if not (SQRT3 <= t_min < t_max < 1e9):
         raise BadRangeError(f"need sqrt(3) <= t_min < t_max < 1e9, got [{t_min}, {t_max}]")
     if not isinstance(steps, (int, np.integer)) or steps < 1000:
         raise BadRangeError(f"steps must be an integer of at least 1000, got {steps!r}")

@@ -262,6 +262,19 @@ def test_dataset_range_beyond_magnitude_limit_exit_1(capsys, tmp_path, argv, fmt
     assert out_file.read_bytes() == b"earlier run\n"
 
 
+def test_boundary_below_the_rays_exit_1(capsys, tmp_path):
+    # t = sqrt(3) - 1e-9 is off the rays, where T3 fails; an existing --out
+    # file stays as it was
+    out_file = tmp_path / "keep.csv"
+    out_file.write_bytes(b"earlier run\n")
+    code, out, err = run_cli(capsys, "boundary", "--tmin", "1.732050806568877", "--tmax", "100",
+                             "--steps", "500", "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert "need sqrt(3) <= t_min" in json.loads(err)["error"]
+    assert out_file.read_bytes() == b"earlier run\n"
+
+
 def test_ellipse_matches_critical_points(capsys):
     code, out, _ = run_cli(capsys, "ellipse", "-4-1i", "-2+8i", "4+1i")
     assert code == 0
@@ -269,6 +282,16 @@ def test_ellipse_matches_critical_points(capsys):
     assert obj["focus_mismatch"] < 1e-8
     assert abs(obj["focus1"]["re"] + 1.0) < 1e-8
     assert abs(obj["focus1"]["im"] - 4.0) < 1e-8
+
+
+def test_ellipse_coincident_prints_the_double_point(capsys):
+    # the gate's critical points, as compute labels them: z1 == z2 = i/sqrt(3)
+    code, out, _ = run_cli(capsys, "ellipse", "-1", "1.7320508075688772i", "1")
+    assert code == 0
+    obj = json.loads(out)
+    z = {"re": 0, "im": 0.5773502691896257}
+    assert obj["critical_points"] == [z, z]
+    assert obj["focus_mismatch"] < 2e-8
 
 
 def test_ellipse_collinear_exit_1(capsys):

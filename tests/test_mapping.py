@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter, namedtuple
 
 import mpmath
@@ -102,8 +103,10 @@ def test_sweep_validation():
 
 
 def test_trace_validation():
+    # t_min inside the rays' EQ_TOL band below sqrt(3) is off the rays
     for t_min, t_max, steps in ((2.0, 2.0, 10), (1.0, 5.0, 10), (2.0, 5.0, 1),
-                                (2.0, 1e300, 10), (2.0, math.inf, 10), (2.0, math.nan, 10)):
+                                (2.0, 1e300, 10), (2.0, math.inf, 10), (2.0, math.nan, 10),
+                                (SQRT3 - EQ_TOL / 2, 5.0, 10), (math.nextafter(SQRT3, 0), 5.0, 10)):
         with pytest.raises(BadRangeError):
             list(trace_boundary(t_min, t_max, steps))
 
@@ -731,6 +734,23 @@ def test_sweep_matches_reference_loop(im_range, classes):
     assert {r.path for r in rows} == {"interior", "skip"}
     assert {r.classification for r in rows} == classes
     assert {r.bounds_ok for r in rows} == {True, None}
+
+
+@pytest.mark.parametrize(
+    "x, y, resolution, skipped",
+    [(1e-9, 1e100, 9, 72), (1.5, SQRT3, 3, 2), (1e-9, SQRT3 + 1e-9, 5, 10)],
+)
+def test_sweep_drops_the_closed_forms_on_the_rays(x, y, resolution, skipped):
+    # the closed forms run on the ray points too, out to the magnitude limit
+    # and at the tips, without a floating-point error; a skip row keeps only
+    # its w, path, classification and reachable cells
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = rows_of(sweep_w_grid((-x, x), (-y, y), resolution))
+    assert sum(r.path == "skip" for r in rows) == skipped
+    for r in rows:
+        empty = [i for i, cell in enumerate(r) if cell is None]
+        assert empty == ([2, 3, 4, 5, 9] if r.path == "skip" else []), r
 
 
 # points on the EQ_TOL band edge around +-i sqrt(3) where numpy 2's complex

@@ -99,8 +99,11 @@ def test_scan_lemma2_short_grid():
 
 
 def test_scan_range_validation():
-    with pytest.raises(BadRangeError):
-        scan_lemma1(1.0, 50.0, 2000)
+    # t_min inside the rays' EQ_TOL band below sqrt(3) is off the rays
+    for t_min in (1.0, SQRT3 - EQ_TOL / 2, math.nextafter(SQRT3, 0)):
+        for scan in (scan_lemma1, scan_lemma2):
+            with pytest.raises(BadRangeError):
+                scan(t_min, 50.0, 2000)
     with pytest.raises(BadRangeError):
         scan_lemma1(SQRT3, 50.0, 10)
     # steps must be an integer, a numpy one included

@@ -26,9 +26,12 @@ COMMANDS = (
     *(f"ellipse {r}" for r in ("-4-1i -2+8i 4+1i", "-1 0.0001+1.7320508i 1", "-1 0.1+0.001i 1", "-1 0 1")),
     # either side of the gate's collinear band, area 4e-9 at diameter 2
     *(f"{cmd} -1 0.5+{a}e-9i 1" for cmd in ("compute", "ellipse") for a in (2, 5)),
+    # the second sweep's nine rows hold every kind of cell: skip and equilateral at the tips
+    # +-i sqrt(3), collinear at 0 (reachable) and +-1.5 (not), generic at the corners;
     # the last boundary is the ray route at its magnitude limit
-    *(f"{cmd} --format {fmt} --out data.{fmt}" for cmd in ("sweep --resolution 201", "boundary --steps 10000",
-      "boundary --tmin 1e99 --tmax 1e100 --steps 10") for fmt in ("csv", "jsonl")),
+    *(f"{cmd} --format {fmt} --out data.{fmt}" for cmd in ("sweep --resolution 201",
+      "sweep --re-range -1.5 1.5 --im-range -1.7320508075688772 1.7320508075688772 --resolution 3",
+      "boundary --steps 10000", "boundary --tmin 1e99 --tmax 1e100 --steps 10") for fmt in ("csv", "jsonl")),
 )
 WRONG_TREE = 97  # no ratiolab command exits with it
 RUNNER = f"""import sys, pathlib, ratiolab.cli
